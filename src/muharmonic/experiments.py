@@ -33,6 +33,7 @@ from .groups import (
 )
 from .harmonic import (
     cesaro_projection,
+    commutant,
     diamond_product,
     harmonic_space,
     harmonic_triviality_verdict,
@@ -69,6 +70,7 @@ from .operators import (
     left_regular,
     predual_action,
     right_markov_matrix,
+    right_regular,
 )
 from .subspaces import mutual_residual
 from .walks import (
@@ -227,6 +229,11 @@ def _check(name: str, value: float, bound: float, mode: str = "le") -> CheckResu
 
 # ------------------------------------------------------------- config
 
+_CONFIG_KEYS = frozenset({"scenario", "group", "measure", "entry", "word", "n", "paths",
+                          "window", "trials", "seed", "out", "parallel"})
+_MEASURE_FORMS = ("point", "uniform_on", "entries")
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -246,6 +253,9 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
+        for key in raw:
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"{key}: unknown config key")
         scenario = raw.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
@@ -264,7 +274,7 @@ class ExperimentConfig:
             if val is not None:
                 if not isinstance(val, int) or isinstance(val, bool) or val < 0:
                     raise ConfigError(f"{key}: expected a nonnegative integer")
-                setattr(cfg, key if key != "n" else "n", val)
+                setattr(cfg, key, val)
         if raw.get("out") is not None:
             cfg.out = str(raw["out"])
         if raw.get("parallel") is not None:
@@ -298,24 +308,53 @@ class ExperimentConfig:
             if self.measure is None:
                 raise ConfigError("measure: required when group is given")
             mu = _measure_from_spec(g, self.measure)
+            if not mu.is_probability():
+                form = next(k for k in _MEASURE_FORMS if k in self.measure)
+                raise ConfigError(f"measure.{form}: weights must be nonnegative reals "
+                                  f"summing to 1, got total {mu.total_mass():.6g}")
             return [CatalogEntry("custom", g, mu)]
         if self.entry is not None:
             return [catalog_entry(self.entry)]
         return catalog()
 
 
+def _element(g: FiniteGroup, raw, path: str) -> int:
+    """Group element index from a config value, checked against the order."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{path}: expected an element index, got {raw!r}")
+    if not 0 <= raw < g.order:
+        raise ConfigError(f"{path}: element index {raw} outside 0..{g.order - 1}")
+    return raw
+
+
+def _weight(raw, path: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {raw!r}")
+    return float(raw)
+
+
 def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
     if "point" in spec:
-        return point_mass(g, int(spec["point"]))
+        return point_mass(g, _element(g, spec["point"], "measure.point"))
     if "uniform_on" in spec:
-        return uniform_on(g, [int(x) for x in spec["uniform_on"]])
+        subset = spec["uniform_on"]
+        if not isinstance(subset, list) or not subset:
+            raise ConfigError("measure.uniform_on: expected a nonempty list of element indices")
+        return uniform_on(g, [_element(g, x, "measure.uniform_on") for x in subset])
     if "entries" in spec:
+        path = "measure.entries"
+        if not isinstance(spec["entries"], list):
+            raise ConfigError(f"{path}: expected a list of [index, weight] items")
         pairs = []
         for item in spec["entries"]:
+            if not isinstance(item, list) or len(item) not in (2, 3):
+                raise ConfigError(f"{path}: expected [index, weight] or [index, re, im], "
+                                  f"got {item!r}")
+            x = _element(g, item[0], path)
             if len(item) == 2:
-                pairs.append((int(item[0]), float(item[1])))
+                pairs.append((x, _weight(item[1], path)))
             else:
-                pairs.append((int(item[0]), complex(float(item[1]), float(item[2]))))
+                pairs.append((x, complex(_weight(item[1], path), _weight(item[2], path))))
         return from_pairs(g, pairs)
     raise ConfigError("measure: expected one of point / uniform_on / entries")
 
@@ -422,7 +461,9 @@ def _crit_operator_harmonic(cov: set) -> list[CheckResult]:
         checks.append(_check(f"{e.name}: operator-space residual",
                              mutual_residual(fixed, comm), 1e-9))
         if e.name == "S3_transpositions":
-            checks.append(_check("S3: commutant rank == 6", comm.rank, 6, "eq"))
+            rho = right_regular(e.group)
+            generic = commutant([rho[x] for x in h_mu.members])
+            checks.append(_check("S3: commutant rank == 6", generic.rank, 6, "eq"))
     return checks
 
 

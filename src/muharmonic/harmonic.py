@@ -2,9 +2,14 @@
 
 The Cesaro projection K returned here is the exact limit of the averages
 (1/n) sum_{i<=n} M^i, computed algebraically as the spectral projection onto
-ker(I - M) along range(I - M); the plain averaged iteration converges only at
-O(1/n) (periodic chains oscillate), so it is kept as a diagnostic sequence in
-the report rather than as the definition of K.
+ker(I - M) along range(I - M).  The averages themselves converge only at
+O(1/n) (periodic chains oscillate), so the report carries their distance
+from K at a chosen n as a diagnostic, in the closed form
+avg_n - K = (1/n) N (I - N^n) (I - N)^{-1} with N = M - K.
+
+The subgroup-invariant spaces are closed form too: the functions fixed by
+H are the left-coset indicators, and the matrices commuting with rho(H) are
+the indicators of the H-orbits (x, y) -> (x s, y s) on G x G.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets
 from .measures import FiniteMeasure
-from .operators import OperatorMatrix, as_matrix, right_markov_matrix, right_regular
+from .operators import OperatorMatrix, as_matrix, right_markov_matrix
 from .subspaces import DEFAULT_REL_TOL, Subspace, column_space, kernel, span_of_rows
 
 
@@ -30,18 +35,33 @@ def trivial_solution_space(g: FiniteGroup, h: Subgroup, rep: str = "functions") 
 
     functions: span of the indicator functions of the left cosets gH.
     operators: commutant of {rho(x) : x in H} inside the matrix space,
-    vectorized row-major.
+    vectorized row-major.  rho(s) X rho(s)^{-1} moves X[x, y] to X[x s, y s],
+    so the commutant is spanned by the indicators of the H-orbits on G x G.
     """
     if rep == "functions":
-        part = left_cosets(g, h)
-        rows = np.zeros((part.block_count, g.order), dtype=np.complex128)
-        for i, block in enumerate(part.blocks):
-            rows[i, list(block)] = 1.0 / np.sqrt(len(block))
-        return span_of_rows(rows)
+        labels = np.empty(g.order, dtype=np.int64)
+        for i, block in enumerate(left_cosets(g, h).blocks):
+            labels[list(block)] = i
+        return _indicator_space(labels)
     if rep == "operators":
-        rho = right_regular(g)
-        return commutant([rho[x] for x in h.members], dim=g.order)
+        right = g.cayley[:, list(h.members)]  # right[x, k] = x s_k
+        images = right[:, None, :] * g.order + right[None, :, :]
+        # label each pair (x, y) by the smallest row-major index in its orbit
+        _, labels = np.unique(images.min(axis=2).ravel(), return_inverse=True)
+        return _indicator_space(labels)
     raise ValueError(f"rep must be 'functions' or 'operators', got {rep!r}")
+
+
+def _indicator_space(labels: np.ndarray) -> Subspace:
+    """Span of the block indicators of a partition of the coordinates.
+
+    labels[j] is the block of coordinate j, blocks numbered 0..count-1; the
+    normalized indicators are disjointly supported, hence orthonormal.
+    """
+    sizes = np.bincount(labels)
+    rows = np.zeros((sizes.size, labels.size), dtype=np.complex128)
+    rows[labels, np.arange(labels.size)] = 1.0 / np.sqrt(sizes[labels])
+    return Subspace(labels.size, rows, DEFAULT_REL_TOL)
 
 
 def commutant(mats, *, dim: int | None = None, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
@@ -125,27 +145,25 @@ def cesaro_projection(
 ) -> ProjectionReport:
     """Projection onto the fixed space of a stochastic matrix, with residuals.
 
-    K is the exact Cesaro limit (see cesaro_limit); the averaged power
-    iteration runs alongside it, stopping at successive Frobenius difference
-    below tol or at n_max, and the gap between the last iterate and K is
-    reported.  The report carries ||K^2 - K||_F, the max absolute row sum,
-    and commutation residuals against any supplied named operators.
+    K is the exact Cesaro limit (see cesaro_limit).  As a diagnostic, the
+    report gives the Frobenius gap between K and the average
+    avg_n = (1/n) sum_{i<=n} M^i at n = n_max, from the closed form
+    avg_n - K = (1/n) N (I - N^n) (I - N)^{-1} with N = M - K (I - N is
+    invertible because K removes the eigenvalue 1).  n_iterations is that
+    n, and converged_iteratively says whether the gap is below tol; periodic
+    chains converge only along some n.  The report also carries
+    ||K^2 - K||_F, the max absolute row sum, and commutation residuals
+    against any supplied named operators.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
     a = as_matrix(m)
     k = cesaro_limit(a)
 
-    power = a.copy()
-    avg = a.copy()
-    converged = False
-    n_used = 1
-    for n in range(2, n_max + 1):
-        power = power @ a
-        prev = avg
-        avg = prev * ((n - 1) / n) + power / n
-        n_used = n
-        if float(np.linalg.norm(avg - prev)) < tol:
-            converged = True
-            break
+    eye = np.eye(a.shape[0])
+    transient = a - k  # M^i - K = transient^i for i >= 1
+    tail = transient @ (eye - np.linalg.matrix_power(transient, n_max))
+    gap = float(np.linalg.norm(np.linalg.solve(eye - transient, tail))) / n_max
 
     commutation = {}
     for name, t in (commute_with or {}).items():
@@ -159,9 +177,9 @@ def cesaro_projection(
         norm_inf=float(np.abs(k).sum(axis=1).max()),
         commutation_residuals=commutation,
         range_rank=column_space(k).rank,
-        converged_iteratively=converged,
-        n_iterations=n_used,
-        iterative_gap=float(np.linalg.norm(avg - k)),
+        converged_iteratively=gap < tol,
+        n_iterations=n_max,
+        iterative_gap=gap,
     )
 
 

@@ -33,7 +33,7 @@ class Subspace:
         if self.rank == 0:
             return np.zeros_like(np.asarray(v, dtype=np.complex128))
         b = self.basis
-        return b.conj().T @ (b @ np.asarray(v, dtype=np.complex128))
+        return b.T @ (b.conj() @ np.asarray(v, dtype=np.complex128))
 
     def residual(self, v: np.ndarray) -> float:
         """Distance from v to the subspace."""

@@ -140,3 +140,37 @@ def test_run_rejects_unknown_scenario():
     cfg.scenario = "bogus"
     with pytest.raises(ConfigError):
         run(cfg)
+
+
+@pytest.mark.parametrize("measure, field", [
+    ({"point": 9}, "measure.point"),  # Z6 has no element 9
+    ({"entries": [[1, 0.5]]}, "measure.entries"),  # total mass 1/2
+])
+def test_cli_bad_measure_exits_2_with_field_path(tmp_path, capsys, measure, field):
+    cfg = tmp_path / "bad_measure.json"
+    cfg.write_text(json.dumps({"group": {"kind": "cyclic", "n": 6}, "measure": measure}))
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_measure_spec_rejects_malformed_items():
+    z6 = catalog_entry("Z6_delta2").group
+    for spec, field in (
+        ({"point": -1}, "measure.point"),
+        ({"point": "2"}, "measure.point"),
+        ({"uniform_on": []}, "measure.uniform_on"),
+        ({"uniform_on": [1, 6]}, "measure.uniform_on"),
+        ({"entries": [[1]]}, "measure.entries"),
+        ({"entries": [[1, "half"]]}, "measure.entries"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            _measure_from_spec(z6, spec)
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^pathz: unknown config key$"):
+        ExperimentConfig.from_dict({"scenario": "freewalk", "pathz": 5})
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"pathz": 5}))
+    assert cli_main(["freewalk", "--config", str(cfg)]) == 2
+    assert "pathz: unknown config key" in capsys.readouterr().err

@@ -176,3 +176,68 @@ def test_subharmonicity_of_modulus_and_max():
         h2 = (rng.standard_normal(space.rank) @ space.basis).real
         pair_max = np.maximum(np.abs(h), np.abs(h2))
         assert subharmonic_check(pair_max, Z6, mu).max_violation <= 1e-12
+
+
+def test_operator_commutant_closed_form_matches_generic():
+    from muharmonic import catalog
+
+    for e in catalog():
+        if e.group.order > 6:
+            continue
+        h = generated_subgroup(e.group, e.measure.support())
+        rho = right_regular(e.group)
+        closed = trivial_solution_space(e.group, h, "operators")
+        generic = commutant([rho[x] for x in h.members])
+        assert closed.rank == generic.rank == e.group.order ** 2 // h.order, e.name
+        assert mutual_residual(closed, generic) <= 1e-12, e.name
+        assert np.allclose(closed.basis @ closed.basis.conj().T, np.eye(closed.rank))
+
+
+def test_function_indicator_space_is_orthonormal_coset_span():
+    h = generated_subgroup(Z6, [2])
+    space = trivial_solution_space(Z6, h, "functions")
+    assert np.allclose(space.basis @ space.basis.conj().T, np.eye(2))
+    even = np.zeros(6)
+    even[[0, 2, 4]] = 1.0
+    assert space.contains(even) and space.contains(1.0 - even)
+
+
+def _averaging_loop_gap(m: np.ndarray, k: np.ndarray, n: int) -> float:
+    """Reference: ||(1/n) sum_{i<=n} M^i - K||_F by explicit accumulation."""
+    power = m.copy()
+    total = m.copy()
+    for _ in range(n - 1):
+        power = power @ m
+        total = total + power
+    return float(np.linalg.norm(total / n - k))
+
+
+@pytest.mark.parametrize("n_max", [7, 2000])
+def test_cesaro_gap_closed_form_matches_loop(n_max):
+    from muharmonic import catalog
+
+    for e in catalog():
+        m = right_markov_matrix(e.group, e.measure).entries
+        report = cesaro_projection(m, n_max=n_max)
+        assert report.n_iterations == n_max
+        expected = _averaging_loop_gap(m, report.K.entries, n_max)
+        assert abs(report.iterative_gap - expected) <= 1e-12, e.name
+        assert report.converged_iteratively == (report.iterative_gap < 1e-10)
+
+
+def test_cesaro_periodic_chain_converges_at_even_n():
+    from muharmonic import catalog_entry
+
+    e = catalog_entry("Z2_delta1")
+    m = right_markov_matrix(e.group, e.measure)
+    even = cesaro_projection(m, n_max=10)
+    assert even.converged_iteratively is True
+    assert even.iterative_gap < 1e-14
+    odd = cesaro_projection(m, n_max=11)
+    assert odd.converged_iteratively is False
+    assert abs(odd.iterative_gap - 1.0 / 11) < 1e-14
+
+
+def test_cesaro_projection_rejects_nonpositive_n_max():
+    with pytest.raises(ValueError, match="n_max"):
+        cesaro_projection(right_markov_matrix(Z2, point_mass(Z2, 1)), n_max=0)

@@ -52,3 +52,21 @@ def test_zero_span():
     s = span_of_rows(np.zeros((2, 4)))
     assert s.rank == 0
     assert s.residual(np.array([1.0, 0, 0, 0])) == 1.0
+
+
+def test_project_onto_complex_span_not_its_conjugate():
+    from muharmonic import cyclic_group, from_pairs, harmonic_space, right_markov_matrix
+
+    z3 = cyclic_group(3)
+    omega = np.exp(2j * np.pi / 3)
+    # (M h)(g) = conj(omega) h(g + 1) fixes chi(g) = omega^g but not conj(chi)
+    mu = from_pairs(z3, [(1, np.conj(omega))])
+    space = harmonic_space(right_markov_matrix(z3, mu))
+    chi = omega ** np.arange(3)
+    assert space.rank == 1
+    assert space.residual(chi) < 1e-12
+    assert space.contains(chi)
+    assert not space.contains(chi.conj())
+    assert np.allclose(space.project(chi), chi)
+    assert mutual_residual(space, span_of_rows(chi[None, :])) < 1e-12
+    assert not subspaces_equal(space, span_of_rows(chi.conj()[None, :]))
