@@ -115,7 +115,12 @@ def from_pairs(g: FiniteGroup, pairs) -> FiniteMeasure:
 
 
 def uniform_on(g: FiniteGroup, subset) -> FiniteMeasure:
+    """Uniform probability on a nonempty set of distinct elements."""
     subset = list(subset)
+    if not subset:
+        raise ValueError("subset must be nonempty")
+    if len(set(subset)) != len(subset):
+        raise ValueError(f"subset has a repeated element index: {subset}")
     w = np.zeros(g.order, dtype=np.complex128)
     w[np.array(subset, dtype=np.int64)] = 1.0 / len(subset)
     return FiniteMeasure(g, w)

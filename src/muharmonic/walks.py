@@ -4,6 +4,13 @@ Monte Carlo experiments are chunked: the master seed spawns one child
 SeedSequence per fixed-size chunk, workers own disjoint streams, and all
 aggregation is order-independent sums, so results are reproducible
 regardless of how chunks are scheduled.
+
+The free-group experiments read only |X_n| and the first |w| letters of
+X_n, so the sampler runs the simple walk as its length chain (a
+birth-death chain with drift (2k-2)/2k) and stores just those letters.
+It draws one uniform r in [0, 2k) per path-step; this stream replaced a
+sampler that kept whole words and drew the step's generator directly, so
+Monte Carlo values differ from records made before that change.
 """
 
 from __future__ import annotations
@@ -147,25 +154,14 @@ def harmonic_measure_cylinder(k: int, w: FreeWord) -> float:
 def poisson_extension(k: int, w: FreeWord, g: FreeWord) -> float:
     """Harmonic extension of the cylinder indicator: h(g) = nu_g([w]).
 
-    Closed form for the simple walk: with q = 2k-1 and d the tree distance
-    from g to w, h = 1 - (1/2k) q^{-d} when w is a prefix of g (g sits in
-    the shadow subtree), and h = ((2k-1)/2k) q^{-d} otherwise.
+    One vertex of `_poisson_values`, which holds the closed form.
     """
     if w.rank != k or g.rank != k:
         raise ValueError("rank mismatch between cylinder and vertex")
     if len(w) == 0:
         raise ValueError("cylinders are indexed by nonempty reduced words")
-    m = len(w)
-    lcp = 0
-    for a, b in zip(g.letters, w.letters):
-        if a != b:
-            break
-        lcp += 1
-    d = len(g) + m - 2 * lcp
-    q = 2 * k - 1
-    if lcp == m:  # w is a prefix of g
-        return 1.0 - (1.0 / (2 * k)) * q ** (-float(d))
-    return ((2 * k - 1) / (2 * k)) * q ** (-float(d))
+    letters = np.array([g.letters], dtype=np.int16)
+    return float(_poisson_values(k, w.letters, letters, np.array([len(g)]))[0])
 
 
 # --------------------------------------------------- vectorized chunked sampler
@@ -174,52 +170,66 @@ def _gens_array(k: int) -> np.ndarray:
     return np.array(list(range(1, k + 1)) + [-i for i in range(1, k + 1)], dtype=np.int16)
 
 
-def _simulate_chunk(k, n_steps, n_paths, rng, prefix_len=0, margin=DEFAULT_MARGIN):
-    """Simulate n_paths SRW trajectories; returns final words and tracking info.
+def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN):
+    """Simulate n_paths simple-walk trajectories on the length chain.
 
-    Tracking (prefix_len > 0): `hit` marks paths that reached length
-    prefix_len + margin, `minlen` is the minimum length since first hitting.
-    The length-prefix of the word is frozen from that hit on, as long as the
-    length never dips below prefix_len + 1.
+    From a nonempty reduced word exactly one of the 2k steps cancels, so
+    each path-step draws one r uniform in [0, 2k): for a path of length
+    L > 0, r == 0 cancels the last letter and otherwise pushes letter index
+    (inv(top) + r) mod 2k, uniform over the 2k - 1 letters that do not
+    cancel; at L == 0 it pushes letter index r.  Letter indices follow
+    `_gens_array`; inv(i) = (i + k) mod 2k.  The draws do not depend on
+    `keep`, so runs that store more letters see the same paths.
+
+    Only the first `keep` letters of each word are stored, so letters are
+    written only for pushes at depth < keep and memory is n_paths * keep.
+    Returns (prefix, lengths, stable): `prefix[:, j]` is the j-th letter
+    where j < lengths (entries at or past the length are stale), and
+    `stable` marks paths that reached length keep + margin and never went
+    back below keep + 1 after that, whose first keep letters are final.
     """
-    gens = _gens_array(k)
-    words = np.zeros((n_paths, max(n_steps, 1)), dtype=np.int16)
+    two_k = 2 * k
+    prefix = np.zeros((n_paths, keep), dtype=np.int16)
     lengths = np.zeros(n_paths, dtype=np.int32)
     hit = np.zeros(n_paths, dtype=bool)
-    minlen = np.full(n_paths, np.iinfo(np.int32).max, dtype=np.int32)
-    rows = np.arange(n_paths)
+    fell = np.zeros(n_paths, dtype=bool)
     for _ in range(n_steps):
-        s = gens[rng.integers(0, 2 * k, size=n_paths)]
-        top = np.zeros(n_paths, dtype=np.int16)
-        has = lengths > 0
-        top[has] = words[rows[has], lengths[has] - 1]
-        cancel = top == -s
-        lengths[cancel] -= 1
-        push = ~cancel
-        words[rows[push], lengths[push]] = s[push]
-        lengths[push] += 1
-        if prefix_len > 0:
-            hit |= lengths >= prefix_len + margin
-            np.minimum(minlen, np.where(hit, lengths, np.iinfo(np.int32).max), out=minlen)
-    return words, lengths, hit, minlen
+        r = rng.integers(0, two_k, size=n_paths, dtype=np.int16)
+        low = np.flatnonzero(lengths < keep)
+        if low.size:
+            depth = lengths[low]
+            r_low = r[low]
+            push = (r_low != 0) | (depth == 0)
+            low, depth, r_low = low[push], depth[push], r_low[push]
+            top = prefix[low, np.maximum(depth - 1, 0)]
+            prefix[low, depth] = np.where(depth == 0, r_low, (top + k + r_low) % two_k)
+        cancel = (r == 0) & (lengths > 0)
+        # +1, or -1 on a cancel; subtracting the mask twice avoids a temporary
+        lengths += 1
+        lengths -= cancel
+        lengths -= cancel
+        hit |= lengths >= keep + margin
+        fell |= hit & (lengths <= keep)
+    return _gens_array(k)[prefix], lengths, hit & ~fell
 
 
 def _poisson_values(k, w_letters, words, lengths):
-    """Vectorized poisson_extension of the cylinder over final words."""
+    """h(g) = nu_g([w]) for the simple walk at many vertices g at once.
+
+    Row i of `words` holds the first letters of vertex i and `lengths[i]`
+    its length; only columns j < min(len(w), lengths[i]) are read.  Closed
+    form: with q = 2k-1 and d the tree distance from g to w,
+    h = 1 - (1/2k) q^{-d} when w is a prefix of g (g sits in the shadow
+    subtree), and h = ((2k-1)/2k) q^{-d} otherwise.
+    """
     m = len(w_letters)
-    n_paths = words.shape[0]
-    lcp = np.zeros(n_paths, dtype=np.int32)
-    alive = np.ones(n_paths, dtype=bool)
-    for j in range(m):
-        if j >= words.shape[1]:
-            alive = np.zeros(n_paths, dtype=bool)
-            break
-        alive = alive & (lengths > j) & (words[:, j] == w_letters[j])
-        lcp[alive] += 1
-    d = (lengths + m - 2 * lcp).astype(float)
+    width = min(m, words.shape[1])
+    match = words[:, :width] == np.asarray(w_letters[:width])
+    match &= np.arange(width) < lengths[:, None]
+    lcp = match.cumprod(axis=1).sum(axis=1)
     q = float(2 * k - 1)
-    inside = lcp == m
-    return np.where(inside, 1.0 - q ** (-d) / (2 * k), (q / (2 * k)) * q ** (-d)), inside
+    q_d = q ** (2 * lcp - lengths - m)  # q^{-d}
+    return np.where(lcp == m, 1.0 - q_d / (2 * k), (q / (2 * k)) * q_d)
 
 
 def _chunk_seeds(seed: int, n_paths: int):
@@ -227,17 +237,6 @@ def _chunk_seeds(seed: int, n_paths: int):
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(CHUNK_SIZE, n_paths - i * CHUNK_SIZE) for i in range(n_chunks)]
     return list(zip(children, sizes))
-
-
-def _prefix_match(words_arr: np.ndarray, w_arr: np.ndarray, base: np.ndarray) -> np.ndarray:
-    out = base.copy()
-    width = words_arr.shape[1]
-    for j in range(len(w_arr)):
-        if j >= width:
-            out[:] = False
-            break
-        out &= words_arr[:, j] == w_arr[j]
-    return out
 
 
 # ------------------------------------------------------------ MC experiments
@@ -285,13 +284,9 @@ def empirical_cylinder_measure(
     matches = 0
     for child, size in _chunk_seeds(seed, n_paths):
         rng = np.random.default_rng(child)
-        words_arr, lengths, hit, minlen = _simulate_chunk(
-            k, n_steps, size, rng, prefix_len=m, margin=margin
-        )
-        ok = hit & (minlen >= m + 1)
-        pref_match = _prefix_match(words_arr, w_arr, ok)
-        conclusive += int(ok.sum())
-        matches += int(pref_match.sum())
+        prefix, _, stable = _simulate_chunk(k, n_steps, size, rng, m, margin)
+        conclusive += int(stable.sum())
+        matches += int((stable & (prefix == w_arr).all(axis=1)).sum())
     p = matches / conclusive if conclusive else 0.0
     stderr = float(np.sqrt(p * (1 - p) / conclusive)) if conclusive else 0.0
     return CylinderEstimate(p, stderr, n_paths, seed, n_paths - conclusive)
@@ -343,16 +338,12 @@ def martingale_convergence_check(
     agree = 0
     for child, size in _chunk_seeds(seed, n_paths):
         rng = np.random.default_rng(child)
-        words_arr, lengths, hit, minlen = _simulate_chunk(
-            k, n_steps, size, rng, prefix_len=m, margin=margin
-        )
-        ok = hit & (minlen >= m + 1)
-        h_vals, _ = _poisson_values(k, w_arr, words_arr, lengths)
-        pref_match = _prefix_match(words_arr, w_arr, ok)
-        indicator = pref_match.astype(float)
+        prefix, lengths, stable = _simulate_chunk(k, n_steps, size, rng, m, margin)
+        h_vals = _poisson_values(k, w_arr, prefix, lengths)
+        indicator = (stable & (prefix == w_arr).all(axis=1)).astype(float)
         close = np.abs(h_vals - indicator) < threshold
-        conclusive += int(ok.sum())
-        agree += int((ok & close).sum())
+        conclusive += int(stable.sum())
+        agree += int((stable & close).sum())
     return MartingaleReport(
         n_paths=n_paths,
         n_steps=n_steps,
@@ -421,8 +412,8 @@ def diamond_vs_pointwise_mc(
                              n_paths, 0, seed)
     for child, size in _chunk_seeds(seed, n_paths):
         rng = np.random.default_rng(child)
-        words_arr, lengths, _, _ = _simulate_chunk(k, n_steps, size, rng)
-        h_vals, _ = _poisson_values(k, w_arr, words_arr, lengths)
+        prefix, lengths, _ = _simulate_chunk(k, n_steps, size, rng, m)
+        h_vals = _poisson_values(k, w_arr, prefix, lengths)
         sq = h_vals * h_vals
         total += float(sq.sum())
         total_sq += float((sq * sq).sum())
@@ -444,7 +435,7 @@ def mean_endpoint_length(k: int, n_steps: int, n_paths: int, seed: int) -> float
     total = 0
     for child, size in _chunk_seeds(seed, n_paths):
         rng = np.random.default_rng(child)
-        _, lengths, _, _ = _simulate_chunk(k, n_steps, size, rng)
+        _, lengths, _ = _simulate_chunk(k, n_steps, size, rng, 0)
         total += int(lengths.sum())
     return total / n_paths
 

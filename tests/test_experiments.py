@@ -160,6 +160,7 @@ def test_measure_spec_rejects_malformed_items():
         ({"point": "2"}, "measure.point"),
         ({"uniform_on": []}, "measure.uniform_on"),
         ({"uniform_on": [1, 6]}, "measure.uniform_on"),
+        ({"uniform_on": [2, 2]}, "measure.uniform_on"),
         ({"entries": [[1]]}, "measure.entries"),
         ({"entries": [[1, "half"]]}, "measure.entries"),
     ):
@@ -174,3 +175,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"pathz": 5}))
     assert cli_main(["freewalk", "--config", str(cfg)]) == 2
     assert "pathz: unknown config key" in capsys.readouterr().err
+
+
+def test_cli_rejects_removed_window_key(tmp_path, capsys):
+    # `window` was parsed and echoed but no scenario read it
+    cfg = tmp_path / "window.json"
+    cfg.write_text(json.dumps({"window": 7}))
+    assert cli_main(["decay", "--config", str(cfg), "--n", "10"]) == 2
+    assert "window: unknown config key" in capsys.readouterr().err

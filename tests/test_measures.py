@@ -145,6 +145,14 @@ def test_tv_examples():
     assert tv_distance(uniform, cesaro_average(point_mass(Z4, 1), 4)) < 1e-15
 
 
+def test_uniform_on_rejects_repeated_or_empty_subsets():
+    assert uniform_on(Z4, [3, 1]).is_probability()
+    with pytest.raises(ValueError, match="repeated"):
+        uniform_on(Z4, [1, 1])  # used to give weights [0, 0.5, 0, 0]
+    with pytest.raises(ValueError, match="nonempty"):
+        uniform_on(Z4, [])
+
+
 def test_haar_examples():
     h = generated_subgroup(Z6, [2])
     omega = haar_on_subgroup(Z6, h)

@@ -25,6 +25,7 @@ from muharmonic import (
     uniform_on,
     word,
 )
+from muharmonic.freegroup import FreeWord
 from muharmonic.walks import _chunk_seeds, _gens_array, _poisson_values, _simulate_chunk
 
 W_A = word(2, (1,))
@@ -81,6 +82,10 @@ def test_poisson_extension_values():
     # mean value at the identity
     vals = [poisson_extension(2, W_A, word(2, (s,))) for s in (1, -1, 2, -2)]
     assert abs(sum(vals) / 4 - 0.25) < 1e-15
+    with pytest.raises(ValueError, match="rank mismatch"):
+        poisson_extension(3, W_A, empty_word(3))
+    with pytest.raises(ValueError, match="nonempty"):
+        poisson_extension(2, empty_word(2), W_A)
 
 
 def test_poisson_extension_harmonic_on_ball():
@@ -97,12 +102,71 @@ def test_poisson_extension_harmonic_on_ball():
 
 def test_vectorized_h_matches_scalar():
     rng = np.random.default_rng(6)
-    words_arr, lengths, _, _ = _simulate_chunk(2, 40, 200, rng)
+    words_arr, lengths, _ = _simulate_chunk(2, 40, 200, rng, keep=40)
     w_arr = np.array(W_AB.letters, dtype=np.int16)
-    h_vec, _ = _poisson_values(2, w_arr, words_arr, lengths)
+    h_vec = _poisson_values(2, w_arr, words_arr, lengths)
     for i in range(200):
         g = word(2, [int(s) for s in words_arr[i, : lengths[i]]])
         assert abs(h_vec[i] - poisson_extension(2, W_AB, g)) < 1e-13
+
+
+def test_sampler_prefix_matches_full_words():
+    # the draws do not depend on keep: a short prefix is the start of the full word
+    for k, keep in ((2, 1), (2, 3), (3, 2)):
+        short = _simulate_chunk(k, 50, 500, np.random.default_rng(21), keep=keep)
+        full = _simulate_chunk(k, 50, 500, np.random.default_rng(21), keep=50)
+        assert short[0].shape == (500, keep)
+        assert np.array_equal(short[0], full[0][:, :keep])
+        assert np.array_equal(short[1], full[1])
+
+
+def test_sampler_full_words_are_reduced():
+    for k in (1, 2, 3):
+        words_arr, lengths, _ = _simulate_chunk(k, 30, 300, np.random.default_rng(22), keep=30)
+        assert np.all((lengths >= 0) & (lengths <= 30) & (lengths % 2 == 0))
+        for i in range(300):
+            letters = tuple(int(s) for s in words_arr[i, : lengths[i]])
+            FreeWord(k, letters)  # raises unless every letter is valid and reduced
+            assert len(word(k, letters)) == lengths[i]
+
+
+def test_sampler_stable_matches_its_definition():
+    # stable: reached keep + margin and never went below keep + 1 afterwards
+    keep, margin, n_steps, n_paths = 2, 3, 25, 400
+    history = np.array([
+        _simulate_chunk(2, t, n_paths, np.random.default_rng(23), keep, margin)[1]
+        for t in range(1, n_steps + 1)
+    ])
+    _, _, stable = _simulate_chunk(2, n_steps, n_paths, np.random.default_rng(23), keep, margin)
+    expected = np.zeros(n_paths, dtype=bool)
+    for i in range(n_paths):
+        hits = np.flatnonzero(history[:, i] >= keep + margin)
+        expected[i] = hits.size > 0 and history[hits[0]:, i].min() >= keep + 1
+    assert 0 < expected.sum() < n_paths
+    assert np.array_equal(stable, expected)
+
+
+def _exact_length_moments(k: int, n: int) -> tuple[float, float]:
+    """Mean and variance of |X_n| from the birth-death chain of the length."""
+    p = np.zeros(n + 2)
+    p[0] = 1.0
+    for _ in range(n):
+        nxt = np.zeros_like(p)
+        nxt[1] += p[0]
+        nxt[:-1] += p[1:] / (2 * k)  # cancel: j -> j - 1
+        nxt[2:] += p[1:-1] * (2 * k - 1) / (2 * k)  # push: j -> j + 1
+        p = nxt
+    j = np.arange(n + 2)
+    mean = float(p @ j)
+    return mean, float(p @ j**2) - mean**2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_mean_endpoint_length_matches_exact_chain(k):
+    n_steps, n_paths = 40, 20_000
+    mean, var = _exact_length_moments(k, n_steps)
+    estimate = mean_endpoint_length(k, n_steps, n_paths, seed=24)
+    assert abs(estimate - mean) < 4 * np.sqrt(var / n_paths), (estimate, mean)
 
 
 def test_empirical_cylinder_frequencies_all_short_words():
@@ -113,10 +177,7 @@ def test_empirical_cylinder_frequencies_all_short_words():
     conclusive = 0
     for child, size in _chunk_seeds(77, n_paths):
         rng = np.random.default_rng(child)
-        words_arr, lengths, hit, minlen = _simulate_chunk(
-            2, n_steps, size, rng, prefix_len=prefix_len, margin=margin
-        )
-        ok = hit & (minlen >= prefix_len + 1)
+        words_arr, _, ok = _simulate_chunk(2, n_steps, size, rng, keep=prefix_len, margin=margin)
         conclusive += int(ok.sum())
         for m in (1, 2, 3):
             rows = np.nonzero(ok)[0]
@@ -153,9 +214,9 @@ def test_martingale_one_step_mean_property():
     # E[h(X_{n+1}) | X_n] = h(X_n): regress one extra step over sampled paths
     n_paths = 100_000
     rng = np.random.default_rng(13)
-    words_arr, lengths, _, _ = _simulate_chunk(2, 20, n_paths, rng)
+    words_arr, lengths, _ = _simulate_chunk(2, 20, n_paths, rng, keep=20)
     w_arr = np.array(W_A.letters, dtype=np.int16)
-    h_before, _ = _poisson_values(2, w_arr, words_arr, lengths)
+    h_before = _poisson_values(2, w_arr, words_arr, lengths)
     gens = _gens_array(2)
     step = gens[rng.integers(0, 4, size=n_paths)]
     rows = np.arange(n_paths)
@@ -169,7 +230,7 @@ def test_martingale_one_step_mean_property():
     push = ~cancel
     words2[rows[push], lengths2[push]] = step[push]
     lengths2[push] += 1
-    h_after, _ = _poisson_values(2, w_arr, words2, lengths2)
+    h_after = _poisson_values(2, w_arr, words2, lengths2)
     diff = h_after - h_before
     stderr = diff.std(ddof=1) / np.sqrt(n_paths)
     assert abs(diff.mean()) < 3 * stderr + 1e-12
