@@ -31,8 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="random trial count")
         p.add_argument("--word", help="free-group cylinder, e.g. a, ab, a'b")
         p.add_argument("--entry", help="run a single catalog entry by name")
-        p.add_argument("--parallel", action="store_true",
-                       help="fan independent catalog entries over processes")
     return parser
 
 
@@ -48,8 +46,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    if args.parallel:
-        raw["parallel"] = True
     return ExperimentConfig.from_dict(raw)
 
 

@@ -16,7 +16,7 @@ import math
 import os
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,6 +67,7 @@ from .measures import (
 from .operators import (
     GSpaceAction,
     conjugation_operator,
+    coset_action,
     left_regular,
     predual_action,
     right_markov_matrix,
@@ -123,10 +124,6 @@ class CatalogEntry:
         return f"CatalogEntry({self.name})"
 
 
-def _label_index(g: FiniteGroup, label: str) -> int:
-    return g.labels.index(label)
-
-
 @lru_cache(maxsize=1)
 def _catalog_tuple() -> tuple[CatalogEntry, ...]:
     z2 = build_group("cyclic", n=2)
@@ -136,7 +133,7 @@ def _catalog_tuple() -> tuple[CatalogEntry, ...]:
     v4 = build_group("product", factors=[build_group("cyclic", n=2), build_group("cyclic", n=2)])
     s3 = build_group("symmetric", n=3)
     s4 = build_group("symmetric", n=4)
-    entries = (
+    return (
         CatalogEntry("Z2_delta1", z2, point_mass(z2, 1)),
         CatalogEntry("Z4_delta1", z4, point_mass(z4, 1)),
         CatalogEntry("Z6_delta2", z6, point_mass(z6, 2)),
@@ -145,16 +142,15 @@ def _catalog_tuple() -> tuple[CatalogEntry, ...]:
         CatalogEntry(
             "S3_transpositions",
             s3,
-            uniform_on(s3, [_label_index(s3, "(1 2)"), _label_index(s3, "(1 3)")]),
+            uniform_on(s3, [s3.labels.index("(1 2)"), s3.labels.index("(1 3)")]),
         ),
         CatalogEntry(
             "S4_two_gens",
             s4,
-            uniform_on(s4, [_label_index(s4, "(1 2)"), _label_index(s4, "(1 2 3 4)")]),
+            uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")]),
         ),
         CatalogEntry("Z5_07_03", z5, from_pairs(z5, [(1, 0.7), (2, 0.3)])),
     )
-    return entries
 
 
 def catalog() -> list[CatalogEntry]:
@@ -179,8 +175,7 @@ class CheckResult:
     passed: bool
 
     def to_json(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound,
-                "passed": self.passed}
+        return asdict(self)
 
 
 @dataclass
@@ -216,22 +211,18 @@ class RunRecord:
         return json.dumps(body, sort_keys=True)
 
 
+_MODES = {"le": float.__le__, "ge": float.__ge__, "eq": float.__eq__}
+
+
 def _check(name: str, value: float, bound: float, mode: str = "le") -> CheckResult:
-    value = float(value)
-    bound = float(bound)
-    if mode == "le":
-        return CheckResult(name, value, bound, bool(value <= bound))
-    if mode == "ge":
-        return CheckResult(name, value, bound, bool(value >= bound))
-    if mode == "eq":
-        return CheckResult(name, value, bound, bool(value == bound))
-    raise ValueError(mode)
+    value, bound = float(value), float(bound)
+    return CheckResult(name, value, bound, _MODES[mode](value, bound))
 
 
 # ------------------------------------------------------------- config
 
 _CONFIG_KEYS = frozenset({"scenario", "group", "measure", "entry", "word", "n", "paths",
-                          "trials", "seed", "out", "parallel"})
+                          "trials", "seed", "out"})
 _MEASURE_FORMS = ("point", "uniform_on", "entries")
 
 
@@ -247,7 +238,6 @@ class ExperimentConfig:
     trials: int | None = None
     seed: int = MASTER_SEED
     out: str | None = None
-    parallel: bool = False
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -277,8 +267,6 @@ class ExperimentConfig:
                 setattr(cfg, key, val)
         if raw.get("out") is not None:
             cfg.out = str(raw["out"])
-        if raw.get("parallel") is not None:
-            cfg.parallel = bool(raw["parallel"])
         return cfg
 
     def echo(self) -> dict:
@@ -292,7 +280,6 @@ class ExperimentConfig:
             "paths": self.paths,
             "trials": self.trials,
             "seed": self.seed,
-            "parallel": self.parallel,
         }
 
     def resolve_pairs(self) -> list[CatalogEntry]:
@@ -379,18 +366,15 @@ def parse_word(k: int, spec: str) -> FreeWord:
     return word(k, letters)
 
 
-# ---------------------------------------------------------------- criteria
-# Each criterion function returns its CheckResults and marks the operations
-# it exercised in the coverage set.
+# ---------------------------------------------------------- check builders
+# A topic shared by a criterion and a scenario has one builder: it returns the
+# checks and fills `extra` (the record's extras).  The criterion runs it over
+# the catalog at pinned sizes, the scenario at the configured pairs and sizes.
 
-def _crit_finite_triviality(cov: set) -> list[CheckResult]:
+def _harmonic_checks(pairs: list[CatalogEntry], extra: dict) -> list[CheckResult]:
     checks = []
-    for e in catalog():
+    for e in pairs:
         verdict = harmonic_triviality_verdict(e.group, e.measure)
-        cov.update({"harmonic_triviality_verdict", "right_markov_matrix",
-                    "harmonic_space", "trivial_solution_space",
-                    "generated_subgroup", "left_cosets", "catalog",
-                    "build_group"})
         checks.append(_check(f"{e.name}: dim harmonic == cosets",
                              verdict.harmonic_rank, verdict.coset_count, "eq"))
         checks.append(_check(f"{e.name}: subspace residual",
@@ -398,32 +382,149 @@ def _crit_finite_triviality(cov: set) -> list[CheckResult]:
         checks.append(_check(f"{e.name}: verdict consistent",
                              1.0 if verdict.consistent else 0.0, 1.0, "ge"))
         # exercise the diamond product on an explicit harmonic pair
-        space = harmonic_space(right_markov_matrix(e.group, e.measure))
-        h = space.basis[0]
+        h = harmonic_space(right_markov_matrix(e.group, e.measure)).basis[0]
         dia = diamond_product(h, h, e.group, e.measure)
-        cov.add("diamond_product")
         checks.append(_check(f"{e.name}: diamond == pointwise",
                              float(np.abs(dia - h * h).max()), 1e-12))
+        extra[e.name] = verdict.to_json()
     return checks
 
 
-def _crit_cesaro_limit(cov: set) -> list[CheckResult]:
+def _cesaro_checks(pairs: list[CatalogEntry], n: int, n_max: int,
+                   extra: dict) -> list[CheckResult]:
     checks = []
-    for e in catalog():
-        h_mu = generated_subgroup(e.group, e.measure.support())
-        omega = haar_on_subgroup(e.group, h_mu)
-        cov.update({"haar_on_subgroup", "cesaro_average", "tv_distance",
-                    "cesaro_projection", "tv_norm"})
-        checks.append(_check(f"{e.name}: tv(A_1000, haar)",
-                             tv_distance(cesaro_average(e.measure, 1000), omega), 1e-2))
-        report = cesaro_projection(right_markov_matrix(e.group, e.measure),
-                                   n_max=10_000, tol=1e-10)
+    for e in pairs:
+        omega = haar_on_subgroup(e.group, generated_subgroup(e.group, e.measure.support()))
+        checks.append(_check(f"{e.name}: tv(A_{n}, haar)",
+                             tv_distance(cesaro_average(e.measure, n), omega), 1e-2))
+        report = cesaro_projection(right_markov_matrix(e.group, e.measure), n_max=n_max)
         target = right_markov_matrix(e.group, omega).entries
         checks.append(_check(f"{e.name}: ||K - pi(haar)||_F",
                              float(np.linalg.norm(report.K.entries - target)), 1e-9))
         checks.append(_check(f"{e.name}: tv_norm(haar) == 1",
                              abs(tv_norm(omega) - 1.0), 1e-12))
+        extra[e.name] = report.to_json()
     return checks
+
+
+def _entry_seed(base: int, name: str) -> int:
+    """Per-entry seed derived from the entry name, not its position, so an
+    entry draws the same numbers alone (--entry) as within the catalog."""
+    return base + (zlib.crc32(name.encode()) % 1_000_000)
+
+
+def _ncconv_checks(pairs: list[CatalogEntry], trials: int, seed: int,
+                   extra: dict) -> list[CheckResult]:
+    checks = []
+    for e in pairs:
+        g = e.group
+        n = g.order
+        entry_seed = _entry_seed(seed, e.name)
+        rng = np.random.default_rng(entry_seed)
+        worst_tr = worst_kappa = worst_assoc = 0.0
+        for _ in range(trials):
+            a = rng.random((n, n)) + 1j * rng.random((n, n))
+            b = rng.random((n, n)) + 1j * rng.random((n, n))
+            c = rng.random((n, n)) + 1j * rng.random((n, n))
+            ab = operator_convolve(a, b, g)
+            worst_tr = max(worst_tr, abs(np.trace(ab) - np.trace(a) * np.trace(b)))
+            lhs = diagonal_measure(ab, g)
+            rhs = convolve(diagonal_measure(a, g), diagonal_measure(b, g))
+            worst_kappa = max(worst_kappa, float(np.abs(lhs.weights - rhs.weights).max()))
+            worst_assoc = max(worst_assoc, float(np.abs(
+                operator_convolve(ab, c, g) - operator_convolve(a, operator_convolve(b, c, g), g)
+            ).max()))
+        checks.append(_check(f"{e.name}: |tr(S*T) - trS trT|", worst_tr, 1e-10))
+        checks.append(_check(f"{e.name}: kappa homomorphism", worst_kappa, 1e-10))
+        checks.append(_check(f"{e.name}: associativity", worst_assoc, 1e-10))
+        report = left_ideal_residual(g, e.measure, trials=trials, seed=entry_seed + 1)
+        checks.append(_check(f"{e.name}: left-ideal residual", report.max_residual, 1e-9))
+        extra[e.name] = report.to_json()
+    return checks
+
+
+def _random_coset_action(seed: int) -> tuple[GSpaceAction, FiniteMeasure]:
+    """A transitive coset action with a strictly positive, lazy walk law."""
+    rng = np.random.default_rng(seed)
+    entry = catalog()[int(rng.integers(0, len(catalog())))]
+    g = entry.group
+    gens = rng.choice(g.order, size=max(1, g.order // 6), replace=False)
+    h = generated_subgroup(g, [int(x) for x in gens])
+    action = coset_action(g, h)
+    weights = rng.random(g.order) + 0.05
+    weights[g.identity] += 0.5  # laziness keeps the chain aperiodic
+    weights /= weights.sum()
+    return action, FiniteMeasure(g, weights.astype(np.complex128))
+
+
+def _stationary_checks(count: int, seed: int, extra: dict) -> list[CheckResult]:
+    """S3 on its three points, then `count` random coset actions."""
+    s3 = symmetric_group(3)
+    action = GSpaceAction(s3, 3, np.array(list(itertools.permutations(range(3))), dtype=np.int64))
+    mu = uniform_on(s3, [s3.labels.index("(1 2)"), s3.labels.index("(1 3)")])
+    report = stationary_measure(action, mu)
+    uniform = np.full(3, 1.0 / 3.0)
+    checks = [
+        _check("S3 power route uniform",
+               float(np.abs(report.measure.weights.real - uniform).max()), 1e-12),
+        _check("S3 eigen route uniform",
+               float(np.abs(report.eigen_measure.weights.real - uniform).max()), 1e-12),
+    ]
+    extra["s3_on_points"] = report.to_json()
+    worst = 0.0
+    for i in range(count):
+        action_i, mu_i = _random_coset_action(seed + i)
+        rep = stationary_measure(action_i, mu_i, tol=1e-13)
+        ok = rep.fixed_dim == 1 and rep.agreement is not None
+        worst = max(worst, rep.agreement if ok else 1.0)
+    checks.append(_check("random actions: route agreement", worst, 1e-9))
+    return checks
+
+
+def _decay_checks(n: int, extra: dict, csv_path: str | None = None) -> list[CheckResult]:
+    """<mu^m, delta_0> for the simple walk on Z, m = 1..n, against binomials."""
+    mu = simple_random_walk_z()
+    report = weak_star_decay(mu, [(0, 1.0)], n)
+    vals = report.real_values()
+    worst = 0.0
+    for m in range(1, n // 2 + 1):
+        exact = float(Fraction(math.comb(2 * m, m), 4**m))
+        worst = max(worst, abs(vals[2 * m - 1] - exact))
+    power100 = convolution_power(mu, 100)
+    at_zero = float(power100.weights[0 - power100.carrier.lo].real)
+    increasing_violation = 0.0
+    for m in range(1, n // 2):
+        increasing_violation = max(increasing_violation, vals[2 * m + 1] - vals[2 * m - 1])
+    extra["final_value"] = vals[-1]
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "value"])
+            for i, v in enumerate(vals, start=1):
+                writer.writerow([i, f"{v:.17g}"])
+    return [
+        _check(f"binomial match over 2m <= {n}", worst, 1e-12),
+        _check("P(S_100 = 0)", abs(at_zero - 0.07958923738717877), 1e-7),
+        _check("even-n sequence decreasing", increasing_violation, 0.0),
+    ]
+
+
+# ---------------------------------------------------------------- criteria
+# Each criterion function returns its CheckResults and marks the operations
+# it exercised in the coverage set.
+
+def _crit_finite_triviality(cov: set) -> list[CheckResult]:
+    cov.update({"harmonic_triviality_verdict", "right_markov_matrix",
+                "harmonic_space", "trivial_solution_space",
+                "generated_subgroup", "left_cosets", "catalog",
+                "build_group", "diamond_product"})
+    return _harmonic_checks(catalog(), {})
+
+
+def _crit_cesaro_limit(cov: set) -> list[CheckResult]:
+    cov.update({"haar_on_subgroup", "cesaro_average", "tv_distance",
+                "cesaro_projection", "tv_norm"})
+    return _cesaro_checks(catalog(), 1000, 10_000, {})
 
 
 def _crit_projection(cov: set) -> list[CheckResult]:
@@ -470,40 +571,16 @@ def _crit_operator_harmonic(cov: set) -> list[CheckResult]:
 
 
 def _crit_nc_convolution(cov: set) -> list[CheckResult]:
-    checks = []
+    cov.update({"operator_convolve", "diagonal_measure", "reflect",
+                "trace_class_ideal", "left_ideal_residual", "convolve"})
     # frozen worked example on Z/2
     z2 = catalog_entry("Z2_delta1")
     s = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
     t = np.array([[5.0, 6.0], [7.0, 8.0]], dtype=np.complex128)
     st = operator_convolve(s, t, z2.group)
     expected = np.array([[37.0, 34.0], [31.0, 28.0]])
-    checks.append(_check("Z2 worked example exact",
-                         float(np.abs(st - expected).max()), 0.0))
-    cov.update({"operator_convolve", "diagonal_measure", "reflect",
-                "trace_class_ideal", "left_ideal_residual", "convolve"})
-    for idx, e in enumerate(catalog()):
-        g = e.group
-        n = g.order
-        rng = np.random.default_rng(MASTER_SEED + 1000 + idx)
-        worst_tr = worst_kappa = worst_assoc = 0.0
-        for _ in range(100):
-            a = rng.random((n, n)) + 1j * rng.random((n, n))
-            b = rng.random((n, n)) + 1j * rng.random((n, n))
-            c = rng.random((n, n)) + 1j * rng.random((n, n))
-            ab = operator_convolve(a, b, g)
-            worst_tr = max(worst_tr, abs(np.trace(ab) - np.trace(a) * np.trace(b)))
-            lhs = diagonal_measure(ab, g)
-            rhs = convolve(diagonal_measure(a, g), diagonal_measure(b, g))
-            worst_kappa = max(worst_kappa, float(np.abs(lhs.weights - rhs.weights).max()))
-            worst_assoc = max(worst_assoc, float(np.abs(
-                operator_convolve(ab, c, g) - operator_convolve(a, operator_convolve(b, c, g), g)
-            ).max()))
-        checks.append(_check(f"{e.name}: |tr(S*T) - trS trT|", worst_tr, 1e-10))
-        checks.append(_check(f"{e.name}: kappa homomorphism", worst_kappa, 1e-10))
-        checks.append(_check(f"{e.name}: associativity", worst_assoc, 1e-10))
-        report = left_ideal_residual(g, e.measure, trials=100, seed=MASTER_SEED + 2000 + idx)
-        checks.append(_check(f"{e.name}: left-ideal residual", report.max_residual, 1e-9))
-    return checks
+    worked = _check("Z2 worked example exact", float(np.abs(st - expected).max()), 0.0)
+    return [worked] + _ncconv_checks(catalog(), 100, MASTER_SEED, {})
 
 
 def _crit_quotient_norms(cov: set) -> list[CheckResult]:
@@ -533,10 +610,7 @@ def _crit_quotient_norms(cov: set) -> list[CheckResult]:
             y = p @ y
             acc += y
         a_final = np.abs(acc / n_avg).sum(axis=0)
-        worst = 0.0
-        for j in range(xs.shape[1]):
-            dist = l1_distance(xs[:, j], ideal)
-            worst = max(worst, abs(a_final[j] - dist))
+        worst = max(abs(a_final[j] - l1_distance(xs[:, j], ideal)) for j in range(xs.shape[1]))
         checks.append(_check(f"{e.name}: |a_4096 - lp distance|", worst, 5e-3))
     return checks
 
@@ -554,7 +628,7 @@ def _crit_approximate_identity(cov: set) -> list[CheckResult]:
 
 
 def _crit_harmonic_measure(cov: set) -> list[CheckResult]:
-    cov.update({"harmonic_measure_cylinder", "free_mul", "free_ball"})
+    cov.add("harmonic_measure_cylinder")
     w_a = parse_word(2, "a")
     w_ab = parse_word(2, "ab")
     est_a = empirical_cylinder_measure(2, w_a, 100, 100_000, MASTER_SEED + 41)
@@ -620,81 +694,21 @@ def _crit_poisson_harmonicity(cov: set) -> list[CheckResult]:
     ]
 
 
-def _random_coset_action(seed: int) -> tuple[GSpaceAction, FiniteMeasure]:
-    """A transitive coset action with a strictly positive, lazy walk law."""
-    from .operators import coset_action
-
-    rng = np.random.default_rng(seed)
-    entry = catalog()[int(rng.integers(0, len(catalog())))]
-    g = entry.group
-    gens = rng.choice(g.order, size=max(1, g.order // 6), replace=False)
-    h = generated_subgroup(g, [int(x) for x in gens])
-    action = coset_action(g, h)
-    weights = rng.random(g.order) + 0.05
-    weights[g.identity] += 0.5  # laziness keeps the chain aperiodic
-    weights /= weights.sum()
-    return action, FiniteMeasure(g, weights.astype(np.complex128))
-
-
-def _natural_symmetric_action(n: int) -> tuple:
-    g = symmetric_group(n)
-    perms = list(itertools.permutations(range(n)))
-    table = np.array([list(p) for p in perms], dtype=np.int64)
-    return g, GSpaceAction(g, n, table)
-
-
 def _crit_stationary(cov: set) -> list[CheckResult]:
     cov.update({"stationary_measure", "gspace_markov_matrix"})
-    checks = []
-    s3, action = _natural_symmetric_action(3)
-    mu = uniform_on(s3, [_label_index(s3, "(1 2)"), _label_index(s3, "(1 3)")])
-    report = stationary_measure(action, mu)
-    uniform = np.full(3, 1.0 / 3.0)
-    checks.append(_check("S3 power route uniform",
-                         float(np.abs(report.measure.weights.real - uniform).max()), 1e-12))
-    checks.append(_check("S3 eigen route uniform",
-                         float(np.abs(report.eigen_measure.weights.real - uniform).max()), 1e-12))
-    worst = 0.0
-    for i in range(20):
-        action_i, mu_i = _random_coset_action(MASTER_SEED + 500 + i)
-        rep = stationary_measure(action_i, mu_i, tol=1e-13)
-        if rep.fixed_dim != 1 or rep.agreement is None:
-            worst = max(worst, 1.0)
-        else:
-            worst = max(worst, rep.agreement)
-    checks.append(_check("random actions: route agreement", worst, 1e-9))
-    return checks
+    return _stationary_checks(20, MASTER_SEED + 500, {})
 
 
 def _crit_lattice_decay(cov: set) -> list[CheckResult]:
     cov.update({"weak_star_decay", "convolution_power"})
-    mu = simple_random_walk_z()
-    report = weak_star_decay(mu, [(0, 1.0)], 200)
-    vals = report.real_values()
-    worst = 0.0
-    for m in range(1, 101):
-        exact = float(Fraction(math.comb(2 * m, m), 4**m))
-        worst = max(worst, abs(vals[2 * m - 1] - exact))
-    power100 = convolution_power(mu, 100)
-    at_zero = float(power100.weights[0 - power100.carrier.lo].real)
-    increasing_violation = 0.0
-    for m in range(1, 100):
-        increasing_violation = max(increasing_violation, vals[2 * m + 1] - vals[2 * m - 1])
-    return [
-        _check("binomial match over 2m <= 200", worst, 1e-12),
-        _check("P(S_100 = 0)", abs(at_zero - 0.07958923738717877), 1e-7),
-        _check("even-n sequence decreasing", increasing_violation, 0.0),
-    ]
+    return _decay_checks(200, {})
 
 
 def _crit_l1_triviality(cov: set) -> list[CheckResult]:
     cov.add("l1_harmonic_triviality")
     mu = simple_random_walk_z()
-    checks = []
-    for window in (5, 50):
-        report = l1_harmonic_triviality(mu, window)
-        checks.append(_check(f"kernel rank at L={window}", report.kernel_rank, 0, "eq"))
-    return checks
+    return [_check(f"kernel rank at L={window}", l1_harmonic_triviality(mu, window).kernel_rank,
+                   0, "eq") for window in (5, 50)]
 
 
 def _crit_determinism(cov: set) -> list[CheckResult]:
@@ -705,10 +719,9 @@ def _crit_determinism(cov: set) -> list[CheckResult]:
     cfg2 = ExperimentConfig(scenario="harmonic", entry="Z6_delta2")
     third = run(cfg2).canonical_json()
     fourth = run(cfg2).canonical_json()
-    path_a = sample_path(catalog_entry("Z4_delta1").group,
-                         catalog_entry("Z4_delta1").measure, 0, 64, MASTER_SEED)
-    path_b = sample_path(catalog_entry("Z4_delta1").group,
-                         catalog_entry("Z4_delta1").measure, 0, 64, MASTER_SEED)
+    z4 = catalog_entry("Z4_delta1")
+    path_a = sample_path(z4.group, z4.measure, 0, 64, MASTER_SEED)
+    path_b = sample_path(z4.group, z4.measure, 0, 64, MASTER_SEED)
     return [
         _check("freewalk rerun byte-identical", 0.0 if first == second else 1.0, 0.0),
         _check("harmonic rerun byte-identical", 0.0 if third == fourth else 1.0, 0.0),
@@ -781,33 +794,10 @@ def _coverage_extras(cov: set) -> list[CheckResult]:
 
 
 # ------------------------------------------------------------- scenarios
+# A scenario maps its config to checks and fills `extra`, the record's extras.
 
-def _scenario_harmonic(cfg: ExperimentConfig, record: RunRecord) -> None:
-    for e in cfg.resolve_pairs():
-        verdict = harmonic_triviality_verdict(e.group, e.measure)
-        record.checks.append(_check(f"{e.name}: dim harmonic == cosets",
-                                    verdict.harmonic_rank, verdict.coset_count, "eq"))
-        record.checks.append(_check(f"{e.name}: subspace residual",
-                                    verdict.subspace_residual, 1e-9))
-        record.extra[e.name] = verdict.to_json()
-
-
-def _scenario_cesaro(cfg: ExperimentConfig, record: RunRecord) -> None:
-    n = cfg.n or 1000
-    for e in cfg.resolve_pairs():
-        h_mu = generated_subgroup(e.group, e.measure.support())
-        omega = haar_on_subgroup(e.group, h_mu)
-        dist = tv_distance(cesaro_average(e.measure, n), omega)
-        record.checks.append(_check(f"{e.name}: tv(A_{n}, haar)", dist, 1e-2))
-        report = cesaro_projection(right_markov_matrix(e.group, e.measure),
-                                   n_max=cfg.trials or 10_000)
-        gap = float(np.linalg.norm(
-            report.K.entries - right_markov_matrix(e.group, omega).entries))
-        record.checks.append(_check(f"{e.name}: ||K - pi(haar)||", gap, 1e-9))
-        record.extra[e.name] = report.to_json()
-
-
-def _scenario_derriennic(cfg: ExperimentConfig, record: RunRecord) -> None:
+def _scenario_derriennic(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
+    checks = []
     n_avg = cfg.n or 4096
     for e in cfg.resolve_pairs():
         ideal = coboundary_ideal(e.group, e.measure)
@@ -815,141 +805,83 @@ def _scenario_derriennic(cfg: ExperimentConfig, record: RunRecord) -> None:
         x = rng.random(e.group.order)
         x /= np.abs(x).sum()
         trace = quotient_norm_trace(x, ideal.predual_op, n_avg, ideal=ideal)
-        record.checks.append(_check(f"{e.name}: |a_N - lp|",
-                                    abs(trace.limit_estimate - trace.lp_distance), 5e-3))
-        record.extra[e.name] = trace.summary()
+        checks.append(_check(f"{e.name}: |a_N - lp|",
+                             abs(trace.limit_estimate - trace.lp_distance), 5e-3))
+        extra[e.name] = trace.summary()
         if cfg.out:
             trace.to_csv(os.path.join(cfg.out, f"derriennic_{e.name}.csv"))
+    return checks
 
 
-def _entry_seed(base: int, name: str) -> int:
-    """Per-entry seed derived from the entry name, not its position, so
-    serial and fanned-out runs aggregate identically."""
-    return base + (zlib.crc32(name.encode()) % 1_000_000)
-
-
-def _scenario_ncconv(cfg: ExperimentConfig, record: RunRecord) -> None:
-    trials = cfg.trials or 100
-    for e in cfg.resolve_pairs():
-        g = e.group
-        rng = np.random.default_rng(_entry_seed(cfg.seed, e.name))
-        worst_tr = 0.0
-        for _ in range(trials):
-            a = rng.random((g.order, g.order)) + 1j * rng.random((g.order, g.order))
-            b = rng.random((g.order, g.order)) + 1j * rng.random((g.order, g.order))
-            ab = operator_convolve(a, b, g)
-            worst_tr = max(worst_tr, abs(np.trace(ab) - np.trace(a) * np.trace(b)))
-        record.checks.append(_check(f"{e.name}: trace identity", worst_tr, 1e-10))
-        ideal_rep = left_ideal_residual(g, e.measure, trials=trials,
-                                        seed=_entry_seed(cfg.seed, e.name) + 1)
-        record.checks.append(_check(f"{e.name}: left-ideal residual",
-                                    ideal_rep.max_residual, 1e-9))
-        record.extra[e.name] = ideal_rep.to_json()
-
-
-def _scenario_freewalk(cfg: ExperimentConfig, record: RunRecord) -> None:
+def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     w = parse_word(2, cfg.word_spec)
+    if len(w) == 0:
+        raise ConfigError(f"word: {cfg.word_spec!r} reduces to the identity, "
+                          "which indexes no cylinder")
     paths = cfg.paths or 100_000
     n = cfg.n or 100
     est = empirical_cylinder_measure(2, w, n, paths, cfg.seed)
     exact = harmonic_measure_cylinder(2, w)
     sigma = max(np.sqrt(exact * (1 - exact) / max(est.n_paths - est.inconclusive_count, 1)), 1e-12)
-    record.checks.append(_check(f"cylinder [{w}] estimate within 4 sigma",
-                                abs(est.estimate - exact), 4 * sigma))
-    record.extra["cylinder"] = json.loads(est.to_json())
+    checks = [_check(f"cylinder [{w}] estimate within 4 sigma",
+                     abs(est.estimate - exact), 4 * sigma)]
+    extra["cylinder"] = json.loads(est.to_json())
     # the pinned bounds hold at the default horizon; shorter runs get the
     # looser fractions they can honestly meet (and fail if they cannot)
     conclusive_bound = 0.999 if n >= 100 else (0.95 if n >= 25 else 0.5)
     mart = martingale_convergence_check(2, w, n, max(paths // 10, 1000), cfg.seed + 1)
-    record.checks.append(_check("martingale conclusive fraction",
-                                mart.conclusive_fraction, conclusive_bound, "ge"))
-    record.checks.append(_check("martingale agreement fraction",
-                                mart.agreement_fraction, 0.99, "ge"))
-    record.extra["martingale"] = json.loads(mart.to_json())
+    checks.append(_check("martingale conclusive fraction",
+                         mart.conclusive_fraction, conclusive_bound, "ge"))
+    checks.append(_check("martingale agreement fraction",
+                         mart.agreement_fraction, 0.99, "ge"))
+    extra["martingale"] = json.loads(mart.to_json())
     dia = diamond_vs_pointwise_mc(2, w, min(n, 60), paths, cfg.seed + 2)
-    record.checks.append(_check("diamond estimate near boundary value",
-                                dia.distance_to_boundary, max(0.01, 5 * dia.stderr)))
-    record.extra["diamond"] = json.loads(dia.to_json())
+    checks.append(_check("diamond estimate near boundary value",
+                         dia.distance_to_boundary, max(0.01, 5 * dia.stderr)))
+    extra["diamond"] = json.loads(dia.to_json())
+    return checks
 
 
-def _scenario_stationary(cfg: ExperimentConfig, record: RunRecord) -> None:
-    s3, action = _natural_symmetric_action(3)
-    mu = uniform_on(s3, [_label_index(s3, "(1 2)"), _label_index(s3, "(1 3)")])
-    report = stationary_measure(action, mu)
-    uniform = np.full(3, 1.0 / 3.0)
-    record.checks.append(_check("S3 stationary uniform",
-                                float(np.abs(report.measure.weights.real - uniform).max()),
-                                1e-12))
-    record.extra["s3_on_points"] = report.to_json()
-    count = cfg.trials or 20
-    worst = 0.0
-    for i in range(count):
-        action_i, mu_i = _random_coset_action(cfg.seed + i)
-        rep = stationary_measure(action_i, mu_i, tol=1e-13)
-        worst = max(worst, rep.agreement if rep.agreement is not None else 1.0)
-    record.checks.append(_check("random actions: route agreement", worst, 1e-9))
-
-
-def _scenario_decay(cfg: ExperimentConfig, record: RunRecord) -> None:
-    n = cfg.n or 200
-    mu = simple_random_walk_z()
-    report = weak_star_decay(mu, [(0, 1.0)], n)
-    vals = report.real_values()
-    worst = 0.0
-    for m in range(1, n // 2 + 1):
-        exact = float(Fraction(math.comb(2 * m, m), 4**m))
-        worst = max(worst, abs(vals[2 * m - 1] - exact))
-    record.checks.append(_check("binomial match", worst, 1e-12))
-    record.extra["final_value"] = vals[-1]
-    if cfg.out:
-        with open(os.path.join(cfg.out, "decay_srw.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "value"])
-            for i, v in enumerate(vals, start=1):
-                writer.writerow([i, f"{v:.17g}"])
-
-
-def _scenario_suite(cfg: ExperimentConfig, record: RunRecord) -> None:
+def _scenario_suite(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     cov: set = set()
+    checks = []
     for number, name, fn in ACCEPTANCE:
-        checks = fn(cov)
-        ok = all(c.passed for c in checks)
-        worst = min((c for c in checks if not c.passed), default=None,
+        crit_checks = fn(cov)
+        ok = all(c.passed for c in crit_checks)
+        worst = min((c for c in crit_checks if not c.passed), default=None,
                     key=lambda c: c.name)
         line = f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'}"
         if worst is not None:
             line += f" ({worst.name}: value={worst.value:.3e}, bound={worst.bound:.3e})"
         print(line)
-        record.checks.extend(checks)
-        record.extra[f"criterion_{number:02d}_{name}"] = "pass" if ok else "fail"
-    record.checks.extend(_coverage_extras(cov))
+        checks.extend(crit_checks)
+        extra[f"criterion_{number:02d}_{name}"] = "pass" if ok else "fail"
+    checks.extend(_coverage_extras(cov))
     missing = OPERATION_NAMES - cov
-    record.checks.append(_check(f"op coverage complete (missing: {sorted(missing)})",
-                                len(missing), 0, "eq"))
+    checks.append(_check(f"op coverage complete (missing: {sorted(missing)})",
+                         len(missing), 0, "eq"))
+    return checks
 
 
+# harmonic, cesaro, ncconv, stationary and decay are criteria 1, 2, 5, 12 and 13
+# run by their builders at configurable sizes
 _SCENARIO_FUNCS = {
-    "harmonic": _scenario_harmonic,
-    "cesaro": _scenario_cesaro,
+    "harmonic": lambda cfg, extra: _harmonic_checks(cfg.resolve_pairs(), extra),
+    "cesaro": lambda cfg, extra: _cesaro_checks(cfg.resolve_pairs(), cfg.n or 1000,
+                                                cfg.trials or 10_000, extra),
     "derriennic": _scenario_derriennic,
-    "ncconv": _scenario_ncconv,
+    "ncconv": lambda cfg, extra: _ncconv_checks(cfg.resolve_pairs(), cfg.trials or 100,
+                                                cfg.seed, extra),
     "freewalk": _scenario_freewalk,
-    "stationary": _scenario_stationary,
-    "decay": _scenario_decay,
+    "stationary": lambda cfg, extra: _stationary_checks(cfg.trials or 20, cfg.seed, extra),
+    "decay": lambda cfg, extra: _decay_checks(
+        cfg.n or 200, extra, cfg.out and os.path.join(cfg.out, "decay_srw.csv")),
     "suite": _scenario_suite,
 }
 
 
-_PARALLELIZABLE = {"harmonic", "cesaro", "derriennic", "ncconv"}
-
-
 def run(cfg: ExperimentConfig) -> RunRecord:
-    """Execute a scenario and return its record; writes artifacts under cfg.out.
-
-    With parallel=True, catalog-looping scenarios fan entries over threads;
-    per-entry seeds derive from entry names and results merge in catalog
-    order, so the record is identical to the serial run.
-    """
+    """Execute a scenario and return its record; writes artifacts under cfg.out."""
     if cfg.scenario not in _SCENARIO_FUNCS:
         raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
     if not cfg.out and os.environ.get("MUHARMONIC_OUT"):
@@ -958,23 +890,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         os.makedirs(cfg.out, exist_ok=True)
     record = RunRecord(scenario=cfg.scenario, config=cfg.echo())
     record.started = time.time()
-    if (cfg.parallel and cfg.scenario in _PARALLELIZABLE
-            and cfg.entry is None and cfg.group is None):
-        from concurrent.futures import ThreadPoolExecutor
-
-        def one_entry(name: str) -> RunRecord:
-            sub_cfg = replace(cfg, entry=name, parallel=False, out=None)
-            sub = RunRecord(scenario=cfg.scenario, config=cfg.echo())
-            _SCENARIO_FUNCS[cfg.scenario](sub_cfg, sub)
-            return sub
-
-        names = [e.name for e in catalog()]
-        with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-            for part in pool.map(one_entry, names):
-                record.checks.extend(part.checks)
-                record.extra.update(part.extra)
-    else:
-        _SCENARIO_FUNCS[cfg.scenario](cfg, record)
+    record.checks = _SCENARIO_FUNCS[cfg.scenario](cfg, record.extra)
     record.finished = time.time()
     if cfg.out:
         path = os.path.join(cfg.out, f"record_{cfg.scenario}.json")

@@ -333,6 +333,8 @@ def martingale_convergence_check(
     separately, never silently dropped.
     """
     m = len(w)
+    if m == 0:
+        raise ValueError("cylinders are indexed by nonempty reduced words")
     w_arr = np.array(w.letters, dtype=np.int16)
     conclusive = 0
     agree = 0

@@ -4,7 +4,7 @@ import pytest
 
 from muharmonic import ConfigError, ExperimentConfig, catalog, catalog_entry, parse_word, run
 from muharmonic.cli import main as cli_main
-from muharmonic.experiments import _measure_from_spec
+from muharmonic.experiments import MASTER_SEED, _measure_from_spec, run_criterion
 from muharmonic import generated_subgroup
 
 
@@ -78,16 +78,37 @@ def test_run_record_determinism(tmp_path):
     assert "started" in on_disk
 
 
-def test_parallel_matches_serial():
-    serial = run(ExperimentConfig(scenario="ncconv", trials=5, seed=9))
-    fanned = run(ExperimentConfig(scenario="ncconv", trials=5, seed=9, parallel=True))
+@pytest.mark.parametrize("number, config, criterion_only", [
+    (1, {"scenario": "harmonic"}, ()),
+    (2, {"scenario": "cesaro", "n": 1000, "trials": 10_000}, ()),
+    (5, {"scenario": "ncconv", "trials": 100, "seed": MASTER_SEED}, ("Z2 worked example exact",)),
+    (12, {"scenario": "stationary", "trials": 20, "seed": MASTER_SEED + 500}, ()),
+    (13, {"scenario": "decay", "n": 200}, ()),
+])
+def test_scenario_at_pinned_sizes_reproduces_its_criterion(number, config, criterion_only):
+    # names, values, bounds and verdicts, in order
+    expected = [c for c in run_criterion(number) if c.name not in criterion_only]
+    assert run(ExperimentConfig.from_dict(config)).checks == expected
 
-    def results(record):
-        body = record.payload()
-        del body["config"]  # the echoed parallel flag differs by design
-        return json.dumps(body, sort_keys=True)
 
-    assert results(serial) == results(fanned)
+def test_scenario_sizes_reach_the_checks():
+    decay = run(ExperimentConfig(scenario="decay", n=30))
+    assert decay.checks[0].name == "binomial match over 2m <= 30"
+    cesaro = run(ExperimentConfig(scenario="cesaro", entry="Z6_delta2", n=500, trials=7))
+    assert cesaro.checks[0].name == "Z6_delta2: tv(A_500, haar)"
+    assert cesaro.extra["Z6_delta2"]["n_iterations"] == 7
+
+
+def test_criterion_8_declares_only_operations_it_calls():
+    cov: set = set()
+    run_criterion(8, cov)
+    assert "free_mul" not in cov and "free_ball" not in cov
+
+
+@pytest.mark.parametrize("spec", ["aa'", ""])
+def test_cli_freewalk_empty_word_exits_2(capsys, spec):
+    assert cli_main(["freewalk", "--word", spec, "--paths", "100"]) == 2
+    assert "config error: word: " in capsys.readouterr().err
 
 
 def test_decay_scenario_writes_csv(tmp_path):
@@ -175,6 +196,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"pathz": 5}))
     assert cli_main(["freewalk", "--config", str(cfg)]) == 2
     assert "pathz: unknown config key" in capsys.readouterr().err
+    # the thread fan-out and its config key are gone
+    cfg.write_text(json.dumps({"parallel": True}))
+    assert cli_main(["ncconv", "--config", str(cfg)]) == 2
+    assert "parallel: unknown config key" in capsys.readouterr().err
 
 
 def test_cli_rejects_removed_window_key(tmp_path, capsys):

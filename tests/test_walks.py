@@ -210,6 +210,13 @@ def test_martingale_horizon_zero():
     assert report.inconclusive_count == 100
 
 
+def test_martingale_rejects_empty_word():
+    # the empty word indexes no cylinder, as in the other two samplers
+    for sampler in (martingale_convergence_check, empirical_cylinder_measure):
+        with pytest.raises(ValueError, match="nonempty reduced words"):
+            sampler(2, empty_word(2), 50, 1000, seed=1)
+
+
 def test_martingale_one_step_mean_property():
     # E[h(X_{n+1}) | X_n] = h(X_n): regress one extra step over sampled paths
     n_paths = 100_000
