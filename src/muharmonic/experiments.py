@@ -80,7 +80,6 @@ from .walks import (
     empirical_cylinder_measure,
     harmonic_measure_cylinder,
     martingale_convergence_check,
-    poisson_extension,
     sample_path,
     stationary_measure,
     subharmonic_check,
@@ -656,7 +655,7 @@ def _crit_martingale(cov: set) -> list[CheckResult]:
 
 
 def _crit_diamond_separation(cov: set) -> list[CheckResult]:
-    cov.add("diamond_vs_pointwise_mc")
+    cov.update({"diamond_vs_pointwise_mc", "poisson_extension"})
     report = diamond_vs_pointwise_mc(2, parse_word(2, "a"), 60, 100_000,
                                      MASTER_SEED + 44)
     return [
@@ -665,13 +664,20 @@ def _crit_diamond_separation(cov: set) -> list[CheckResult]:
     ]
 
 
-def _crit_poisson_harmonicity(cov: set) -> list[CheckResult]:
-    cov.add("free_ball")
-    ball = free_ball(2, 8)
+def _packed_ball(radius: int) -> tuple[list[FreeWord], np.ndarray, np.ndarray]:
+    """free_ball(2, radius) with each word packed as a letter row and a length,
+    the layout `_poisson_values` reads; rows have room for one more letter."""
+    ball = free_ball(2, radius)
     lengths = np.array([len(g) for g in ball])
-    letters = np.zeros((len(ball), 9), dtype=np.int16)
+    letters = np.zeros((len(ball), radius + 1), dtype=np.int16)
     for i, g in enumerate(ball):
         letters[i, : len(g)] = g.letters
+    return ball, letters, lengths
+
+
+def _crit_poisson_harmonicity(cov: set) -> list[CheckResult]:
+    cov.add("free_ball")
+    ball, letters, lengths = _packed_ball(8)
     # the neighbours g*s: cancel the last letter of g or push s after it
     rows = np.arange(len(ball))
     last = letters[rows, np.maximum(lengths - 1, 0)]
@@ -780,10 +786,12 @@ def _coverage_extras(cov: set) -> list[CheckResult]:
     cov.add("subharmonic_check")
     checks.append(_check("modulus of harmonic is subharmonic", sub.max_violation, 1e-12))
 
-    w1, w2 = parse_word(2, "a"), parse_word(2, "b'")
-    h_max = lambda g: max(poisson_extension(2, w1, g), poisson_extension(2, w2, g))
-    sub_free = subharmonic_check_free(h_max, 2, free_ball(2, 6))
-    cov.add("poisson_extension")
+    # ball(7) is ball(6) with all its neighbours: one array pass per extension
+    ball, letters, lengths = _packed_ball(7)
+    h_max = np.maximum(*(_poisson_values(2, parse_word(2, w).letters, letters, lengths)
+                         for w in ("a", "b'")))
+    sub_free = subharmonic_check_free(dict(zip(ball, h_max)).__getitem__, 2,
+                                      [g for g in ball if len(g) <= 6])
     checks.append(_check("max of extensions is subharmonic", sub_free.max_violation, 1e-12))
 
     refl = reflect(mu6)

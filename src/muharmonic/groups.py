@@ -42,6 +42,10 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverses[a])
 
+    def left_quotients(self, s) -> np.ndarray:
+        """Rows indexed by the elements s_k: entry [k, x] is the index of s_k^{-1} x."""
+        return self.cayley[self.inverses[s]]
+
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 
@@ -202,12 +206,11 @@ def symmetric_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise ConstructionError("symmetric groups are supported for 1 <= n <= 5")
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    cayley = np.zeros((m, m), dtype=np.int64)
-    for a, p in enumerate(perms):
-        for b, q in enumerate(perms):
-            cayley[a, b] = index[tuple(p[q[i]] for i in range(n))]
+    arr = np.array(perms, dtype=np.int64)
+    # base-n codes increase with the lexicographic order, so searchsorted
+    # maps each composed permutation arr[a, arr[b]] back to its index
+    place = n ** np.arange(n - 1, -1, -1)
+    cayley = np.searchsorted(arr @ place, arr[:, arr] @ place)
     labels = [_cycle_notation(p) for p in perms]
     return group_from_table(cayley, labels=labels, name=f"S{n}")
 

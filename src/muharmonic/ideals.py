@@ -281,13 +281,9 @@ def operator_convolve(s: np.ndarray, t: np.ndarray, g: FiniteGroup) -> np.ndarra
     if s.shape != (n, n) or t.shape != (n, n):
         raise ValueError("operators must match the group order")
     kappa = np.diag(s)
-    out = np.zeros_like(t)
-    for h in range(n):
-        if kappa[h] == 0:
-            continue
-        idx = g.cayley[g.inv(h)]  # x -> h^{-1} x
-        out += kappa[h] * t[np.ix_(idx, idx)]
-    return out
+    h = np.nonzero(kappa)[0]
+    idx = g.left_quotients(h)
+    return np.tensordot(kappa[h], t[idx[:, :, None], idx[:, None, :]], axes=1)
 
 
 @dataclass(frozen=True)

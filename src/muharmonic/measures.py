@@ -9,6 +9,7 @@ element index) or on an integer window [lo, hi] (dense vector indexed by
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +158,8 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
         raise ValueError("carrier mismatch: cannot convolve measures on different carriers")
     if mu.on_group:
         g: FiniteGroup = mu.carrier
-        out = np.zeros(g.order, dtype=np.complex128)
-        for h in np.nonzero(mu.weights)[0]:
-            np.add.at(out, g.cayley[h], mu.weights[h] * nu.weights)
-        return FiniteMeasure(g, out)
+        s = np.nonzero(mu.weights)[0]
+        return FiniteMeasure(g, mu.weights[s] @ nu.weights[g.left_quotients(s)])
     a, b = mu.carrier, nu.carrier
     out = np.convolve(mu.weights, nu.weights)
     return FiniteMeasure(ZWindow(a.lo + b.lo, a.hi + b.hi), out)
@@ -193,39 +192,36 @@ def convolution_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
 def cesaro_sequence(mu: FiniteMeasure, n_values) -> list[tuple[int, "FiniteMeasure"]]:
     """Pairs (n, A_n) for increasing n, sharing one accumulation pass.
 
-    Each A_n is a probability measure whenever mu is.  Group carriers only;
-    window carriers grow per power and are better handled one n at a time.
+    Each A_n is a probability measure whenever mu is.  On a group the powers
+    are stepped as mu * mu^k (equal to mu^k * mu), so each step gathers over
+    supp mu only.  Window carriers grow per power and are handled one n at
+    a time.
     """
-    n_values = sorted(set(int(n) for n in n_values))
+    n_values = sorted(set(operator.index(n) for n in n_values))
     if not n_values or n_values[0] < 1:
-        raise ValueError("Cesaro indices must be >= 1")
+        raise ValueError("Cesaro averages start at n = 1")
     if not mu.on_group:
-        return [(n, cesaro_average(mu, n)) for n in n_values]
+        return [(n, _window_cesaro_average(mu, n)) for n in n_values]
     out = []
     acc = np.zeros_like(mu.weights)
     power = mu
-    top = n_values[-1]
     wanted = set(n_values)
-    for n in range(1, top + 1):
-        acc = acc + power.weights
+    for n in range(1, n_values[-1] + 1):
+        if n > 1:
+            power = convolve(mu, power)
+        acc += power.weights
         if n in wanted:
             out.append((n, FiniteMeasure(mu.carrier, acc / n)))
-        power = convolve(power, mu)
     return out
 
 
 def cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     """(1/n) sum_{i=1..n} mu^i; powers start at i = 1."""
-    if n < 1:
-        raise ValueError("Cesaro averages start at n = 1")
-    if mu.on_group:
-        acc = np.zeros_like(mu.weights)
-        power = mu
-        for _ in range(n):
-            acc = acc + power.weights
-            power = convolve(power, mu)
-        return FiniteMeasure(mu.carrier, acc / n)
-    # window carrier: accumulate on the final (largest) window
+    return cesaro_sequence(mu, [n])[0][1]
+
+
+def _window_cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
+    """Cesaro average on a window carrier, accumulated on the final (largest) window."""
     powers = [mu]
     for _ in range(n - 1):
         powers.append(convolve(powers[-1], mu))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,26 @@ def test_broken_associativity_names_triple():
 def test_missing_identity_rejected():
     with pytest.raises(ConstructionError, match="identity"):
         group_from_table([[0, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_table_is_composition(n):
+    # element a is the a-th permutation in lexicographic order, and a * b
+    # applies b first: (a * b)(i) = a(b(i))
+    perms = list(itertools.permutations(range(n)))
+    g = symmetric_group(n)
+    for a, p in enumerate(perms):
+        for b, q in enumerate(perms):
+            assert perms[g.mul(a, b)] == tuple(p[q[i]] for i in range(n))
+    assert len(g.labels) == len(perms)
+    assert g.labels[0] == "e"
+
+
+def test_symmetric_labels():
+    assert symmetric_group(3).labels == ("e", "(2 3)", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)")
+    s5 = symmetric_group(5)
+    assert s5.labels.index("(1 2)") == 24
+    assert s5.labels.index("(1 2 3 4 5)") == 33
 
 
 def test_dihedral_and_product_validate():
