@@ -78,12 +78,14 @@ from .harmonic import (
     ProjectionReport,
     TrivialityVerdict,
     cesaro_limit,
+    cesaro_mean,
     cesaro_projection,
     commutant,
     diamond_product,
     harmonic_space,
     harmonic_triviality_verdict,
     l1_harmonic_triviality,
+    orbit_labels,
     trivial_solution_space,
 )
 from .ideals import (
@@ -94,10 +96,12 @@ from .ideals import (
     approximate_identity,
     coboundary_ideal,
     diagonal_measure,
+    haar_average,
     l1_distance,
     left_ideal_residual,
     operator_convolve,
     predual_coboundary_ideal,
+    quotient_norm,
     quotient_norm_trace,
     trace_class_ideal,
     trace_predual_matrix,

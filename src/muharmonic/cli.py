@@ -29,9 +29,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--paths", type=int, help="Monte Carlo path count")
         p.add_argument("--n", type=int, help="step count / averaging horizon")
         p.add_argument("--trials", type=int,
-                       help="ncconv: random trials per entry; stationary: random "
-                            "coset actions; cesaro: horizon n_max of the Cesaro gap "
-                            "diagnostic; unused elsewhere")
+                       help="ncconv: random trials per entry (each trial makes five "
+                            "operator convolutions, about 40 ms on S5); stationary: "
+                            "random coset actions; cesaro: horizon n_max of the Cesaro "
+                            "gap diagnostic; unused elsewhere")
         p.add_argument("--word", help="free-group cylinder, e.g. a, ab, a'b")
         p.add_argument("--entry", help="run a single catalog entry by name")
     return parser

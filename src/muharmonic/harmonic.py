@@ -35,21 +35,29 @@ def trivial_solution_space(g: FiniteGroup, h: Subgroup, rep: str = "functions") 
 
     functions: span of the indicator functions of the left cosets gH.
     operators: commutant of {rho(x) : x in H} inside the matrix space,
-    vectorized row-major.  rho(s) X rho(s)^{-1} moves X[x, y] to X[x s, y s],
-    so the commutant is spanned by the indicators of the H-orbits on G x G.
+    vectorized row-major.  Both are spanned by the indicators of the
+    H-orbits that `orbit_labels` numbers.
     """
+    return _indicator_space(orbit_labels(g, h, rep))
+
+
+def orbit_labels(g: FiniteGroup, h: Subgroup, rep: str = "functions") -> np.ndarray:
+    """Number the H-orbits of the coordinates, by their smallest coordinate.
+
+    functions: x -> x s on G, whose orbits are the left cosets xH.
+    operators: rho(s) X rho(s)^{-1} moves X[x, y] to X[x s, y s], so the
+    orbits are those of (x, y) -> (x s, y s) on G x G, row-major.
+    Every orbit has |H| coordinates, because right multiplication is free.
+    """
+    right = g.cayley[:, list(h.members)]  # right[x, k] = x s_k
     if rep == "functions":
-        labels = np.empty(g.order, dtype=np.int64)
-        for i, block in enumerate(left_cosets(g, h).blocks):
-            labels[list(block)] = i
-        return _indicator_space(labels)
-    if rep == "operators":
-        right = g.cayley[:, list(h.members)]  # right[x, k] = x s_k
+        images = right
+    elif rep == "operators":
         images = right[:, None, :] * g.order + right[None, :, :]
-        # label each pair (x, y) by the smallest row-major index in its orbit
-        _, labels = np.unique(images.min(axis=2).ravel(), return_inverse=True)
-        return _indicator_space(labels)
-    raise ValueError(f"rep must be 'functions' or 'operators', got {rep!r}")
+    else:
+        raise ValueError(f"rep must be 'functions' or 'operators', got {rep!r}")
+    _, labels = np.unique(images.min(axis=-1).ravel(), return_inverse=True)
+    return labels
 
 
 def _indicator_space(labels: np.ndarray) -> Subspace:
@@ -105,6 +113,26 @@ def cesaro_limit(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TO
     return basis[:, : fixed.rank] @ coeffs[: fixed.rank, :]
 
 
+def cesaro_mean(m: OperatorMatrix | np.ndarray, n: int,
+                k: np.ndarray | None = None) -> np.ndarray:
+    """The average (1/n) sum_{i=1..n} M^i of a power-bounded matrix, in closed form.
+
+    With K the Cesaro limit (pass it as k when it is already known) and
+    N = M - K, M^i - K = N^i for i >= 1, so the average is
+    K + (1/n) N (I - N^n) (I - N)^{-1}; I - N is invertible because K
+    removes the eigenvalue 1.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    a = as_matrix(m)
+    if k is None:
+        k = cesaro_limit(a)
+    eye = np.eye(a.shape[0])
+    transient = a - k
+    tail = transient @ (eye - np.linalg.matrix_power(transient, n))
+    return k + np.linalg.solve(eye - transient, tail) / n
+
+
 @dataclass(frozen=True)
 class ProjectionReport:
     """The projection K with its quality residuals and iteration diagnostics."""
@@ -147,9 +175,7 @@ def cesaro_projection(
 
     K is the exact Cesaro limit (see cesaro_limit).  As a diagnostic, the
     report gives the Frobenius gap between K and the average
-    avg_n = (1/n) sum_{i<=n} M^i at n = n_max, from the closed form
-    avg_n - K = (1/n) N (I - N^n) (I - N)^{-1} with N = M - K (I - N is
-    invertible because K removes the eigenvalue 1).  n_iterations is that
+    avg_n = (1/n) sum_{i<=n} M^i at n = n_max (see cesaro_mean).  n_iterations is that
     n, and converged_iteratively says whether the gap is below tol; periodic
     chains converge only along some n.  The report also carries
     ||K^2 - K||_F, the max absolute row sum, and commutation residuals
@@ -160,10 +186,7 @@ def cesaro_projection(
     a = as_matrix(m)
     k = cesaro_limit(a)
 
-    eye = np.eye(a.shape[0])
-    transient = a - k  # M^i - K = transient^i for i >= 1
-    tail = transient @ (eye - np.linalg.matrix_power(transient, n_max))
-    gap = float(np.linalg.norm(np.linalg.solve(eye - transient, tail))) / n_max
+    gap = float(np.linalg.norm(cesaro_mean(a, n_max, k) - k))
 
     commutation = {}
     for name, t in (commute_with or {}).items():

@@ -6,6 +6,13 @@ harmonic space.  At finite scale no closure is needed: the ideal is exactly
 the range of (I - P) for the predual matrix P.  The same construction runs
 in two ambients: l^1 vectors on the group, and matrices with the trace norm
 (the predual of the conjugation representation).
+
+For a probability measure, with H the subgroup its support generates, the
+annihilator of the ideal is the fixed space: the coset-constant functions,
+or the commutant of rho(H).  So the Haar average E_H (x -> x * omega_H on
+l^1, X -> (1/|H|) sum_{s in H} rho(s) X rho(s)^{-1} on matrices) answers
+both questions about the ideal: the Euclidean distance of v from it is
+||E_H v||_2, and the ambient-norm distance of x from it is ||E_H x||.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, generated_subgroup
+from .harmonic import orbit_labels
 from .measures import (
     FiniteMeasure,
     cesaro_average,
@@ -27,22 +34,27 @@ from .measures import (
     tv_norm,
 )
 from .operators import (
+    apply_conjugation,
     as_matrix,
     conjugation_operator,
     predual_matrix,
 )
 from .subspaces import Subspace, column_space
 
-TRACE_GRID_DIM_CAP = 4
-
 
 @dataclass(frozen=True, eq=False)
 class IdealBasis:
-    """Range of (I - predual_op): the displacement ideal of the measure."""
+    """Range of (I - predual_op): the displacement ideal of the measure.
+
+    labels numbers the H-orbits of the coordinates (see `orbit_labels`) when
+    the ideal comes from a probability measure; it is None otherwise, and
+    then only the LP measures distances to the ideal.
+    """
 
     ambient: str  # "l1" or "trace"
     space: Subspace
     predual_op: np.ndarray
+    labels: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -52,11 +64,21 @@ class IdealBasis:
         return f"IdealBasis({self.ambient}, rank={self.rank}, dim={self.space.ambient_dim})"
 
 
+def _displacement_ideal(p: np.ndarray, ambient: str,
+                        labels: np.ndarray | None = None) -> IdealBasis:
+    return IdealBasis(ambient, column_space(np.eye(p.shape[0]) - p), p, labels)
+
+
+def _haar_labels(g: FiniteGroup, mu: FiniteMeasure, rep: str) -> np.ndarray | None:
+    """H-orbit labels of a probability measure's ideal; None for any other measure."""
+    if not mu.is_probability():
+        return None
+    return orbit_labels(g, generated_subgroup(g, mu.support()), rep)
+
+
 def coboundary_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
     """The ideal {x - x*mu} inside l^1 of the group."""
-    p = predual_matrix(g, mu)
-    space = column_space(np.eye(g.order) - p)
-    return IdealBasis("l1", space, p)
+    return _displacement_ideal(predual_matrix(g, mu), "l1", _haar_labels(g, mu, "functions"))
 
 
 def trace_predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
@@ -69,14 +91,30 @@ def trace_predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
 
 
 def predual_coboundary_ideal(predual_op: np.ndarray, ambient: str = "l1") -> IdealBasis:
-    """Range of (I - P) for an explicit predual operator matrix."""
-    p = as_matrix(predual_op)
-    space = column_space(np.eye(p.shape[0]) - p)
-    return IdealBasis(ambient, space, p)
+    """Range of (I - P) for an explicit predual operator matrix; no H is known."""
+    return _displacement_ideal(as_matrix(predual_op), ambient)
 
 
 def trace_class_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
-    return predual_coboundary_ideal(trace_predual_matrix(g, mu), ambient="trace")
+    """The ideal {X - P X} of trace-class matrices, by an SVD of I - P.
+
+    This is the generic side: the Haar average answers its questions without
+    the order^2 x order^2 matrix.
+    """
+    return _displacement_ideal(trace_predual_matrix(g, mu), "trace",
+                               _haar_labels(g, mu, "operators"))
+
+
+def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """E_H x: each coordinate replaced by the mean of x over its H-orbit.
+
+    On l^1 this is x * omega_H, with omega_H the Haar measure of H; on
+    row-major vec'd matrices it is X -> (1/|H|) sum_{s in H} rho(s) X rho(s)^{-1}.
+    It is the orthogonal projection onto the orbit indicators.
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    sums = np.bincount(labels, x.real) + 1j * np.bincount(labels, x.imag)
+    return (sums / np.bincount(labels))[labels]
 
 
 # ------------------------------------------------------------- predual norms
@@ -92,56 +130,37 @@ def ambient_norm(x: np.ndarray, ambient: str) -> float:
     raise ValueError(f"unknown ambient {ambient!r}")
 
 
-def _trace_grid_distance(x: np.ndarray, basis: np.ndarray, step_target: float = 1e-6) -> float:
-    """Grid-with-refinement minimization of ||x - B t||_tr over real t.
+def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
+    """dist(x, ideal) in the ambient norm, in closed form: ||E_H x||.
 
-    Pattern search on a convex objective: evaluate a 5^r grid around the
-    current center, recenter on the winner, and halve the window only when
-    the winner was interior (a boundary winner means the optimum may still
-    lie outside, so the box drifts with a gentler shrink).
+    x - E_H x lies in the ideal, and pairing x with the sign of E_H x (l^1)
+    or with the adjoint polar part of E_H X (trace), both fixed by H, attains
+    ||E_H x||.  In l^1 this is the sum over left cosets of |sum_coset x|; in
+    the trace ambient, the trace norm of E_H X.
     """
-    r = basis.shape[1]
-    center = np.zeros(r)
-    width = ambient_norm(x, "trace") + 1.0
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-
-    def value(t):
-        return ambient_norm(x - basis @ t, "trace")
-
-    while width > step_target:
-        grids = np.meshgrid(*[center[i] + width * offsets for i in range(r)], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        vals = np.array([value(p) for p in pts])
-        i = int(np.argmin(vals))
-        on_boundary = bool(np.any(np.abs(pts[i] - center) >= width * 0.999))
-        center = pts[i]
-        width *= 0.9 if on_boundary else 0.5
-    return value(center)
+    if ideal.labels is None:
+        raise ValueError("quotient_norm needs the H-orbit labels that coboundary_ideal and "
+                         "trace_class_ideal record for a probability measure; use "
+                         "l1_distance for an ideal given only by its operator")
+    return ambient_norm(haar_average(x, ideal.labels), ideal.ambient)
 
 
 def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
     """Predual-norm distance from x to the ideal.
 
-    l1 ambient: exact, via the in-package simplex (real data).
-    trace ambient: grid refinement, capped at vec dimension 4.
+    l1 ambient: exact, via the in-package simplex (real data); the oracle
+    that quotient_norm is checked against.
+    trace ambient: the closed form of quotient_norm.
     """
     x = np.asarray(x, dtype=np.complex128)
     if ideal.rank == 0:
         return ambient_norm(x, ideal.ambient)
-    basis = ideal.space.basis.T  # columns span the ideal
-    if ideal.ambient == "l1":
-        from .lp import l1_distance_to_span
+    if ideal.ambient != "l1":
+        return quotient_norm(x, ideal)
+    from .lp import l1_distance_to_span
 
-        dist, _ = l1_distance_to_span(x, basis)
-        return dist
-    if ideal.space.ambient_dim > TRACE_GRID_DIM_CAP:
-        raise CapacityError(
-            f"trace-norm distance is grid-based and capped at vec dimension "
-            f"{TRACE_GRID_DIM_CAP}; got {ideal.space.ambient_dim}"
-        )
-    if np.abs(basis.imag).max(initial=0.0) > 1e-12 or np.abs(x.imag).max(initial=0.0) > 1e-12:
-        raise ValueError("trace-norm grid distance handles real data only")
-    return _trace_grid_distance(x.real, basis.real)
+    dist, _ = l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
+    return dist
 
 
 # -------------------------------------------------------- averaged norm trace
@@ -155,7 +174,7 @@ class QuotientNormTrace:
     """
 
     norms: tuple[float, ...]
-    lp_distance: float | None
+    distance: float | None
     ambient: str
 
     @property
@@ -175,7 +194,7 @@ class QuotientNormTrace:
 
     def summary(self) -> dict:
         return {
-            "lp_distance": self.lp_distance,
+            "distance": self.distance,
             "inf": self.inf_value,
             "limit_estimate": self.limit_estimate,
         }
@@ -193,9 +212,10 @@ def quotient_norm_trace(
 ) -> QuotientNormTrace:
     """Compute a_n for n <= n_max and compare with the ideal distance.
 
-    The averages stay above the quotient norm for every n; that bound is
-    validated here, while the tightness |a_N - dist| is left to callers to
-    assert at their chosen N.
+    The distance is quotient_norm when the ideal carries its H-orbit labels,
+    and the LP (l1_distance) otherwise.  The averages stay above it for
+    every n; that bound is validated here, while the tightness |a_N - dist|
+    is left to callers to assert at their chosen N.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -212,7 +232,7 @@ def quotient_norm_trace(
         norms.append(ambient_norm(acc / n, ambient))
     dist = None
     if ideal is not None:
-        dist = l1_distance(x, ideal)
+        dist = quotient_norm(x, ideal) if ideal.labels is not None else l1_distance(x, ideal)
         slack = 1e-8 * max(1.0, ambient_norm(x, ambient))
         for n, a in enumerate(norms, start=1):
             if a < dist - slack:
@@ -283,7 +303,9 @@ def operator_convolve(s: np.ndarray, t: np.ndarray, g: FiniteGroup) -> np.ndarra
     kappa = np.diag(s)
     h = np.nonzero(kappa)[0]
     idx = g.left_quotients(h)
-    return np.tensordot(kappa[h], t[idx[:, :, None], idx[:, None, :]], axes=1)
+    # row k holds T[h_k^-1 x, h_k^-1 y] in row-major (x, y) order
+    flat = (idx[:, :, None] * n + idx[:, None, :]).reshape(h.size, n * n)
+    return (kappa[h] @ t.reshape(-1)[flat]).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -303,19 +325,23 @@ def left_ideal_residual(
 
     For each trial, S has entries uniform on the unit square of the complex
     plane, X = (I - P)Y for a random Y, and the residual is the Euclidean
-    distance of vec(S * X) from the ideal span.
+    distance of vec(S * X) from the ideal span, ||E_H(S * X)||_2: for a
+    probability measure the span is the orthogonal complement of the
+    commutant of rho(H), onto which E_H projects.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ideal = trace_class_ideal(g, mu)
+    labels = _haar_labels(g, mu, "operators")
+    if labels is None:
+        raise ValueError("left_ideal_residual needs a probability measure: only then is "
+                         "the ideal's orthogonal complement the commutant of rho(H)")
+    back = reflect(mu)  # P, the trace predual, is the conjugation by reflect(mu)
     rng = np.random.default_rng(seed)
     n = g.order
-    p = ideal.predual_op
     worst = 0.0
     for _ in range(trials):
         s = rng.random((n, n)) + 1j * rng.random((n, n))
-        y = rng.random(n * n) + 1j * rng.random(n * n)
-        x_vec = y - p @ y
-        sx = operator_convolve(s, x_vec.reshape(n, n), g)
-        worst = max(worst, ideal.space.residual(sx.reshape(-1)))
+        y = (rng.random(n * n) + 1j * rng.random(n * n)).reshape(n, n)
+        sx = operator_convolve(s, y - apply_conjugation(g, back, y), g)
+        worst = max(worst, float(np.linalg.norm(haar_average(sx.reshape(-1), labels))))
     return LeftIdealReport(trials, worst, seed)

@@ -5,7 +5,7 @@ import pytest
 from muharmonic import ConfigError, ExperimentConfig, catalog, catalog_entry, parse_word, run
 from muharmonic.cli import main as cli_main
 from muharmonic.experiments import MASTER_SEED, _measure_from_spec, run_criterion
-from muharmonic import generated_subgroup
+from muharmonic import generated_subgroup, symmetric_group
 
 
 def test_catalog_contents():
@@ -146,8 +146,44 @@ def test_cli_capacity_exit_code(tmp_path):
         "group": {"kind": "cyclic", "n": 60},
         "measure": {"point": 1},
     }))
-    # order 60 passes construction but exceeds the conjugation cap inside ncconv
+    # order 60 is above the conjugation cap (24), which ncconv no longer needs
+    assert cli_main(["ncconv", "--config", str(cfg), "--trials", "1"]) == 0
+    # the group-order cap still ends the scenario with exit 3
+    cfg.write_text(json.dumps({"group": {"kind": "cyclic", "n": 121}, "measure": {"point": 1}}))
     assert cli_main(["ncconv", "--config", str(cfg), "--trials", "1"]) == 3
+
+
+def _s5_spec() -> dict:
+    s5 = symmetric_group(5)
+    return {"group": {"kind": "symmetric", "n": 5},
+            "measure": {"uniform_on": [s5.labels.index("(1 2)"), s5.labels.index("(1 2 3 4 5)")]}}
+
+
+def test_cli_ncconv_on_s5_ends_with_a_verdict(tmp_path, capsys):
+    cfg = tmp_path / "s5.json"
+    cfg.write_text(json.dumps(_s5_spec()))
+    assert cli_main(["ncconv", "--config", str(cfg), "--trials", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "[pass] custom: left-ideal residual" in out
+    assert "scenario ncconv: pass (4/4 checks)" in out
+
+
+def test_derriennic_distance_is_not_the_l1_norm():
+    # x has unit l1 mass; a nonnegative draw would sit at distance exactly 1
+    record = run(ExperimentConfig(scenario="derriennic", n=64))
+    assert len(record.extra) == len(catalog())
+    for name, summary in record.extra.items():
+        assert abs(summary["distance"] - 1.0) > 1e-3, name
+
+
+def test_derriennic_on_s5_runs_no_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr("muharmonic.lp.l1_distance_to_span", no_lp)
+    record = run(ExperimentConfig.from_dict({"scenario": "derriennic", **_s5_spec()}))
+    assert record.passed
+    assert [c.name for c in record.checks] == ["custom: |a_N - quotient norm|"]
 
 
 def test_out_directory_env_override(tmp_path, monkeypatch):

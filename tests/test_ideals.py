@@ -2,29 +2,35 @@ import numpy as np
 import pytest
 
 from muharmonic import (
-    CapacityError,
     FiniteMeasure,
     approximate_identity,
     apply_conjugation,
+    catalog,
     coboundary_ideal,
     convolve,
     cyclic_group,
     diagonal_measure,
     from_pairs,
     generated_subgroup,
+    haar_average,
+    haar_on_subgroup,
     harmonic_space,
     l1_distance,
     left_cosets,
     left_ideal_residual,
     operator_convolve,
+    orbit_labels,
     point_mass,
+    predual_coboundary_ideal,
+    predual_matrix,
+    quotient_norm,
     quotient_norm_trace,
+    right_regular,
     symmetric_group,
     trace_class_ideal,
     trace_predual_matrix,
     uniform_on,
 )
-from muharmonic.ideals import _trace_grid_distance
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -38,6 +44,39 @@ CATALOG = [
     (Z6, point_mass(Z6, 2)),
     (S3, S3_MU),
 ]
+
+
+def _trace_norm(vec: np.ndarray) -> float:
+    n = int(round(np.sqrt(vec.size)))
+    return float(np.linalg.svd(vec.reshape(n, n), compute_uv=False).sum())
+
+
+def _trace_grid_distance(x: np.ndarray, basis: np.ndarray, step_target: float = 1e-6) -> float:
+    """Grid-with-refinement minimization of ||x - B t||_tr over real t: the
+    oracle for the closed-form trace distance on tiny ideals.
+
+    Pattern search on a convex objective: evaluate a 5^r grid around the
+    current center, recenter on the winner, and halve the window only when
+    the winner was interior (a boundary winner means the optimum may still
+    lie outside, so the box drifts with a gentler shrink).
+    """
+    r = basis.shape[1]
+    center = np.zeros(r)
+    width = _trace_norm(x) + 1.0
+    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+    def value(t):
+        return _trace_norm(x - basis @ t)
+
+    while width > step_target:
+        grids = np.meshgrid(*[center[i] + width * offsets for i in range(r)], indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        vals = np.array([value(p) for p in pts])
+        i = int(np.argmin(vals))
+        on_boundary = bool(np.any(np.abs(pts[i] - center) >= width * 0.999))
+        center = pts[i]
+        width *= 0.9 if on_boundary else 0.5
+    return value(center)
 
 
 def test_coboundary_ideal_examples():
@@ -121,15 +160,42 @@ def test_trace_norm_distance_matches_duality_on_random_matrices():
     rng = np.random.default_rng(99)
     for _ in range(15):
         x = rng.standard_normal((2, 2)) * 2
-        grid = l1_distance(x.reshape(-1), ideal)
+        dist = l1_distance(x.reshape(-1), ideal)
         dual = max(abs(np.trace(x)), abs(np.trace(x @ p)))
-        assert abs(grid - dual) < 1e-5
+        assert abs(dist - dual) < 1e-5
 
 
-def test_trace_norm_capacity_cap():
+def test_trace_norm_distance_on_s3_matches_quotient_norm():
+    # vec dimension 36; the Haar average is written out with the right
+    # regular matrices, and both directions of the distance are certified
     ideal = trace_class_ideal(S3, S3_MU)
-    with pytest.raises(CapacityError):
-        l1_distance(np.ones(36), ideal)
+    rho = right_regular(S3)
+    h = generated_subgroup(S3, S3_MU.support()).members
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        avg = sum(rho[s] @ x @ rho[s].T for s in h) / len(h)
+        expected = _trace_norm(avg.reshape(-1))
+        assert abs(l1_distance(x.reshape(-1), ideal) - expected) < 1e-12
+        assert abs(quotient_norm(x.reshape(-1), ideal) - expected) < 1e-12
+        # "<=": x - E_H x lies in the ideal
+        assert ideal.space.contains((x - avg).reshape(-1))
+        # ">=": the adjoint polar part of E_H X commutes with rho(H), so it
+        # annihilates the ideal; it has operator norm 1 and pairs to the value
+        u, _, vh = np.linalg.svd(avg)
+        a = (u @ vh).conj().T
+        assert max(np.abs(rho[s] @ a @ rho[s].T - a).max() for s in h) < 1e-12
+        assert abs(np.trace(x @ a) - expected) < 1e-10
+
+
+def test_trace_closed_form_matches_grid_on_z2():
+    ideal = trace_class_ideal(Z2, point_mass(Z2, 1))
+    assert np.abs(ideal.space.basis.imag).max() < 1e-12
+    basis = ideal.space.basis.T.real
+    rng = np.random.default_rng(98)
+    for _ in range(10):
+        x = rng.standard_normal(4) * 2
+        assert abs(quotient_norm(x, ideal) - _trace_grid_distance(x, basis)) < 1e-5
 
 
 def test_grid_distance_matches_lp_on_l1_like_problem():
@@ -145,10 +211,10 @@ def test_quotient_norm_trace_hand_cases():
     ideal = coboundary_ideal(Z2, point_mass(Z2, 1))
     tr1 = quotient_norm_trace(np.array([1.0, 0.0]), ideal.predual_op, 32, ideal=ideal)
     assert all(abs(a - 1.0) < 1e-12 for a in tr1.norms)
-    assert abs(tr1.lp_distance - 1.0) < 1e-12
+    assert abs(tr1.distance - 1.0) < 1e-12
     tr2 = quotient_norm_trace(np.array([1.0, -1.0]), ideal.predual_op, 32, ideal=ideal)
     assert abs(tr2.norms[1]) < 1e-12
-    assert abs(tr2.lp_distance) < 1e-12
+    assert abs(tr2.distance) < 1e-12
     assert abs(tr2.limit_estimate) < 1e-12
     tr0 = quotient_norm_trace(np.zeros(2), ideal.predual_op, 8, ideal=ideal)
     assert all(a == 0.0 for a in tr0.norms)
@@ -165,7 +231,7 @@ def test_quotient_norm_trace_subadditivity():
             assert s[m + n - 1] <= s[m - 1] + s[n - 1] + 1e-9
     for n in range(1, 64):
         assert tr.norms[2 * n - 1] <= tr.norms[n - 1] + 1e-9
-    assert min(tr.norms) >= tr.lp_distance - 1e-8
+    assert min(tr.norms) >= tr.distance - 1e-8
 
 
 def test_approximate_identity_examples():
@@ -275,3 +341,78 @@ def test_left_ideal_residual_examples():
     s = rng.random((2, 2)) + 1j * rng.random((2, 2))
     zero_residual = ideal.space.residual(operator_convolve(s, np.zeros((2, 2)), Z2).reshape(-1))
     assert zero_residual == 0.0
+
+
+def test_quotient_norm_trace_takes_the_lp_without_labels():
+    x = np.array([1.0, 0.0, -1.0, 0.5, 0.0, -0.5])
+    mu = point_mass(Z6, 2)
+    closed = quotient_norm_trace(x, predual_matrix(Z6, mu), 8, ideal=coboundary_ideal(Z6, mu))
+    bare = predual_coboundary_ideal(predual_matrix(Z6, mu))
+    assert bare.labels is None
+    with pytest.raises(ValueError, match="labels"):
+        quotient_norm(x, bare)
+    lp = quotient_norm_trace(x, bare.predual_op, 8, ideal=bare)
+    assert abs(lp.distance - closed.distance) < 1e-12
+    # cosets {0,2,4} and {1,3,5}: |1 - 1 + 0| + |0 + 0.5 - 0.5|
+    assert closed.distance == 0.0
+
+
+def test_ideal_of_a_signed_measure_records_no_labels():
+    signed = FiniteMeasure(Z4, np.array([0.0, 1.5, 0.0, -0.5], dtype=np.complex128))
+    assert coboundary_ideal(Z4, signed).labels is None
+    assert trace_class_ideal(Z4, signed).labels is None
+    with pytest.raises(ValueError, match="probability measure"):
+        left_ideal_residual(Z4, signed, trials=1)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_left_ideal_residual_matches_the_svd_residual(entry):
+    # replay the draws of left_ideal_residual against the SVD of I - P
+    g, mu = entry.group, entry.measure
+    n = g.order
+    ideal = trace_class_ideal(g, mu)
+    report = left_ideal_residual(g, mu, trials=3, seed=5)
+    rng = np.random.default_rng(5)
+    svd_worst = 0.0
+    for _ in range(3):
+        s = rng.random((n, n)) + 1j * rng.random((n, n))
+        y = rng.random(n * n) + 1j * rng.random(n * n)
+        sx = operator_convolve(s, (y - ideal.predual_op @ y).reshape(n, n), g)
+        svd_worst = max(svd_worst, ideal.space.residual(sx.reshape(-1)))
+    assert report.max_residual < 1e-9 and svd_worst < 1e-9
+    assert abs(report.max_residual - svd_worst) < 1e-12
+    # away from the ideal both distances are of order one
+    for _ in range(3):
+        v = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+        closed = float(np.linalg.norm(haar_average(v, ideal.labels)))
+        assert closed > 0.1
+        assert abs(ideal.space.residual(v) - closed) < 1e-10
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_haar_average_is_an_orthogonal_projection(entry):
+    g, mu = entry.group, entry.measure
+    h = generated_subgroup(g, mu.support())
+    rng = np.random.default_rng(7)
+    for rep, dim in (("functions", g.order), ("operators", g.order ** 2)):
+        labels = orbit_labels(g, h, rep)
+        x, y = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
+        ex, ey = haar_average(x, labels), haar_average(y, labels)
+        assert np.abs(haar_average(ex, labels) - ex).max() < 1e-12  # idempotent
+        assert abs(np.vdot(ex, y) - np.vdot(x, ey)) < 1e-12  # self-adjoint
+    # on l^1 it is right convolution with the Haar measure of H
+    x = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    omega = haar_on_subgroup(g, h)
+    expected = convolve(FiniteMeasure(g, x), omega).weights
+    assert np.abs(haar_average(x, orbit_labels(g, h)) - expected).max() < 1e-12
+
+
+def test_left_ideal_residual_builds_no_svd(monkeypatch):
+    # the Haar average replaces the order^2 x order^2 SVD of I - P
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr("numpy.linalg.svd", no_svd)
+    s4 = symmetric_group(4)
+    mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
+    assert left_ideal_residual(s4, mu, trials=2, seed=3).max_residual < 1e-9

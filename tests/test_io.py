@@ -56,7 +56,7 @@ def test_quotient_trace_csv_and_summary(tmp_path):
     ideal = coboundary_ideal(Z6, MU)
     x = np.array([1.0, 0.0, -1.0, 0.5, 0.0, -0.5])
     trace = quotient_norm_trace(x, ideal.predual_op, 16, ideal=ideal)
-    assert set(trace.summary()) == {"lp_distance", "inf", "limit_estimate"}
+    assert set(trace.summary()) == {"distance", "inf", "limit_estimate"}
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     rows = list(csv.reader(path.open()))

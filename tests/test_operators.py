@@ -136,6 +136,17 @@ def test_conjugation_matches_direct_application():
     assert np.abs(via_vec - apply_conjugation(Z6, mu, a)).max() < 1e-13
 
 
+def test_apply_conjugation_matches_the_vec_operator_for_complex_measures():
+    # left_ideal_residual applies P by the gather; the vec matrix is the reference
+    rng = np.random.default_rng(17)
+    for g in (S3, symmetric_group(4)):
+        n = g.order
+        nu = FiniteMeasure(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        via_vec = conjugation_operator(g, nu).entries @ a.reshape(-1)
+        assert np.abs(via_vec - apply_conjugation(g, nu, a).reshape(-1)).max() < 1e-12
+
+
 def test_conjugation_capacity_error():
     big = cyclic_group(30)
     with pytest.raises(CapacityError):

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from muharmonic import (
     FiniteMeasure,
     build_group,
+    coboundary_ideal,
     convolve,
+    l1_distance,
     predual_action,
+    quotient_norm,
     reflect,
     right_markov_matrix,
 )
@@ -98,3 +101,17 @@ def test_predual_pairing(case):
     lhs = np.dot(predual_action(x.weights, mu), h.weights)
     rhs = np.dot(x.weights, m @ h.weights)
     assert abs(lhs - rhs) < TOL
+
+
+@PROPERTY_SETTINGS
+@given(GROUP_SPECS.filter(lambda spec: _spec_order(spec) <= 24), st.data())
+def test_quotient_norm_equals_the_lp(spec, data):
+    # the closed form sum over cosets |sum_coset x| against the simplex, for a
+    # random probability measure and a signed x
+    g = _group(spec)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(g.order) + 1e-3
+    w[rng.permutation(g.order)[data.draw(st.integers(1, g.order)):]] = 0.0
+    ideal = coboundary_ideal(g, FiniteMeasure(g, (w / w.sum()).astype(np.complex128)))
+    x = rng.standard_normal(g.order)
+    assert abs(quotient_norm(x, ideal) - l1_distance(x, ideal)) < 1e-9
