@@ -72,7 +72,15 @@ from .operators import (
     translation_action,
     trivial_action,
 )
-from .subspaces import Subspace, column_space, kernel, mutual_residual, span_of_rows, subspaces_equal
+from .subspaces import (
+    Subspace,
+    column_space,
+    kernel,
+    kernel_and_range,
+    mutual_residual,
+    span_of_rows,
+    subspaces_equal,
+)
 from .harmonic import (
     L1TrivialityReport,
     ProjectionReport,

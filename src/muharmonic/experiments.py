@@ -306,6 +306,20 @@ class ExperimentConfig:
         return catalog()
 
 
+def _count(cfg: ExperimentConfig, key: str, default: int) -> int:
+    """A size field of the config, or the scenario's default when it is unset.
+
+    An explicit 0 is refused rather than read as unset: every size a scenario
+    takes must be at least 1 for its checks to measure anything.
+    """
+    val = getattr(cfg, key)
+    if val is None:
+        return default
+    if val < 1:
+        raise ConfigError(f"{key}: expected a positive integer, got {val}")
+    return val
+
+
 def _element(g: FiniteGroup, raw, path: str) -> int:
     """Group element index from a config value, checked against the order."""
     if isinstance(raw, bool) or not isinstance(raw, int):
@@ -812,7 +826,7 @@ def _coverage_extras(cov: set) -> list[CheckResult]:
 
 def _scenario_derriennic(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     checks = []
-    n_avg = cfg.n or 4096
+    n_avg = _count(cfg, "n", 4096)
     for e in cfg.resolve_pairs():
         ideal = coboundary_ideal(e.group, e.measure)
         # signed, unit l1 mass: a nonnegative x sits at distance ||x||_1 = 1
@@ -834,8 +848,8 @@ def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     if len(w) == 0:
         raise ConfigError(f"word: {cfg.word_spec!r} reduces to the identity, "
                           "which indexes no cylinder")
-    paths = cfg.paths or 100_000
-    n = cfg.n or 100
+    paths = _count(cfg, "paths", 100_000)
+    n = _count(cfg, "n", 100)
     est = empirical_cylinder_measure(2, w, n, paths, cfg.seed)
     exact = harmonic_measure_cylinder(2, w)
     sigma = max(np.sqrt(exact * (1 - exact) / max(est.n_paths - est.inconclusive_count, 1)), 1e-12)
@@ -883,15 +897,16 @@ def _scenario_suite(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
 # run by their builders at configurable sizes
 _SCENARIO_FUNCS = {
     "harmonic": lambda cfg, extra: _harmonic_checks(cfg.resolve_pairs(), extra),
-    "cesaro": lambda cfg, extra: _cesaro_checks(cfg.resolve_pairs(), cfg.n or 1000,
-                                                cfg.trials or 10_000, extra),
+    "cesaro": lambda cfg, extra: _cesaro_checks(cfg.resolve_pairs(), _count(cfg, "n", 1000),
+                                                _count(cfg, "trials", 10_000), extra),
     "derriennic": _scenario_derriennic,
-    "ncconv": lambda cfg, extra: _ncconv_checks(cfg.resolve_pairs(), cfg.trials or 100,
-                                                cfg.seed, extra),
+    "ncconv": lambda cfg, extra: _ncconv_checks(cfg.resolve_pairs(),
+                                                _count(cfg, "trials", 100), cfg.seed, extra),
     "freewalk": _scenario_freewalk,
-    "stationary": lambda cfg, extra: _stationary_checks(cfg.trials or 20, cfg.seed, extra),
+    "stationary": lambda cfg, extra: _stationary_checks(_count(cfg, "trials", 20), cfg.seed,
+                                                        extra),
     "decay": lambda cfg, extra: _decay_checks(
-        cfg.n or 200, extra, cfg.out and os.path.join(cfg.out, "decay_srw.csv")),
+        _count(cfg, "n", 200), extra, cfg.out and os.path.join(cfg.out, "decay_srw.csv")),
     "suite": _scenario_suite,
 }
 

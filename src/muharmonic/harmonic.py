@@ -21,7 +21,14 @@ import numpy as np
 from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets
 from .measures import FiniteMeasure
 from .operators import OperatorMatrix, as_matrix, right_markov_matrix
-from .subspaces import DEFAULT_REL_TOL, Subspace, column_space, kernel, span_of_rows
+from .subspaces import (
+    DEFAULT_REL_TOL,
+    Subspace,
+    column_space,
+    kernel,
+    kernel_and_range,
+    span_of_rows,
+)
 
 
 def harmonic_space(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
@@ -101,8 +108,7 @@ def cesaro_limit(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TO
     a = as_matrix(m)
     n = a.shape[0]
     shifted = np.eye(n) - a
-    fixed = kernel(shifted, rel_tol)
-    moving = column_space(shifted, rel_tol)
+    fixed, moving = kernel_and_range(shifted, rel_tol)
     if fixed.rank + moving.rank != n:
         raise ValueError(
             "ker(I - M) and range(I - M) do not split the space; "

@@ -121,12 +121,16 @@ def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def ambient_norm(x: np.ndarray, ambient: str) -> float:
     """l1: sum of moduli; trace: sum of singular values of the unvec'd matrix."""
-    x = np.asarray(x, dtype=np.complex128)
+    return float(_ambient_norms(np.asarray(x, dtype=np.complex128)[None, :], ambient)[0])
+
+
+def _ambient_norms(rows: np.ndarray, ambient: str) -> np.ndarray:
+    """ambient_norm of each row of a 2-D array."""
     if ambient == "l1":
-        return float(np.abs(x).sum())
+        return np.abs(rows).sum(axis=1)
     if ambient == "trace":
-        n = int(round(np.sqrt(x.shape[0])))
-        return float(np.linalg.svd(x.reshape(n, n), compute_uv=False).sum())
+        n = int(round(np.sqrt(rows.shape[1])))
+        return np.linalg.svd(rows.reshape(-1, n, n), compute_uv=False).sum(axis=1)
     raise ValueError(f"unknown ambient {ambient!r}")
 
 
@@ -164,6 +168,11 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
 
 
 # -------------------------------------------------------- averaged norm trace
+
+# rows of the step buffer of quotient_norm_trace: its memory stays bounded
+# whatever n_max, and the norms of a block are taken in one array pass
+_TRACE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class QuotientNormTrace:
@@ -223,24 +232,33 @@ def quotient_norm_trace(
     x = np.asarray(x, dtype=np.complex128)
     if ideal is not None:
         ambient = ideal.ambient
-    norms = []
-    y = x.copy()
+    norms = np.empty(n_max)
+    buf = np.empty((min(_TRACE_BLOCK, n_max), x.size), dtype=np.complex128)
+    y = x
     acc = np.zeros_like(x)
-    for n in range(1, n_max + 1):
-        y = p @ y
-        acc = acc + y
-        norms.append(ambient_norm(acc / n, ambient))
+    for start in range(0, n_max, buf.shape[0]):
+        block = buf[: min(buf.shape[0], n_max - start)]
+        for row in block:
+            y = p @ y
+            row[...] = y
+        # the running sums acc + y_i in the order of the per-step loop
+        block[0] += acc
+        np.cumsum(block, axis=0, out=block)
+        acc = block[-1].copy()
+        block /= np.arange(start + 1, start + block.shape[0] + 1)[:, None]
+        norms[start : start + block.shape[0]] = _ambient_norms(block, ambient)
     dist = None
     if ideal is not None:
         dist = quotient_norm(x, ideal) if ideal.labels is not None else l1_distance(x, ideal)
         slack = 1e-8 * max(1.0, ambient_norm(x, ambient))
-        for n, a in enumerate(norms, start=1):
-            if a < dist - slack:
-                raise RuntimeError(
-                    f"a_{n} = {a} dipped below the quotient norm {dist}; "
-                    "numerical inconsistency"
-                )
-    return QuotientNormTrace(tuple(norms), dist, ambient)
+        below = np.flatnonzero(norms < dist - slack)
+        if below.size:
+            n = int(below[0]) + 1
+            raise RuntimeError(
+                f"a_{n} = {norms[n - 1]} dipped below the quotient norm {dist}; "
+                "numerical inconsistency"
+            )
+    return QuotientNormTrace(tuple(norms.tolist()), dist, ambient)
 
 
 # --------------------------------------------------- bounded approximate identity

@@ -193,25 +193,29 @@ def cesaro_sequence(mu: FiniteMeasure, n_values) -> list[tuple[int, "FiniteMeasu
     """Pairs (n, A_n) for increasing n, sharing one accumulation pass.
 
     Each A_n is a probability measure whenever mu is.  On a group the powers
-    are stepped as mu * mu^k (equal to mu^k * mu), so each step gathers over
-    supp mu only.  Window carriers grow per power and are handled one n at
-    a time.
+    are stepped as mu * mu^k (equal to mu^k * mu): supp mu, its weights and
+    its gather table are taken once, and each step is the gather of
+    `convolve` on raw weight arrays.  Window carriers grow per power and are
+    handled one n at a time.
     """
     n_values = sorted(set(operator.index(n) for n in n_values))
     if not n_values or n_values[0] < 1:
         raise ValueError("Cesaro averages start at n = 1")
     if not mu.on_group:
         return [(n, _window_cesaro_average(mu, n)) for n in n_values]
+    g: FiniteGroup = mu.carrier
+    s = np.nonzero(mu.weights)[0]
+    w_s, table = mu.weights[s], g.left_quotients(s)
     out = []
     acc = np.zeros_like(mu.weights)
-    power = mu
+    power = mu.weights
     wanted = set(n_values)
     for n in range(1, n_values[-1] + 1):
         if n > 1:
-            power = convolve(mu, power)
-        acc += power.weights
+            power = w_s @ power[table]
+        acc += power
         if n in wanted:
-            out.append((n, FiniteMeasure(mu.carrier, acc / n)))
+            out.append((n, FiniteMeasure(g, acc / n)))
     return out
 
 

@@ -3,6 +3,12 @@
 A Subspace stores an orthonormal row basis obtained from an SVD with a
 relative singular-value cutoff; rank decisions therefore stay robust under
 the roundoff of stochastic-matrix arithmetic.
+
+Every factorization goes through one SVD: data whose imaginary part is
+exactly zero (the catalog's measures and their operators) is factorized in
+real arithmetic, at about half the cost, and the factors are returned as
+complex128; complex data keeps the complex SVD.  `kernel_and_range` takes
+the kernel and the range of a square matrix from a single factorization.
 """
 
 from __future__ import annotations
@@ -57,15 +63,26 @@ def _cutoff(singular_values: np.ndarray, rel_tol: float) -> float:
     return rel_tol * max(float(singular_values[0]), 1.0)
 
 
+def _svd(a: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD of a complex128 matrix, in real arithmetic when its imaginary part is 0."""
+    if np.any(a.imag):
+        return np.linalg.svd(a, full_matrices=full_matrices)
+    u, s, vh = np.linalg.svd(a.real, full_matrices=full_matrices)
+    return u.astype(np.complex128), s, vh.astype(np.complex128)
+
+
+def _rank(s: np.ndarray, rel_tol: float) -> int:
+    return int(np.sum(s > _cutoff(s, rel_tol)))
+
+
 def span_of_rows(rows: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
     """Orthonormalized span of the given row vectors."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     ambient = rows.shape[1]
     if rows.shape[0] == 0 or not np.any(rows):
         return Subspace(ambient, np.zeros((0, ambient), dtype=np.complex128), rel_tol)
-    u, s, vh = np.linalg.svd(rows, full_matrices=False)
-    r = int(np.sum(s > _cutoff(s, rel_tol)))
-    return Subspace(ambient, vh[:r].copy(), rel_tol)
+    _, s, vh = _svd(rows, full_matrices=False)
+    return Subspace(ambient, vh[: _rank(s, rel_tol)].copy(), rel_tol)
 
 
 def kernel(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
@@ -74,19 +91,26 @@ def kernel(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
     m, n = a.shape
     # a tall matrix already yields all n right singular vectors in thin form;
     # only wide matrices need the full V to expose the nullspace
-    _, s, vh = np.linalg.svd(a, full_matrices=m < n)
-    cut = _cutoff(s, rel_tol)
-    r = int(np.sum(s > cut))
+    _, s, vh = _svd(a, full_matrices=m < n)
     # rows of vh beyond the rank are conjugated basis vectors of the kernel
-    return Subspace(n, vh[r:].conj().copy(), rel_tol)
+    return Subspace(n, vh[_rank(s, rel_tol):].conj().copy(), rel_tol)
 
 
 def column_space(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
     """Range of the matrix (its column span), stored as orthonormal rows."""
     a = np.asarray(a, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = int(np.sum(s > _cutoff(s, rel_tol)))
-    return Subspace(a.shape[0], u[:, :r].T.copy(), rel_tol)
+    u, s, _ = _svd(a, full_matrices=False)
+    return Subspace(a.shape[0], u[:, : _rank(s, rel_tol)].T.copy(), rel_tol)
+
+
+def kernel_and_range(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> tuple[Subspace, Subspace]:
+    """kernel(a) and column_space(a) of a square matrix, from one SVD."""
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[0]
+    u, s, vh = _svd(a, full_matrices=False)
+    r = _rank(s, rel_tol)
+    return (Subspace(n, vh[r:].conj().copy(), rel_tol),
+            Subspace(n, u[:, :r].T.copy(), rel_tol))
 
 
 def mutual_residual(a: Subspace, b: Subspace) -> float:

@@ -1,4 +1,4 @@
-"""Smoke tests: demos that use the ideals API run to the end in-process."""
+"""Smoke tests: every demo runs to the end in-process and prints its results."""
 
 from pathlib import Path
 import runpy
@@ -8,7 +8,7 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["demo_quotient_norms.py", "demo_operator_convolution.py"])
-def test_demo_runs(name, capsys):
-    runpy.run_path(str(DEMOS / name), run_name="__main__")
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("demo_*.py")), ids=lambda p: p.name)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()

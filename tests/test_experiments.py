@@ -244,3 +244,20 @@ def test_cli_rejects_removed_window_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"window": 7}))
     assert cli_main(["decay", "--config", str(cfg), "--n", "10"]) == 2
     assert "window: unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["derriennic", "--entry", "Z4_delta1", "--n", "0"], "n"),
+    (["ncconv", "--entry", "Z4_delta1", "--trials", "0"], "trials"),
+    (["freewalk", "--paths", "0"], "paths"),
+    (["freewalk", "--paths", "100", "--n", "0"], "n"),
+    (["cesaro", "--entry", "Z4_delta1", "--n", "0"], "n"),
+    (["cesaro", "--entry", "Z4_delta1", "--trials", "0"], "trials"),
+    (["stationary", "--trials", "0"], "trials"),
+    (["decay", "--n", "0"], "n"),
+])
+def test_cli_explicit_zero_size_exits_2_with_field_path(argv, field, tmp_path, capsys):
+    # an explicit 0 is not "unset": it must not silently run the default size
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert list(tmp_path.iterdir()) == []

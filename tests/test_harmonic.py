@@ -3,6 +3,7 @@ import pytest
 
 from muharmonic import (
     FiniteMeasure,
+    cesaro_limit,
     cesaro_projection,
     commutant,
     cyclic_group,
@@ -241,3 +242,31 @@ def test_cesaro_periodic_chain_converges_at_even_n():
 def test_cesaro_projection_rejects_nonpositive_n_max():
     with pytest.raises(ValueError, match="n_max"):
         cesaro_projection(right_markov_matrix(Z2, point_mass(Z2, 1)), n_max=0)
+
+
+def _character_measure(n: int) -> FiniteMeasure:
+    """A complex measure on Z_n whose averaging fixes exactly chi(g) = omega^g.
+
+    M chi_k = mu_hat(k) chi_k with mu_hat(k) = sum_s mu(s) omega^{ks}, so mu is
+    the inverse transform of mu_hat(1) = 1 and complex |mu_hat(k)| < 1
+    elsewhere; M is then a normal, power-bounded, non-real matrix.
+    """
+    omega = np.exp(2j * np.pi / n)
+    hat = 0.6 * np.exp(1j * np.arange(n)) * np.linspace(0.3, 1.0, n)
+    hat[1] = 1.0
+    s = np.arange(n)
+    return FiniteMeasure(cyclic_group(n), (hat[None, :] * omega ** -np.outer(s, s)).sum(axis=1) / n)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_complex_measure_on_cyclic_group_fixes_the_character(n):
+    mu = _character_measure(n)
+    m = right_markov_matrix(mu.carrier, mu).entries
+    assert np.abs(m.imag).max() > 0.01  # the complex SVD path
+    chi = np.exp(2j * np.pi * np.arange(n) / n)
+    space = harmonic_space(m)
+    assert space.rank == 1
+    assert space.residual(chi) <= 1e-12
+    k = cesaro_limit(m)
+    assert np.linalg.norm(k @ k - k) <= 1e-12
+    assert np.abs(k - np.outer(chi, chi.conj()) / n).max() <= 1e-12

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from muharmonic import (
     trace_predual_matrix,
     uniform_on,
 )
+from muharmonic.ideals import _TRACE_BLOCK
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -416,3 +419,50 @@ def test_left_ideal_residual_builds_no_svd(monkeypatch):
     s4 = symmetric_group(4)
     mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
     assert left_ideal_residual(s4, mu, trials=2, seed=3).max_residual < 1e-9
+
+
+def _norms_by_steps(x, p, n_max, norm):
+    """The reference loop for a_n: one matrix-vector step and one norm per n."""
+    y, acc, norms = x, np.zeros_like(x), []
+    for n in range(1, n_max + 1):
+        y = p @ y
+        acc = acc + y
+        norms.append(norm(acc / n))
+    return norms
+
+
+@pytest.mark.parametrize("n_max", [1, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1, 4096])
+@pytest.mark.parametrize("ambient", ["l1", "trace"])
+def test_quotient_norm_trace_is_bitwise_the_per_step_loop(ambient, n_max):
+    rng = np.random.default_rng(n_max)
+    if ambient == "l1":
+        p, norm = predual_matrix(S3, S3_MU), lambda v: float(np.abs(v).sum())
+    else:
+        p, norm = trace_predual_matrix(S3, S3_MU), _trace_norm
+    x = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
+    got = quotient_norm_trace(x, p, n_max, ambient=ambient).norms
+    assert len(got) == n_max
+    assert np.array(got).tobytes() == np.array(_norms_by_steps(x, p, n_max, norm)).tobytes()
+
+
+def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
+    s4 = symmetric_group(4)
+    mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
+    p = predual_matrix(s4, mu)
+    x = np.random.default_rng(5).standard_normal(s4.order)
+
+    def transient_peak(n_max):
+        # peak bytes above what the call leaves behind (its result included)
+        tracemalloc.start()
+        try:
+            result = quotient_norm_trace(x, p, n_max)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.norms) == n_max
+        return peak - current
+
+    small, large = transient_peak(512), transient_peak(8192)
+    # keeping every average would add 16 * |G| = 384 bytes per extra step;
+    # only the float64 norms, on their way into the result tuple, may grow
+    assert large - small <= 16 * (8192 - 512)

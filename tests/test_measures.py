@@ -6,7 +6,9 @@ import pytest
 
 from muharmonic import (
     FiniteMeasure,
+    catalog,
     cesaro_average,
+    cesaro_sequence,
     convolution_power,
     convolve,
     cyclic_group,
@@ -18,6 +20,7 @@ from muharmonic import (
     point_mass,
     reflect,
     simple_random_walk_z,
+    symmetric_group,
     tv_distance,
     tv_norm,
     uniform_on,
@@ -195,3 +198,31 @@ def test_measure_json_round_trip():
     zz = measure_from_json(measure_to_json(z))
     assert (zz.carrier.lo, zz.carrier.hi) == (-2, 7)
     assert np.allclose(zz.weights, z.weights)
+
+
+def _cesaro_by_convolve(mu, n_values):
+    """The reference loop: each power by a full `convolve` call."""
+    out, acc, power = [], np.zeros_like(mu.weights), mu
+    for n in range(1, max(n_values) + 1):
+        if n > 1:
+            power = convolve(mu, power)
+        acc = acc + power.weights
+        if n in n_values:
+            out.append((n, acc / n))
+    return out
+
+
+def _complex_s3_measure():
+    s3 = symmetric_group(3)
+    return from_pairs(s3, [(0, 0.2 - 0.1j), (1, 0.3 + 0.2j), (3, 0.5 - 0.1j)])
+
+
+@pytest.mark.parametrize("mu", [e.measure for e in catalog()] + [_complex_s3_measure()],
+                         ids=[e.name for e in catalog()] + ["S3_complex"])
+def test_cesaro_sequence_is_bitwise_the_convolve_loop(mu):
+    n_values = [1, 2, 7, 64, 300]
+    got = cesaro_sequence(mu, n_values)
+    want = _cesaro_by_convolve(mu, n_values)
+    assert [n for n, _ in got] == n_values
+    for (_, avg), (_, ref) in zip(got, want):
+        assert avg.weights.tobytes() == ref.tobytes()

@@ -1,6 +1,17 @@
 import numpy as np
+import pytest
 
-from muharmonic import column_space, kernel, mutual_residual, span_of_rows, subspaces_equal
+from muharmonic import (
+    catalog,
+    column_space,
+    kernel,
+    kernel_and_range,
+    mutual_residual,
+    right_markov_matrix,
+    span_of_rows,
+    subspaces_equal,
+)
+from muharmonic import subspaces
 
 
 def test_kernel_of_rank_one():
@@ -70,3 +81,57 @@ def test_project_onto_complex_span_not_its_conjugate():
     assert np.allclose(space.project(chi), chi)
     assert mutual_residual(space, span_of_rows(chi[None, :])) < 1e-12
     assert not subspaces_equal(space, span_of_rows(chi.conj()[None, :]))
+
+
+def _shifted(e) -> np.ndarray:
+    return np.eye(e.group.order) - right_markov_matrix(e.group, e.measure).entries
+
+
+def _complex_matrix(seed: int = 3) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    return b @ (rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))  # rank 3
+
+
+@pytest.mark.parametrize("a", [_shifted(e) for e in catalog()] + [_complex_matrix()],
+                         ids=[e.name for e in catalog()] + ["complex_rank3"])
+def test_kernel_and_range_is_bitwise_kernel_and_column_space(a):
+    ker, rng_ = kernel_and_range(a)
+    assert ker.basis.tobytes() == kernel(a).basis.tobytes()
+    assert rng_.basis.tobytes() == column_space(a).basis.tobytes()
+
+
+def _spy_svd(monkeypatch) -> list:
+    dtypes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(subspaces.np.linalg, "svd", spy)
+    return dtypes
+
+
+def test_real_data_takes_the_real_svd_and_complex_data_the_complex_one(monkeypatch):
+    dtypes = _spy_svd(monkeypatch)
+    a = _shifted(catalog()[5]).astype(np.complex128)
+    kernel(a), column_space(a), span_of_rows(a), kernel_and_range(a)
+    assert dtypes == [np.float64] * 4
+    dtypes.clear()
+    c = _complex_matrix()
+    kernel(c), column_space(c), span_of_rows(c), kernel_and_range(c)
+    assert dtypes == [np.complex128] * 4
+
+
+@pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
+def test_real_and_complex_paths_give_the_same_subspaces(e, monkeypatch):
+    a = _shifted(e).astype(np.complex128)
+    real = [kernel(a), column_space(a), span_of_rows(a), *kernel_and_range(a)]
+    monkeypatch.setattr(subspaces, "_svd", lambda m, full_matrices:
+                        np.linalg.svd(m, full_matrices=full_matrices))
+    cplx = [kernel(a), column_space(a), span_of_rows(a), *kernel_and_range(a)]
+    for r, c in zip(real, cplx):
+        assert r.basis.dtype == c.basis.dtype == np.complex128
+        assert r.rank == c.rank
+        assert mutual_residual(r, c) <= 1e-12

@@ -25,6 +25,7 @@ from muharmonic import (
     uniform_on,
     word,
 )
+from muharmonic.experiments import _packed_ball
 from muharmonic.freegroup import FreeWord
 from muharmonic.walks import _chunk_seeds, _gens_array, _poisson_values, _simulate_chunk
 
@@ -173,17 +174,22 @@ def test_empirical_cylinder_frequencies_all_short_words():
     # one batch of 10^5 paths; every |w| <= 3 frequency within 3 binomial sigma
     n_paths, n_steps, margin = 100_000, 100, 10
     prefix_len = 3
-    counts = {}
+    # a prefix of m letters in {-2, -1, 1, 2} packs into one base-5 code,
+    # offset by m so that prefixes of different lengths never share a code
+    place = 5 ** np.arange(prefix_len)
+
+    def pack(letters, m):
+        return m * 5**prefix_len + (letters[..., :m] + 2) @ place[:m]
+
+    codes = []
     conclusive = 0
     for child, size in _chunk_seeds(77, n_paths):
         rng = np.random.default_rng(child)
         words_arr, _, ok = _simulate_chunk(2, n_steps, size, rng, keep=prefix_len, margin=margin)
         conclusive += int(ok.sum())
-        for m in (1, 2, 3):
-            rows = np.nonzero(ok)[0]
-            keys = [tuple(int(s) for s in words_arr[r, :m]) for r in rows]
-            for key in keys:
-                counts[key] = counts.get(key, 0) + 1
+        prefixes = words_arr[ok].astype(np.int64)
+        codes.extend(pack(prefixes, m) for m in (1, 2, 3))
+    counts = dict(zip(*np.unique(np.concatenate(codes), return_counts=True)))
     assert n_paths - conclusive < 50
     for r in (1, 2, 3):
         for w in free_ball(2, r):
@@ -191,7 +197,7 @@ def test_empirical_cylinder_frequencies_all_short_words():
                 continue
             p = harmonic_measure_cylinder(2, w)
             sigma = np.sqrt(p * (1 - p) / conclusive)
-            freq = counts.get(w.letters, 0) / conclusive
+            freq = counts.get(pack(np.array(w.letters), r), 0) / conclusive
             assert abs(freq - p) < 3.2 * sigma, (str(w), freq, p)
 
 
@@ -299,10 +305,14 @@ def test_walk_path_csv(tmp_path):
 
 
 def test_subharmonic_free_max():
-    h1 = lambda g: poisson_extension(2, W_A, g)
-    h2 = lambda g: poisson_extension(2, word(2, (-2,)), g)
-    ball = free_ball(2, 6)
-    report = subharmonic_check_free(lambda g: max(h1(g), h2(g)), 2, ball)
+    # ball(7) holds ball(6) and all its neighbours: one array pass per extension
+    ball, letters, lengths = _packed_ball(7)
+    h1 = dict(zip(ball, _poisson_values(2, W_A.letters, letters, lengths)))
+    h2 = dict(zip(ball, _poisson_values(2, (-2,), letters, lengths)))
+    for g in (ball[0], ball[-1], word(2, (1, 2, -1))):
+        assert h1[g] == poisson_extension(2, W_A, g)
+    inner = [g for g in ball if len(g) <= 6]
+    report = subharmonic_check_free(lambda g: max(h1[g], h2[g]), 2, inner)
     assert report.max_violation <= 1e-12
-    harmonic_report = subharmonic_check_free(h1, 2, ball)
+    harmonic_report = subharmonic_check_free(h1.__getitem__, 2, inner)
     assert abs(harmonic_report.max_violation) <= 1e-12
