@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -76,26 +78,37 @@ def free_inverse(a: FreeWord) -> FreeWord:
     return FreeWord(a.rank, tuple(-s for s in reversed(a.letters)))
 
 
+def _packed_ball(k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The words of free_ball(k, r) as letter rows and lengths, in its order.
+
+    Row i holds the letters of word i in its first lengths[i] columns and
+    zeros after them; rows have r + 1 columns, room for one more letter.
+    One breadth-first pass over arrays: each sphere row is repeated 2k
+    times, the generators are appended, and the cancelling rows dropped.
+    """
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    gens = np.array(list(range(1, k + 1)) + list(range(-1, -k - 1, -1)), dtype=np.int32)
+    sphere = np.zeros((1, r + 1), dtype=np.int32)
+    spheres = [sphere]
+    for length in range(r):
+        grown = np.repeat(sphere, 2 * k, axis=0)
+        grown[:, length] = np.tile(gens, len(sphere))
+        if length:
+            grown = grown[grown[:, length - 1] != -grown[:, length]]
+        spheres.append(grown)
+        sphere = grown
+    lengths = np.repeat(np.arange(r + 1), [len(x) for x in spheres])
+    return np.concatenate(spheres), lengths
+
+
 def free_ball(k: int, r: int) -> list[FreeWord]:
     """All reduced words of length <= r, in breadth-first order.
 
     The count is 1 + 2k((2k-1)^r - 1)/(2k-2).
     """
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    ball = [empty_word(k)]
-    sphere = [()]
-    gens = [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]
-    for _ in range(r):
-        nxt = []
-        for w in sphere:
-            for s in gens:
-                if w and w[-1] == -s:
-                    continue
-                nxt.append(w + (s,))
-        ball.extend(FreeWord(k, w) for w in nxt)
-        sphere = nxt
-    return ball
+    letters, lengths = _packed_ball(k, r)
+    return [FreeWord(k, tuple(row[:n])) for row, n in zip(letters.tolist(), lengths.tolist())]
 
 
 def common_prefix_length(a: FreeWord, b: FreeWord) -> int:
@@ -121,9 +134,15 @@ def is_prefix(w: FreeWord, g: FreeWord) -> bool:
 
 
 def neighbors(g: FreeWord) -> list[FreeWord]:
-    """The 2k adjacent vertices gs, s a generator or inverse generator."""
-    k = g.rank
+    """The 2k adjacent vertices gs, s a generator or inverse generator.
+
+    gs pops the last letter of g when it is s^{-1} and pushes s otherwise.
+    """
+    k, letters = g.rank, g.letters
     out = []
     for s in [i for i in range(1, k + 1)] + [-i for i in range(1, k + 1)]:
-        out.append(free_mul(g, FreeWord(k, (s,))))
+        if letters and letters[-1] == -s:
+            out.append(FreeWord(k, letters[:-1]))
+        else:
+            out.append(FreeWord(k, letters + (s,)))
     return out

@@ -24,6 +24,8 @@ from .operators import OperatorMatrix, as_matrix, right_markov_matrix
 from .subspaces import (
     DEFAULT_REL_TOL,
     Subspace,
+    _rank,
+    _svd,
     column_space,
     kernel,
     kernel_and_range,
@@ -332,21 +334,16 @@ def l1_harmonic_triviality(mu: FiniteMeasure, window: int) -> L1TrivialityReport
     """
     if mu.on_group:
         raise ValueError("l1_harmonic_triviality expects a measure on a Z window")
-    size = 2 * window + 1
     pts = np.arange(-window, window + 1)
-    t = np.zeros((size, size), dtype=np.complex128)
-    lo = mu.carrier.lo
-    for i, gpt in enumerate(pts):
-        for j, src in enumerate(pts):
-            d = gpt - src
-            if mu.carrier.lo <= d <= mu.carrier.hi:
-                t[i, j] = mu.weights[d - lo]
-    shifted = np.eye(size) - t
-    ker = kernel(shifted)
-    svals = np.linalg.svd(shifted, compute_uv=False)
+    # T_L[i, j] = mu(pts[i] - pts[j]), zero off the support window
+    offset = pts[:, None] - pts[None, :] - mu.carrier.lo
+    inside = (offset >= 0) & (offset < mu.carrier.size)
+    t = np.where(inside, mu.weights[np.clip(offset, 0, mu.carrier.size - 1)], 0.0)
+    # one factorization gives the kernel rank and the smallest singular value
+    _, svals, _ = _svd(np.eye(pts.size) - t, full_matrices=False)
     return L1TrivialityReport(
         window=window,
-        kernel_rank=ker.rank,
+        kernel_rank=pts.size - _rank(svals, DEFAULT_REL_TOL),
         degenerate=mu.support() == [0],
         smallest_singular_value=float(svals[-1]),
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .measures import (
     tv_norm,
 )
 from .operators import (
+    _conjugate_sum,
     apply_conjugation,
     as_matrix,
     conjugation_operator,
@@ -48,13 +50,18 @@ class IdealBasis:
 
     labels numbers the H-orbits of the coordinates (see `orbit_labels`) when
     the ideal comes from a probability measure; it is None otherwise, and
-    then only the LP measures distances to the ideal.
+    then only the LP measures distances to the ideal.  The SVD basis `space`
+    is taken on first use: the closed forms that the labels allow never
+    read it.
     """
 
     ambient: str  # "l1" or "trace"
-    space: Subspace
     predual_op: np.ndarray
     labels: np.ndarray | None = None
+
+    @cached_property
+    def space(self) -> Subspace:
+        return column_space(np.eye(self.predual_op.shape[0]) - self.predual_op)
 
     @property
     def rank(self) -> int:
@@ -62,11 +69,6 @@ class IdealBasis:
 
     def __repr__(self):
         return f"IdealBasis({self.ambient}, rank={self.rank}, dim={self.space.ambient_dim})"
-
-
-def _displacement_ideal(p: np.ndarray, ambient: str,
-                        labels: np.ndarray | None = None) -> IdealBasis:
-    return IdealBasis(ambient, column_space(np.eye(p.shape[0]) - p), p, labels)
 
 
 def _haar_labels(g: FiniteGroup, mu: FiniteMeasure, rep: str) -> np.ndarray | None:
@@ -78,7 +80,7 @@ def _haar_labels(g: FiniteGroup, mu: FiniteMeasure, rep: str) -> np.ndarray | No
 
 def coboundary_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
     """The ideal {x - x*mu} inside l^1 of the group."""
-    return _displacement_ideal(predual_matrix(g, mu), "l1", _haar_labels(g, mu, "functions"))
+    return IdealBasis("l1", predual_matrix(g, mu), _haar_labels(g, mu, "functions"))
 
 
 def trace_predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
@@ -92,7 +94,7 @@ def trace_predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
 
 def predual_coboundary_ideal(predual_op: np.ndarray, ambient: str = "l1") -> IdealBasis:
     """Range of (I - P) for an explicit predual operator matrix; no H is known."""
-    return _displacement_ideal(as_matrix(predual_op), ambient)
+    return IdealBasis(ambient, as_matrix(predual_op))
 
 
 def trace_class_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
@@ -101,8 +103,7 @@ def trace_class_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
     This is the generic side: the Haar average answers its questions without
     the order^2 x order^2 matrix.
     """
-    return _displacement_ideal(trace_predual_matrix(g, mu), "trace",
-                               _haar_labels(g, mu, "operators"))
+    return IdealBasis("trace", trace_predual_matrix(g, mu), _haar_labels(g, mu, "operators"))
 
 
 def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -110,11 +111,19 @@ def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     On l^1 this is x * omega_H, with omega_H the Haar measure of H; on
     row-major vec'd matrices it is X -> (1/|H|) sum_{s in H} rho(s) X rho(s)^{-1}.
-    It is the orthogonal projection onto the orbit indicators.
+    It is the orthogonal projection onto the orbit indicators.  `x` may carry
+    leading stack axes, shape (..., len(labels)); each row is averaged, by
+    one bincount over the labels offset per row.
     """
     x = np.asarray(x, dtype=np.complex128)
-    sums = np.bincount(labels, x.real) + 1j * np.bincount(labels, x.imag)
-    return (sums / np.bincount(labels))[labels]
+    n_orbits = int(labels.max()) + 1
+    rows = x.reshape(-1, labels.size)
+    offset = (labels + n_orbits * np.arange(len(rows))[:, None]).reshape(-1)
+    size = n_orbits * len(rows)
+    sums = (np.bincount(offset, rows.real.reshape(-1), size)
+            + 1j * np.bincount(offset, rows.imag.reshape(-1), size))
+    means = sums.reshape(-1, n_orbits) / np.bincount(labels, minlength=n_orbits)
+    return means[:, labels].reshape(x.shape)
 
 
 # ------------------------------------------------------------- predual norms
@@ -311,19 +320,31 @@ def operator_convolve(s: np.ndarray, t: np.ndarray, g: FiniteGroup) -> np.ndarra
     the diagonal measure of S.
 
     S * T = sum_h diag(S)(h) rho_l(h) T rho_l(h)^{-1}; the trace multiplies
-    and the diagonal measure is a homomorphism onto group convolution.
+    and the diagonal measure is a homomorphism onto group convolution.  S and
+    T may carry the same leading stack axes, shape (..., order, order); the
+    pairs are convolved one by one, in one gather over the union of the
+    diagonal supports.
     """
     s = as_matrix(s)
     t = as_matrix(t)
     n = g.order
-    if s.shape != (n, n) or t.shape != (n, n):
+    if s.shape[-2:] != (n, n) or t.shape[-2:] != (n, n) or s.shape != t.shape:
         raise ValueError("operators must match the group order")
-    kappa = np.diag(s)
-    h = np.nonzero(kappa)[0]
-    idx = g.left_quotients(h)
-    # row k holds T[h_k^-1 x, h_k^-1 y] in row-major (x, y) order
-    flat = (idx[:, :, None] * n + idx[:, None, :]).reshape(h.size, n * n)
-    return (kappa[h] @ t.reshape(-1)[flat]).reshape(n, n)
+    kappa = np.diagonal(s, axis1=-2, axis2=-1)
+    h = np.nonzero(np.any(kappa != 0, axis=tuple(range(kappa.ndim - 1))))[0]
+    return _conjugate_sum(t, g.left_quotients(h), kappa[..., h])
+
+
+# entries of T gathered by one stacked operator_convolve (4 MB complex): the
+# random trials of a matrix-convolution check run in stacks of this size
+_GATHER_ENTRIES = 1 << 18
+
+
+def _trial_blocks(trials: int, order: int):
+    """Stack sizes that split `trials` convolutions at one group order."""
+    size = max(1, _GATHER_ENTRIES // order**3)
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
 
 
 @dataclass(frozen=True)
@@ -357,9 +378,12 @@ def left_ideal_residual(
     rng = np.random.default_rng(seed)
     n = g.order
     worst = 0.0
-    for _ in range(trials):
-        s = rng.random((n, n)) + 1j * rng.random((n, n))
-        y = (rng.random(n * n) + 1j * rng.random(n * n)).reshape(n, n)
+    for size in _trial_blocks(trials, n):
+        # the numbers of `size` sequential draws of S (re, im) and Y (re, im)
+        u = rng.random((size, 4, n, n))
+        s = u[:, 0] + 1j * u[:, 1]
+        y = u[:, 2] + 1j * u[:, 3]
         sx = operator_convolve(s, y - apply_conjugation(g, back, y), g)
-        worst = max(worst, float(np.linalg.norm(haar_average(sx.reshape(-1), labels))))
+        for row in haar_average(sx.reshape(size, n * n), labels):
+            worst = max(worst, float(np.linalg.norm(row)))
     return LeftIdealReport(trials, worst, seed)

@@ -14,36 +14,37 @@ _MAX_PIVOTS = 50_000
 
 
 def _simplex(tableau: np.ndarray, basis: list[int], n_vars: int) -> None:
-    """Run primal simplex in place; last row is the reduced-cost row."""
+    """Run primal simplex in place; last row is the reduced-cost row.
+
+    Bland's rule as array passes: the entering column is the first eligible
+    one, the ratio test scans only the rows with a positive pivot-column
+    entry, and the elimination is one rank-1 update of the rows whose
+    factor is nonzero (the others, and the signs of their zeros, stay).
+    """
     m = tableau.shape[0] - 1
     for _ in range(_MAX_PIVOTS):
-        costs = tableau[-1, :n_vars]
-        entering = -1
-        for j in range(n_vars):
-            if costs[j] < -_PIVOT_TOL:
-                entering = j
-                break  # Bland: smallest eligible index
-        if entering < 0:
+        eligible = np.flatnonzero(tableau[-1, :n_vars] < -_PIVOT_TOL)
+        if eligible.size == 0:
             return
+        entering = int(eligible[0])
         col = tableau[:m, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
         best_ratio = np.inf
         leaving = -1
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = tableau[i, -1] / col[i]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        for i, ratio in zip(rows.tolist(), (tableau[rows, -1] / col[rows]).tolist()):
+            if ratio < best_ratio - _PIVOT_TOL or (
+                abs(ratio - best_ratio) <= _PIVOT_TOL
+                and (leaving < 0 or basis[i] < basis[leaving])
+            ):
+                best_ratio = ratio
+                leaving = i
         if leaving < 0:
             raise RuntimeError("LP is unbounded; malformed projection problem")
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for i in range(m + 1):
-            if i != leaving and abs(tableau[i, entering]) > 0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
+        tableau[leaving] /= tableau[leaving, entering]
+        factors = tableau[:, entering].copy()
+        factors[leaving] = 0.0
+        moved = np.flatnonzero(factors)
+        tableau[moved] -= factors[moved, None] * tableau[leaving]
         basis[leaving] = entering
     raise RuntimeError("simplex did not terminate within the pivot budget")
 

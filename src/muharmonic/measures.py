@@ -152,14 +152,26 @@ def haar_on_subgroup(g: FiniteGroup, h: Subgroup) -> FiniteMeasure:
 
 # ---------------------------------------------------------------- algebra
 
+def _group_convolve(g: FiniteGroup, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x * y)(g) = sum_h x(h) y(h^{-1} g) over the last axis of weight arrays.
+
+    x and y have shape (..., order); the leading axes are stack axes, one
+    pair of measures per index.  One gather over the union of the supports
+    of x; the table and a contiguous layout give each pair the products and
+    sums of a single call.
+    """
+    s = np.nonzero(np.any(x != 0, axis=tuple(range(x.ndim - 1))))[0]
+    table = g.left_quotients(s)
+    return np.matmul(np.ascontiguousarray(x[..., s])[..., None, :],
+                     np.take(y, table, axis=-1))[..., 0, :]
+
+
 def convolve(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     """(mu * nu)(g) = sum_h mu(h) nu(h^{-1} g); total mass multiplies."""
     if not _same_carrier(mu.carrier, nu.carrier):
         raise ValueError("carrier mismatch: cannot convolve measures on different carriers")
     if mu.on_group:
-        g: FiniteGroup = mu.carrier
-        s = np.nonzero(mu.weights)[0]
-        return FiniteMeasure(g, mu.weights[s] @ nu.weights[g.left_quotients(s)])
+        return FiniteMeasure(mu.carrier, _group_convolve(mu.carrier, mu.weights, nu.weights))
     a, b = mu.carrier, nu.carrier
     out = np.convolve(mu.weights, nu.weights)
     return FiniteMeasure(ZWindow(a.lo + b.lo, a.hi + b.hi), out)

@@ -154,17 +154,32 @@ def conjugation_operator(g: FiniteGroup, mu: FiniteMeasure) -> OperatorMatrix:
     return OperatorMatrix(out, stochastic=False)
 
 
+def _conjugate_sum(t: np.ndarray, tabs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[..., k] T[..., tabs[k, x], tabs[k, y]] as one gather.
+
+    T has shape (..., n, n), tabs (K, n) and weights (K,) or (..., K); the
+    leading axes of T and weights are stack axes, one matrix per index.  Row
+    k of the gather holds T[tabs[k, x], tabs[k, y]] in row-major (x, y) order.
+    """
+    n = t.shape[-1]
+    flat = (tabs[:, :, None] * n + tabs[:, None, :]).reshape(len(tabs), n * n)
+    # take and a contiguous weight vector keep every product in the unit-stride
+    # layout of a single matrix, so a stacked call sums each product like it
+    gathered = np.take(t.reshape(*t.shape[:-2], n * n), flat, axis=-1)
+    weights = np.ascontiguousarray(weights)
+    return np.matmul(weights[..., None, :], gathered)[..., 0, :].reshape(t.shape)
+
+
 def apply_conjugation(g: FiniteGroup, mu: FiniteMeasure, a: np.ndarray) -> np.ndarray:
     """Apply the averaged conjugation directly to a matrix (no vec blowup).
 
-    rho(s) A rho(s)^{-1} permutes entries by [x, y] -> A[x s, y s].
+    rho(s) A rho(s)^{-1} permutes entries by [x, y] -> A[x s, y s].  `a` may
+    carry leading stack axes, shape (..., order, order); each matrix of the
+    stack is conjugated.
     """
     a = np.asarray(a, dtype=np.complex128)
-    out = np.zeros_like(a)
-    for s in np.nonzero(mu.weights)[0]:
-        idx = g.cayley[:, s]
-        out += mu.weights[s] * a[np.ix_(idx, idx)]
-    return out
+    s = np.nonzero(mu.weights)[0]
+    return _conjugate_sum(a, g.cayley[:, s].T, mu.weights[s])
 
 
 # ---------------------------------------------------------------- group actions

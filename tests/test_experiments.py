@@ -1,10 +1,18 @@
+import functools
 import json
+import sys
 
 import pytest
 
 from muharmonic import ConfigError, ExperimentConfig, catalog, catalog_entry, parse_word, run
 from muharmonic.cli import main as cli_main
-from muharmonic.experiments import MASTER_SEED, _measure_from_spec, run_criterion
+from muharmonic.experiments import (
+    MASTER_SEED,
+    OPERATION_NAMES,
+    _coverage_extras,
+    _measure_from_spec,
+    run_criterion,
+)
 from muharmonic import generated_subgroup, symmetric_group
 
 
@@ -103,6 +111,40 @@ def test_criterion_8_declares_only_operations_it_calls():
     cov: set = set()
     run_criterion(8, cov)
     assert "free_mul" not in cov and "free_ball" not in cov
+
+
+def _record_operation_calls(monkeypatch) -> set:
+    """Wrap every binding of each OPERATION_NAMES function in muharmonic.*;
+    the returned set collects the names actually called."""
+    called: set = set()
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "muharmonic"]:
+        for name in OPERATION_NAMES:
+            fn = getattr(module, name, None)
+            if callable(fn):
+                if fn not in wrappers:
+                    wrappers[fn] = wrap(name, fn)
+                monkeypatch.setattr(module, name, wrappers[fn])
+    return called
+
+
+@pytest.mark.parametrize("part", [5, 11, "coverage extras"])
+def test_declared_operations_are_really_called(monkeypatch, part):
+    called = _record_operation_calls(monkeypatch)
+    declared: set = set()
+    if part == "coverage extras":
+        _coverage_extras(declared)
+    else:
+        run_criterion(part, declared)
+    assert declared <= called, f"declared but not called: {sorted(declared - called)}"
 
 
 @pytest.mark.parametrize("spec", ["aa'", ""])

@@ -8,8 +8,10 @@ from muharmonic import (
     free_inverse,
     free_mul,
     tree_distance,
+    neighbors,
     word,
 )
+from muharmonic.freegroup import _packed_ball
 
 
 def test_cancellation_examples():
@@ -74,3 +76,39 @@ def test_tree_distance():
 def test_str_rendering():
     assert str(empty_word(2)) == "e"
     assert str(word(2, (1, -2))) == "ab'"
+
+
+def _tuple_ball(k, r):
+    """The breadth-first ball as letter tuples, one word at a time: the reference."""
+    ball, sphere = [()], [()]
+    gens = list(range(1, k + 1)) + [-i for i in range(1, k + 1)]
+    for _ in range(r):
+        sphere = [w + (s,) for w in sphere for s in gens if not (w and w[-1] == -s)]
+        ball.extend(sphere)
+    return ball
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("r", range(6))
+def test_packed_ball_is_the_tuple_bfs(k, r):
+    letters, lengths = _packed_ball(k, r)
+    expected = _tuple_ball(k, r)
+    count = 1 + 2 * k * ((2 * k - 1) ** r - 1) // (2 * k - 2)
+    assert len(expected) == len(lengths) == count
+    assert letters.shape == (count, r + 1)
+    assert [tuple(row[:n]) for row, n in zip(letters.tolist(), lengths.tolist())] == expected
+    assert not np.any(letters[np.arange(r + 1) >= lengths[:, None]])  # zero padding
+    assert [w.letters for w in free_ball(k, r)] == expected
+
+
+def test_packed_ball_rejects_negative_radius():
+    with pytest.raises(ValueError):
+        _packed_ball(2, -1)
+    with pytest.raises(ValueError):
+        free_ball(2, -1)
+
+
+def test_neighbors_are_the_products_with_each_generator():
+    gens = [word(3, (s,)) for s in (1, 2, 3, -1, -2, -3)]
+    for g in free_ball(3, 3):
+        assert neighbors(g) == [free_mul(g, s) for s in gens]

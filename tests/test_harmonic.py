@@ -24,8 +24,10 @@ from muharmonic import (
     symmetric_group,
     trivial_solution_space,
     uniform_on,
+    z_from_pairs,
     z_point_mass,
 )
+from muharmonic.subspaces import kernel
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -161,6 +163,50 @@ def test_l1_triviality_examples():
     degenerate = l1_harmonic_triviality(z_point_mass(0), 5)
     assert degenerate.degenerate
     assert degenerate.kernel_rank == 11
+
+
+def _l1_triviality_by_loops(mu, window):
+    """T_L filled entry by entry, kernel and singular values in complex
+    arithmetic: the reference for l1_harmonic_triviality."""
+    size = 2 * window + 1
+    pts = np.arange(-window, window + 1)
+    t = np.zeros((size, size), dtype=np.complex128)
+    for i, gpt in enumerate(pts):
+        for j, src in enumerate(pts):
+            d = gpt - src
+            if mu.carrier.lo <= d <= mu.carrier.hi:
+                t[i, j] = mu.weights[d - mu.carrier.lo]
+    shifted = np.eye(size) - t
+    return kernel(shifted).rank, np.linalg.svd(shifted, compute_uv=False)[-1]
+
+
+@pytest.mark.parametrize("mu", [
+    simple_random_walk_z(),
+    z_point_mass(0),
+    z_point_mass(3),
+    z_from_pairs([(-2, 0.25), (0, 0.5), (5, 0.25)]),
+    z_from_pairs([(-1, 0.5 + 0.5j), (2, 0.5 - 0.5j)]),  # complex weights
+    z_from_pairs([(30, 0.5), (31, 0.5)]),  # support outside the small window
+], ids=["srw", "delta0", "delta3", "spread", "complex", "far"])
+@pytest.mark.parametrize("window", [0, 1, 5, 12])
+def test_l1_triviality_matches_the_double_loop(mu, window):
+    report = l1_harmonic_triviality(mu, window)
+    rank, smallest = _l1_triviality_by_loops(mu, window)
+    assert report.kernel_rank == rank
+    assert abs(report.smallest_singular_value - smallest) < 1e-12
+
+
+def test_l1_triviality_takes_one_real_factorization(monkeypatch):
+    dtypes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr("numpy.linalg.svd", spy)
+    assert l1_harmonic_triviality(simple_random_walk_z(), 50).kernel_rank == 0
+    assert dtypes == [np.float64]
 
 
 def test_subharmonicity_of_modulus_and_max():

@@ -27,13 +27,15 @@ from muharmonic import (
     predual_matrix,
     quotient_norm,
     quotient_norm_trace,
+    reflect,
     right_regular,
     symmetric_group,
     trace_class_ideal,
     trace_predual_matrix,
     uniform_on,
 )
-from muharmonic.ideals import _TRACE_BLOCK
+from muharmonic.experiments import ExperimentConfig, run
+from muharmonic.ideals import _GATHER_ENTRIES, _TRACE_BLOCK, _haar_labels
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -419,6 +421,76 @@ def test_left_ideal_residual_builds_no_svd(monkeypatch):
     s4 = symmetric_group(4)
     mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
     assert left_ideal_residual(s4, mu, trials=2, seed=3).max_residual < 1e-9
+
+
+def _stack(rng, *shape):
+    return rng.random(shape) + 1j * rng.random(shape)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_stacked_calls_are_bitwise_the_per_matrix_calls(entry):
+    g, mu = entry.group, entry.measure
+    n = g.order
+    rng = np.random.default_rng(13)
+    s, t = _stack(rng, 2, 3, n, n), _stack(rng, 2, 3, n, n)
+    labels = _haar_labels(g, mu, "operators")
+    stacked = (operator_convolve(s, t, g), apply_conjugation(g, mu, t),
+               haar_average(t.reshape(2, 3, n * n), labels))
+    for i, j in np.ndindex(2, 3):
+        single = (operator_convolve(s[i, j], t[i, j], g), apply_conjugation(g, mu, t[i, j]),
+                  haar_average(t[i, j].reshape(-1), labels))
+        for got, want in zip(stacked, single):
+            assert got[i, j].tobytes() == want.tobytes()
+    # a zero on one diagonal adds 0 * T terms to that matrix's sum in the stack
+    s[0, 1, 0, 0] = 0.0
+    st = operator_convolve(s, t, g)[0, 1]
+    assert np.abs(st - operator_convolve(s[0, 1], t[0, 1], g)).max() < 1e-13
+
+
+def _left_ideal_residual_by_trials(g, mu, trials, seed):
+    """One draw, one convolution and one Haar average per trial: the reference."""
+    labels = _haar_labels(g, mu, "operators")
+    back = reflect(mu)
+    rng = np.random.default_rng(seed)
+    n = g.order
+    worst = 0.0
+    for _ in range(trials):
+        s = rng.random((n, n)) + 1j * rng.random((n, n))
+        y = (rng.random(n * n) + 1j * rng.random(n * n)).reshape(n, n)
+        sx = operator_convolve(s, y - apply_conjugation(g, back, y), g)
+        worst = max(worst, float(np.linalg.norm(haar_average(sx.reshape(-1), labels))))
+    return worst
+
+
+def test_left_ideal_residual_blocks_give_the_per_trial_result():
+    s4 = symmetric_group(4)
+    mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
+    block = _GATHER_ENTRIES // s4.order ** 3
+    assert block == 18
+    for trials in (1, block - 1, block, block + 1):
+        report = left_ideal_residual(s4, mu, trials=trials, seed=9)
+        assert report.trials == trials
+        assert report.max_residual == _left_ideal_residual_by_trials(s4, mu, trials, 9)
+
+
+def test_derriennic_on_s5_takes_no_svd(monkeypatch):
+    # the closed-form quotient norm never reads the ideal's SVD basis
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr("numpy.linalg.svd", counting_svd)
+    s5 = symmetric_group(5)
+    support = [s5.labels.index("(1 2)"), s5.labels.index("(1 2 3 4 5)")]
+    record = run(ExperimentConfig(scenario="derriennic", group={"kind": "symmetric", "n": 5},
+                                  measure={"uniform_on": support}))
+    assert record.passed
+    assert calls == []
+    ideal = coboundary_ideal(s5, uniform_on(s5, support))
+    assert ideal.rank == 119 and len(calls) == 1  # the basis is still there on demand
 
 
 def _norms_by_steps(x, p, n_max, norm):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from muharmonic import lp
+from muharmonic.experiments import MASTER_SEED, catalog
+from muharmonic.ideals import coboundary_ideal
 from muharmonic.lp import l1_distance_to_span
 
 
@@ -59,3 +62,90 @@ def test_against_grid_refinement_small():
 def test_rejects_complex():
     with pytest.raises(ValueError):
         l1_distance_to_span(np.array([1.0 + 1j, 0.0]), np.array([[1.0], [1.0]]))
+
+
+def _scalar_simplex(tableau, basis, n_vars):
+    """Bland's rule one column, one row and one elimination at a time: the
+    reference that lp._simplex must reproduce bit for bit."""
+    m = tableau.shape[0] - 1
+    for _ in range(lp._MAX_PIVOTS):
+        costs = tableau[-1, :n_vars]
+        entering = -1
+        for j in range(n_vars):
+            if costs[j] < -lp._PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return
+        col = tableau[:m, entering]
+        best_ratio = np.inf
+        leaving = -1
+        for i in range(m):
+            if col[i] > lp._PIVOT_TOL:
+                ratio = tableau[i, -1] / col[i]
+                if ratio < best_ratio - lp._PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= lp._PIVOT_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise RuntimeError("LP is unbounded; malformed projection problem")
+        pivot = tableau[leaving, entering]
+        tableau[leaving] /= pivot
+        for i in range(m + 1):
+            if i != leaving and abs(tableau[i, entering]) > 0:
+                tableau[i] -= tableau[i, entering] * tableau[leaving]
+        basis[leaving] = entering
+    raise RuntimeError("simplex did not terminate within the pivot budget")
+
+
+def _both_simplexes(monkeypatch, problems):
+    """(distance, t, final tableau, basis) of every problem by lp._simplex,
+    then by the reference."""
+    results = []
+    for simplex in (lp._simplex, _scalar_simplex):
+        finals = []
+
+        def recording(tableau, basis, n_vars, simplex=simplex):
+            simplex(tableau, basis, n_vars)
+            finals.append((tableau.tobytes(), list(basis)))
+
+        monkeypatch.setattr(lp, "_simplex", recording)
+        runs = [l1_distance_to_span(x, b) for x, b in problems]
+        results.append([run + final for run, final in zip(runs, finals)])
+    return results
+
+
+def _assert_bitwise(array_runs, scalar_runs):
+    assert len(array_runs) == len(scalar_runs)
+    for (d, t, tableau, basis), (d_ref, t_ref, tableau_ref, basis_ref) in zip(
+            array_runs, scalar_runs):
+        assert np.float64(d).tobytes() == np.float64(d_ref).tobytes()
+        assert t.tobytes() == t_ref.tobytes()
+        assert tableau == tableau_ref  # the signs of zeros included
+        assert basis == basis_ref
+
+
+def test_array_pivots_match_the_scalar_simplex_on_criterion_6(monkeypatch):
+    # the 140 signed unit-mass vectors of acceptance criterion 6
+    problems = []
+    for idx, e in enumerate(catalog()):
+        basis = coboundary_ideal(e.group, e.measure).space.basis.T
+        xs = np.random.default_rng(MASTER_SEED + 3000 + idx).standard_normal((e.group.order, 20))
+        xs /= np.abs(xs).sum(axis=0, keepdims=True)
+        problems += [(x, basis) for x in xs.T]
+    assert len(problems) == 140
+    _assert_bitwise(*_both_simplexes(monkeypatch, problems))
+
+
+def test_array_pivots_match_the_scalar_simplex_on_random_lps(monkeypatch):
+    rng = np.random.default_rng(11)
+    problems = []
+    for _ in range(60):
+        dim, r = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+        b, x = rng.standard_normal((dim, r)), rng.standard_normal(dim)
+        if rng.random() < 0.5:  # ties and degenerate pivots: small integer data
+            b, x = np.round(b * 2), np.round(x * 3)
+        problems.append((x, b))
+    _assert_bitwise(*_both_simplexes(monkeypatch, problems))

@@ -25,8 +25,7 @@ from muharmonic import (
     uniform_on,
     word,
 )
-from muharmonic.experiments import _packed_ball
-from muharmonic.freegroup import FreeWord
+from muharmonic.freegroup import FreeWord, _packed_ball
 from muharmonic.walks import _chunk_seeds, _gens_array, _poisson_values, _simulate_chunk
 
 W_A = word(2, (1,))
@@ -306,7 +305,8 @@ def test_walk_path_csv(tmp_path):
 
 def test_subharmonic_free_max():
     # ball(7) holds ball(6) and all its neighbours: one array pass per extension
-    ball, letters, lengths = _packed_ball(7)
+    letters, lengths = _packed_ball(2, 7)
+    ball = free_ball(2, 7)
     h1 = dict(zip(ball, _poisson_values(2, W_A.letters, letters, lengths)))
     h2 = dict(zip(ball, _poisson_values(2, (-2,), letters, lengths)))
     for g in (ball[0], ball[-1], word(2, (1, 2, -1))):
