@@ -21,6 +21,7 @@ from .groups import (
     group_from_table,
     group_to_json,
     left_cosets,
+    orbit_labels,
     product_group,
     symmetric_group,
 )
@@ -93,7 +94,6 @@ from .harmonic import (
     harmonic_space,
     harmonic_triviality_verdict,
     l1_harmonic_triviality,
-    orbit_labels,
     trivial_solution_space,
 )
 from .ideals import (

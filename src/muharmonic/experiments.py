@@ -3,8 +3,8 @@
 Every experiment is deterministic given its config and seed; Monte Carlo
 seeds are spawned per chunk so aggregation order never matters.  The suite
 scenario runs each acceptance criterion at its pinned tolerance and then
-asserts that every public operation of the package was exercised at least
-once along the way.
+asserts that the run called every public operation (each function marked
+``@operation``) at least once along the way.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._ops import MARKED, collecting, operation
 from .errors import CapacityError, ConfigError
 from .freegroup import FreeWord, _packed_ball, free_ball, free_inverse, free_mul, word
 from .groups import (
@@ -95,26 +96,6 @@ MASTER_SEED = 20260808
 SCENARIOS = ("harmonic", "cesaro", "derriennic", "ncconv", "freewalk",
              "stationary", "decay", "suite")
 
-#: every public operation the suite must exercise at least once
-OPERATION_NAMES = frozenset({
-    "build_group", "generated_subgroup", "left_cosets",
-    "free_mul", "free_inverse", "free_ball",
-    "convolve", "reflect", "convolution_power", "cesaro_average",
-    "tv_norm", "tv_distance", "haar_on_subgroup", "weak_star_decay",
-    "right_markov_matrix", "predual_action", "conjugation_operator",
-    "gspace_markov_matrix",
-    "harmonic_space", "trivial_solution_space", "commutant",
-    "cesaro_projection", "diamond_product", "harmonic_triviality_verdict",
-    "l1_harmonic_triviality",
-    "coboundary_ideal", "trace_class_ideal", "l1_distance", "quotient_norm",
-    "quotient_norm_trace", "approximate_identity", "diagonal_measure",
-    "operator_convolve", "left_ideal_residual",
-    "sample_path", "harmonic_measure_cylinder", "poisson_extension",
-    "martingale_convergence_check", "diamond_vs_pointwise_mc",
-    "stationary_measure", "subharmonic_check",
-    "run", "catalog",
-})
-
 
 # ------------------------------------------------------------------- catalog
 
@@ -157,6 +138,7 @@ def _catalog_tuple() -> tuple[CatalogEntry, ...]:
     )
 
 
+@operation
 def catalog() -> list[CatalogEntry]:
     """The built-in (group, measure) pairs every group-side check runs over."""
     return list(_catalog_tuple())
@@ -399,8 +381,10 @@ def _harmonic_checks(pairs: list[CatalogEntry], extra: dict) -> list[CheckResult
                              verdict.subspace_residual, 1e-9))
         checks.append(_check(f"{e.name}: verdict consistent",
                              1.0 if verdict.consistent else 0.0, 1.0, "ge"))
-        # exercise the diamond product on an explicit harmonic pair
-        h = harmonic_space(right_markov_matrix(e.group, e.measure)).basis[0]
+        # exercise the diamond product on an explicit harmonic pair: a coset
+        # indicator, nonconstant whenever there are two or more cosets
+        h_mu = generated_subgroup(e.group, e.measure.support())
+        h = trivial_solution_space(e.group, h_mu).basis[0]
         dia = diamond_product(h, h, e.group, e.measure)
         checks.append(_check(f"{e.name}: diamond == pointwise",
                              float(np.abs(dia - h * h).max()), 1e-12))
@@ -537,31 +521,23 @@ def _decay_checks(n: int, extra: dict, csv_path: str | None = None) -> list[Chec
 
 
 # ---------------------------------------------------------------- criteria
-# Each criterion function returns its CheckResults and marks the operations
-# it exercised in the coverage set.
+# Each criterion function returns its CheckResults.
 
-def _crit_finite_triviality(cov: set) -> list[CheckResult]:
-    cov.update({"harmonic_triviality_verdict", "right_markov_matrix",
-                "harmonic_space", "trivial_solution_space",
-                "generated_subgroup", "left_cosets", "catalog",
-                "build_group", "diamond_product"})
+def _crit_finite_triviality() -> list[CheckResult]:
     return _harmonic_checks(catalog(), {})
 
 
-def _crit_cesaro_limit(cov: set) -> list[CheckResult]:
-    cov.update({"haar_on_subgroup", "cesaro_average", "tv_distance",
-                "cesaro_projection", "tv_norm"})
+def _crit_cesaro_limit() -> list[CheckResult]:
     return _cesaro_checks(catalog(), 1000, 10_000, {})
 
 
-def _crit_projection(cov: set) -> list[CheckResult]:
+def _crit_projection() -> list[CheckResult]:
     checks = []
     for e in catalog():
         rho_l = left_regular(e.group)
         commuting = {f"L{i}": rho_l[i] for i in range(e.group.order)}
         report = cesaro_projection(right_markov_matrix(e.group, e.measure),
                                    n_max=2000, tol=1e-10, commute_with=commuting)
-        cov.add("cesaro_projection")
         k = report.K.entries
         checks.append(_check(f"{e.name}: ||K^2-K||", report.idempotency_residual, 1e-9))
         checks.append(_check(f"{e.name}: | ||K||_inf - 1 |",
@@ -578,14 +554,13 @@ def _crit_projection(cov: set) -> list[CheckResult]:
     return checks
 
 
-def _crit_operator_harmonic(cov: set) -> list[CheckResult]:
+def _crit_operator_harmonic() -> list[CheckResult]:
     checks = []
     for e in catalog():
         pi_mu = conjugation_operator(e.group, e.measure)
         fixed = harmonic_space(pi_mu)
         h_mu = generated_subgroup(e.group, e.measure.support())
         comm = trivial_solution_space(e.group, h_mu, rep="operators")
-        cov.update({"conjugation_operator", "commutant", "trivial_solution_space"})
         checks.append(_check(f"{e.name}: fixed rank == commutant rank",
                              fixed.rank, comm.rank, "eq"))
         checks.append(_check(f"{e.name}: operator-space residual",
@@ -597,9 +572,7 @@ def _crit_operator_harmonic(cov: set) -> list[CheckResult]:
     return checks
 
 
-def _crit_nc_convolution(cov: set) -> list[CheckResult]:
-    cov.update({"operator_convolve", "diagonal_measure", "reflect",
-                "trace_class_ideal", "left_ideal_residual", "convolve"})
+def _crit_nc_convolution() -> list[CheckResult]:
     # frozen worked example on Z/2, with kappa(S*T) = kappa(S) * kappa(T) exact
     z2 = catalog_entry("Z2_delta1")
     s = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
@@ -619,7 +592,7 @@ def _crit_nc_convolution(cov: set) -> list[CheckResult]:
     return [worked] + _ncconv_checks(catalog(), 100, MASTER_SEED, {})
 
 
-def _crit_quotient_norms(cov: set) -> list[CheckResult]:
+def _crit_quotient_norms() -> list[CheckResult]:
     checks = []
     z2 = catalog_entry("Z2_delta1")
     ideal2 = coboundary_ideal(z2.group, z2.measure)
@@ -630,7 +603,6 @@ def _crit_quotient_norms(cov: set) -> list[CheckResult]:
     trace_b = quotient_norm_trace(np.array([1.0, -1.0]), ideal2.predual_op, 64, ideal=ideal2)
     checks.append(_check("Z2 dist((1,-1)) == 0", abs(trace_b.distance), 1e-12))
     checks.append(_check("Z2 a_2 == 0", abs(trace_b.norms[1]), 1e-12))
-    cov.update({"coboundary_ideal", "quotient_norm_trace", "l1_distance", "quotient_norm"})
     n_avg = 4096
     witnesses = []
     for idx, e in enumerate(catalog()):
@@ -648,20 +620,18 @@ def _crit_quotient_norms(cov: set) -> list[CheckResult]:
     return checks + witnesses
 
 
-def _crit_approximate_identity(cov: set) -> list[CheckResult]:
+def _crit_approximate_identity() -> list[CheckResult]:
     checks = []
     z2 = catalog_entry("Z2_delta1")
     _, exact = approximate_identity(z2.group, z2.measure, 2)
     checks.append(_check("Z2 exact at n=2", exact.max_residual, 1e-15))
-    cov.add("approximate_identity")
     for e in catalog():
         _, report = approximate_identity(e.group, e.measure, 256)
         checks.append(_check(f"{e.name}: residual at n=256", report.max_residual, 1e-2))
     return checks
 
 
-def _crit_harmonic_measure(cov: set) -> list[CheckResult]:
-    cov.add("harmonic_measure_cylinder")
+def _crit_harmonic_measure() -> list[CheckResult]:
     w_a = parse_word(2, "a")
     w_ab = parse_word(2, "ab")
     est_a = empirical_cylinder_measure(2, w_a, 100, 100_000, MASTER_SEED + 41)
@@ -678,8 +648,7 @@ def _crit_harmonic_measure(cov: set) -> list[CheckResult]:
     ]
 
 
-def _crit_martingale(cov: set) -> list[CheckResult]:
-    cov.add("martingale_convergence_check")
+def _crit_martingale() -> list[CheckResult]:
     report = martingale_convergence_check(2, parse_word(2, "a"), 100, 10_000,
                                           MASTER_SEED + 43)
     return [
@@ -688,8 +657,7 @@ def _crit_martingale(cov: set) -> list[CheckResult]:
     ]
 
 
-def _crit_diamond_separation(cov: set) -> list[CheckResult]:
-    cov.update({"diamond_vs_pointwise_mc", "poisson_extension"})
+def _crit_diamond_separation() -> list[CheckResult]:
     report = diamond_vs_pointwise_mc(2, parse_word(2, "a"), 60, 100_000,
                                      MASTER_SEED + 44)
     return [
@@ -698,7 +666,7 @@ def _crit_diamond_separation(cov: set) -> list[CheckResult]:
     ]
 
 
-def _crit_poisson_harmonicity(cov: set) -> list[CheckResult]:
+def _crit_poisson_harmonicity() -> list[CheckResult]:
     letters, lengths = _packed_ball(2, 8)
     # the neighbours g*s: cancel the last letter of g or push s after it
     rows = np.arange(len(lengths))
@@ -722,25 +690,21 @@ def _crit_poisson_harmonicity(cov: set) -> list[CheckResult]:
     ]
 
 
-def _crit_stationary(cov: set) -> list[CheckResult]:
-    cov.update({"stationary_measure", "gspace_markov_matrix"})
+def _crit_stationary() -> list[CheckResult]:
     return _stationary_checks(20, MASTER_SEED + 500, {})
 
 
-def _crit_lattice_decay(cov: set) -> list[CheckResult]:
-    cov.update({"weak_star_decay", "convolution_power"})
+def _crit_lattice_decay() -> list[CheckResult]:
     return _decay_checks(200, {})
 
 
-def _crit_l1_triviality(cov: set) -> list[CheckResult]:
-    cov.add("l1_harmonic_triviality")
+def _crit_l1_triviality() -> list[CheckResult]:
     mu = simple_random_walk_z()
     return [_check(f"kernel rank at L={window}", l1_harmonic_triviality(mu, window).kernel_rank,
                    0, "eq") for window in (5, 50)]
 
 
-def _crit_determinism(cov: set) -> list[CheckResult]:
-    cov.update({"run", "sample_path"})
+def _crit_determinism() -> list[CheckResult]:
     cfg = ExperimentConfig(scenario="freewalk", paths=2000, n=60, seed=MASTER_SEED + 7)
     first = run(cfg).canonical_json()
     second = run(cfg).canonical_json()
@@ -777,14 +741,14 @@ ACCEPTANCE = (
 )
 
 
-def run_criterion(number: int, cov: set | None = None) -> list[CheckResult]:
+def run_criterion(number: int) -> list[CheckResult]:
     for num, _, fn in ACCEPTANCE:
         if num == number:
-            return fn(cov if cov is not None else set())
+            return fn()
     raise ValueError(f"no acceptance criterion {number}")
 
 
-def _coverage_extras(cov: set) -> list[CheckResult]:
+def _coverage_extras() -> list[CheckResult]:
     """Exercise the operations no numbered criterion happens to touch."""
     checks = []
     e6 = catalog_entry("Z6_delta2")
@@ -792,20 +756,17 @@ def _coverage_extras(cov: set) -> list[CheckResult]:
 
     w = word(3, (1, 2, -1))
     identity_residual = len(free_mul(w, free_inverse(w)))
-    cov.update({"free_inverse", "free_mul"})
     checks.append(_check("free word w * w^-1 == e", identity_residual, 0, "eq"))
 
     x = np.array([1.0, 2.0, 0.0, 0.0, 1.0, -1.0], dtype=np.complex128)
     h = np.arange(6, dtype=np.complex128)
     m = right_markov_matrix(g6, mu6).entries
     pairing_gap = abs(np.dot(predual_action(x, mu6), h) - np.dot(x, m @ h))
-    cov.add("predual_action")
     checks.append(_check("predual pairing identity", float(pairing_gap), 1e-12))
 
     space = harmonic_space(right_markov_matrix(g6, mu6))
     habs = np.abs(space.basis[0] + space.basis[min(1, space.rank - 1)])
     sub = subharmonic_check(habs.real, g6, mu6)
-    cov.add("subharmonic_check")
     checks.append(_check("modulus of harmonic is subharmonic", sub.max_violation, 1e-12))
 
     # ball(7) is ball(6) with all its neighbours: one array pass per extension
@@ -815,11 +776,9 @@ def _coverage_extras(cov: set) -> list[CheckResult]:
     h = dict(zip((tuple(row[:n]) for row, n in zip(letters.tolist(), lengths.tolist())),
                  h_max.tolist()))
     sub_free = subharmonic_check_free(lambda g: h[g.letters], 2, free_ball(2, 6))
-    cov.add("free_ball")
     checks.append(_check("max of extensions is subharmonic", sub_free.max_violation, 1e-12))
 
     refl = reflect(mu6)
-    cov.add("reflect")
     checks.append(_check("reflect is an involution",
                          tv_distance(reflect(refl), mu6), 0.0))
     return checks
@@ -859,7 +818,7 @@ def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     sigma = max(np.sqrt(exact * (1 - exact) / max(est.n_paths - est.inconclusive_count, 1)), 1e-12)
     checks = [_check(f"cylinder [{w}] estimate within 4 sigma",
                      abs(est.estimate - exact), 4 * sigma)]
-    extra["cylinder"] = json.loads(est.to_json())
+    extra["cylinder"] = est.to_json()
     # the pinned bounds hold at the default horizon; shorter runs get the
     # looser fractions they can honestly meet (and fail if they cannot)
     conclusive_bound = 0.999 if n >= 100 else (0.95 if n >= 25 else 0.5)
@@ -868,30 +827,32 @@ def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
                          mart.conclusive_fraction, conclusive_bound, "ge"))
     checks.append(_check("martingale agreement fraction",
                          mart.agreement_fraction, 0.99, "ge"))
-    extra["martingale"] = json.loads(mart.to_json())
+    extra["martingale"] = mart.to_json()
     dia = diamond_vs_pointwise_mc(2, w, min(n, 60), paths, cfg.seed + 2)
     checks.append(_check("diamond estimate near boundary value",
                          dia.distance_to_boundary, max(0.01, 5 * dia.stderr)))
-    extra["diamond"] = json.loads(dia.to_json())
+    extra["diamond"] = dia.to_json()
     return checks
 
 
 def _scenario_suite(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
-    cov: set = set()
+    # coverage counts this run's calls: an earlier run's catalog is not reused
+    _catalog_tuple.cache_clear()
     checks = []
-    for number, name, fn in ACCEPTANCE:
-        crit_checks = fn(cov)
-        ok = all(c.passed for c in crit_checks)
-        worst = min((c for c in crit_checks if not c.passed), default=None,
-                    key=lambda c: c.name)
-        line = f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'}"
-        if worst is not None:
-            line += f" ({worst.name}: value={worst.value:.3e}, bound={worst.bound:.3e})"
-        print(line)
-        checks.extend(crit_checks)
-        extra[f"criterion_{number:02d}_{name}"] = "pass" if ok else "fail"
-    checks.extend(_coverage_extras(cov))
-    missing = OPERATION_NAMES - cov
+    with collecting() as called:
+        for number, name, fn in ACCEPTANCE:
+            crit_checks = fn()
+            ok = all(c.passed for c in crit_checks)
+            worst = min((c for c in crit_checks if not c.passed), default=None,
+                        key=lambda c: c.name)
+            line = f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'}"
+            if worst is not None:
+                line += f" ({worst.name}: value={worst.value:.3e}, bound={worst.bound:.3e})"
+            print(line)
+            checks.extend(crit_checks)
+            extra[f"criterion_{number:02d}_{name}"] = "pass" if ok else "fail"
+        checks.extend(_coverage_extras())
+    missing = OPERATION_NAMES - called
     checks.append(_check(f"op coverage complete (missing: {sorted(missing)})",
                          len(missing), 0, "eq"))
     return checks
@@ -915,6 +876,7 @@ _SCENARIO_FUNCS = {
 }
 
 
+@operation
 def run(cfg: ExperimentConfig) -> RunRecord:
     """Execute a scenario and return its record; writes artifacts under cfg.out."""
     if cfg.scenario not in _SCENARIO_FUNCS:
@@ -932,3 +894,8 @@ def run(cfg: ExperimentConfig) -> RunRecord:
         with open(path, "w") as fh:
             fh.write(record.to_json())
     return record
+
+
+#: every public operation the suite must call at least once: the functions
+#: marked @operation in the modules imported above
+OPERATION_NAMES = frozenset(MARKED)

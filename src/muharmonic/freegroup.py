@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ops import operation
+
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -68,12 +70,14 @@ def generator(k: int, i: int) -> FreeWord:
     return FreeWord(k, (i,))
 
 
+@operation
 def free_mul(a: FreeWord, b: FreeWord) -> FreeWord:
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     return FreeWord(a.rank, reduce_letters(a.letters + b.letters))
 
 
+@operation
 def free_inverse(a: FreeWord) -> FreeWord:
     return FreeWord(a.rank, tuple(-s for s in reversed(a.letters)))
 
@@ -102,6 +106,7 @@ def _packed_ball(k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(spheres), lengths
 
 
+@operation
 def free_ball(k: int, r: int) -> list[FreeWord]:
     """All reduced words of length <= r, in breadth-first order.
 
@@ -126,11 +131,6 @@ def tree_distance(a: FreeWord, b: FreeWord) -> int:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     lcp = common_prefix_length(a, b)
     return len(a) + len(b) - 2 * lcp
-
-
-def is_prefix(w: FreeWord, g: FreeWord) -> bool:
-    """True when the geodesic from the identity to g passes through w."""
-    return len(w) <= len(g) and g.letters[: len(w)] == w.letters
 
 
 def neighbors(g: FreeWord) -> list[FreeWord]:

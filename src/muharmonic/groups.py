@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ops import operation
 from .errors import CapacityError, ConstructionError
 
 MAX_ORDER = 120
@@ -88,12 +89,6 @@ class CosetPartition:
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, g: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if g in b:
-                return i
-        raise ValueError(f"element {g} not covered by the partition")
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -228,6 +223,7 @@ def product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return group_from_table(cayley, labels=labels, name=f"{a.name}x{b.name}")
 
 
+@operation
 def build_group(kind: str, **params) -> FiniteGroup:
     """Dispatch constructor: cyclic, dihedral, symmetric, product, from_table."""
     if kind == "cyclic":
@@ -275,6 +271,7 @@ def group_to_json(g: FiniteGroup) -> dict:
     }
 
 
+@operation
 def generated_subgroup(g: FiniteGroup, support) -> Subgroup:
     """Smallest subgroup containing ``support`` (closure under products and inverses)."""
     support = sorted(set(int(s) for s in support))
@@ -296,6 +293,28 @@ def generated_subgroup(g: FiniteGroup, support) -> Subgroup:
     return Subgroup(g, tuple(sorted(members)))
 
 
+def orbit_labels(g: FiniteGroup, h: Subgroup, rep: str = "functions") -> np.ndarray:
+    """Number the H-orbits of the coordinates, by their smallest coordinate.
+
+    functions: x -> x s on G, whose orbits are the left cosets xH.
+    operators: rho(s) X rho(s)^{-1} moves X[x, y] to X[x s, y s], so the
+    orbits are those of (x, y) -> (x s, y s) on G x G, row-major.
+    Every orbit has |H| coordinates, because right multiplication is free.
+    """
+    if not same_group(h.parent, g):
+        raise ConstructionError("subgroup does not belong to the given group")
+    right = g.cayley[:, list(h.members)]  # right[x, k] = x s_k
+    if rep == "functions":
+        images = right
+    elif rep == "operators":
+        images = right[:, None, :] * g.order + right[None, :, :]
+    else:
+        raise ValueError(f"rep must be 'functions' or 'operators', got {rep!r}")
+    _, labels = np.unique(images.min(axis=-1).ravel(), return_inverse=True)
+    return labels
+
+
+@operation
 def left_cosets(g: FiniteGroup, h: Subgroup) -> CosetPartition:
     """Partition of g into left cosets xH."""
     if not same_group(h.parent, g):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets
+from ._ops import operation
+from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets, orbit_labels
 from .measures import FiniteMeasure
 from .operators import OperatorMatrix, as_matrix, right_markov_matrix
 from .subspaces import (
@@ -33,12 +34,14 @@ from .subspaces import (
 )
 
 
+@operation
 def harmonic_space(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
     """Kernel of (M - I): the space of vectors fixed by the averaging matrix."""
     a = as_matrix(m)
     return kernel(a - np.eye(a.shape[0]), rel_tol)
 
 
+@operation
 def trivial_solution_space(g: FiniteGroup, h: Subgroup, rep: str = "functions") -> Subspace:
     """Vectors fixed by every element of the subgroup.
 
@@ -48,25 +51,6 @@ def trivial_solution_space(g: FiniteGroup, h: Subgroup, rep: str = "functions") 
     H-orbits that `orbit_labels` numbers.
     """
     return _indicator_space(orbit_labels(g, h, rep))
-
-
-def orbit_labels(g: FiniteGroup, h: Subgroup, rep: str = "functions") -> np.ndarray:
-    """Number the H-orbits of the coordinates, by their smallest coordinate.
-
-    functions: x -> x s on G, whose orbits are the left cosets xH.
-    operators: rho(s) X rho(s)^{-1} moves X[x, y] to X[x s, y s], so the
-    orbits are those of (x, y) -> (x s, y s) on G x G, row-major.
-    Every orbit has |H| coordinates, because right multiplication is free.
-    """
-    right = g.cayley[:, list(h.members)]  # right[x, k] = x s_k
-    if rep == "functions":
-        images = right
-    elif rep == "operators":
-        images = right[:, None, :] * g.order + right[None, :, :]
-    else:
-        raise ValueError(f"rep must be 'functions' or 'operators', got {rep!r}")
-    _, labels = np.unique(images.min(axis=-1).ravel(), return_inverse=True)
-    return labels
 
 
 def _indicator_space(labels: np.ndarray) -> Subspace:
@@ -81,6 +65,7 @@ def _indicator_space(labels: np.ndarray) -> Subspace:
     return Subspace(labels.size, rows, DEFAULT_REL_TOL)
 
 
+@operation
 def commutant(mats, *, dim: int | None = None, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
     """Solutions X of AX - XA = 0 for every A, as a subspace of vec'd matrices.
 
@@ -173,6 +158,7 @@ class ProjectionReport:
         }
 
 
+@operation
 def cesaro_projection(
     m: OperatorMatrix | np.ndarray,
     n_max: int = 10_000,
@@ -214,6 +200,7 @@ def cesaro_projection(
     )
 
 
+@operation
 def diamond_product(
     h1: np.ndarray,
     h2: np.ndarray,
@@ -266,6 +253,7 @@ class TrivialityVerdict:
         }
 
 
+@operation
 def harmonic_triviality_verdict(
     g: FiniteGroup, mu: FiniteMeasure, tol: float = 1e-9
 ) -> TrivialityVerdict:
@@ -324,6 +312,7 @@ class L1TrivialityReport:
         }
 
 
+@operation
 def l1_harmonic_triviality(mu: FiniteMeasure, window: int) -> L1TrivialityReport:
     """Certify ker(I - T_L) = {0} for right convolution truncated to [-L, L].
 

@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup, generated_subgroup
-from .harmonic import orbit_labels
+from ._ops import operation
+from .groups import FiniteGroup, generated_subgroup, orbit_labels
 from .measures import (
     FiniteMeasure,
     cesaro_average,
@@ -78,6 +78,7 @@ def _haar_labels(g: FiniteGroup, mu: FiniteMeasure, rep: str) -> np.ndarray | No
     return orbit_labels(g, generated_subgroup(g, mu.support()), rep)
 
 
+@operation
 def coboundary_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
     """The ideal {x - x*mu} inside l^1 of the group."""
     return IdealBasis("l1", predual_matrix(g, mu), _haar_labels(g, mu, "functions"))
@@ -97,6 +98,7 @@ def predual_coboundary_ideal(predual_op: np.ndarray, ambient: str = "l1") -> Ide
     return IdealBasis(ambient, as_matrix(predual_op))
 
 
+@operation
 def trace_class_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
     """The ideal {X - P X} of trace-class matrices, by an SVD of I - P.
 
@@ -143,6 +145,7 @@ def _ambient_norms(rows: np.ndarray, ambient: str) -> np.ndarray:
     raise ValueError(f"unknown ambient {ambient!r}")
 
 
+@operation
 def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
     """dist(x, ideal) in the ambient norm, in closed form: ||E_H x||.
 
@@ -158,6 +161,7 @@ def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
     return ambient_norm(haar_average(x, ideal.labels), ideal.ambient)
 
 
+@operation
 def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
     """Predual-norm distance from x to the ideal.
 
@@ -221,6 +225,7 @@ class QuotientNormTrace:
         return json.dumps(self.summary(), sort_keys=True)
 
 
+@operation
 def quotient_norm_trace(
     x: np.ndarray,
     predual_op: np.ndarray,
@@ -282,6 +287,7 @@ class ApproximateIdentityReport:
         return {"n": self.n, "max_residual": self.max_residual}
 
 
+@operation
 def approximate_identity(
     g: FiniteGroup, mu: FiniteMeasure, n: int
 ) -> tuple[FiniteMeasure, ApproximateIdentityReport]:
@@ -307,6 +313,7 @@ def approximate_identity(
 
 # ------------------------------------------------------- operator convolution
 
+@operation
 def diagonal_measure(s: np.ndarray, g: FiniteGroup) -> FiniteMeasure:
     """Diagonal read-off of an operator as a complex measure on the group."""
     s = as_matrix(s)
@@ -315,6 +322,7 @@ def diagonal_measure(s: np.ndarray, g: FiniteGroup) -> FiniteMeasure:
     return FiniteMeasure(g, np.diag(s).copy())
 
 
+@operation
 def operator_convolve(s: np.ndarray, t: np.ndarray, g: FiniteGroup) -> np.ndarray:
     """Convolution of matrices: conjugate T by left translations, weighted by
     the diagonal measure of S.
@@ -357,6 +365,7 @@ class LeftIdealReport:
         return {"trials": self.trials, "max_residual": self.max_residual, "seed": self.seed}
 
 
+@operation
 def left_ideal_residual(
     g: FiniteGroup, mu: FiniteMeasure, trials: int, seed: int = 0
 ) -> LeftIdealReport:

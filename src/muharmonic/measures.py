@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ops import operation
 from .groups import FiniteGroup, Subgroup, same_group
 
 PROBABILITY_TOL = 1e-12
@@ -145,6 +146,7 @@ def simple_random_walk_z() -> FiniteMeasure:
     return z_from_pairs([(-1, 0.5), (1, 0.5)])
 
 
+@operation
 def haar_on_subgroup(g: FiniteGroup, h: Subgroup) -> FiniteMeasure:
     """Uniform probability on the members of the subgroup, zero elsewhere."""
     return uniform_on(g, h.members)
@@ -166,6 +168,7 @@ def _group_convolve(g: FiniteGroup, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      np.take(y, table, axis=-1))[..., 0, :]
 
 
+@operation
 def convolve(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     """(mu * nu)(g) = sum_h mu(h) nu(h^{-1} g); total mass multiplies."""
     if not _same_carrier(mu.carrier, nu.carrier):
@@ -177,6 +180,7 @@ def convolve(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     return FiniteMeasure(ZWindow(a.lo + b.lo, a.hi + b.hi), out)
 
 
+@operation
 def reflect(mu: FiniteMeasure) -> FiniteMeasure:
     """The reflected measure g -> mu(g^{-1}); an involution."""
     if mu.on_group:
@@ -186,6 +190,7 @@ def reflect(mu: FiniteMeasure) -> FiniteMeasure:
     return FiniteMeasure(ZWindow(-win.hi, -win.lo), mu.weights[::-1])
 
 
+@operation
 def convolution_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     """mu^n for n >= 1, by binary exponentiation."""
     if n < 1:
@@ -231,29 +236,32 @@ def cesaro_sequence(mu: FiniteMeasure, n_values) -> list[tuple[int, "FiniteMeasu
     return out
 
 
+@operation
 def cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     """(1/n) sum_{i=1..n} mu^i; powers start at i = 1."""
     return cesaro_sequence(mu, [n])[0][1]
 
 
 def _window_cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
-    """Cesaro average on a window carrier, accumulated on the final (largest) window."""
-    powers = [mu]
-    for _ in range(n - 1):
-        powers.append(convolve(powers[-1], mu))
-    final = powers[-1].carrier
+    """Cesaro average on a window carrier, accumulated on the final window of mu^n."""
+    final = ZWindow(n * mu.carrier.lo, n * mu.carrier.hi)
     acc = np.zeros(final.size, dtype=np.complex128)
-    for p in powers:
-        off = p.carrier.lo - final.lo
-        acc[off : off + p.carrier.size] += p.weights
+    power = mu
+    for i in range(n):
+        if i:
+            power = convolve(power, mu)
+        off = power.carrier.lo - final.lo
+        acc[off : off + power.carrier.size] += power.weights
     return FiniteMeasure(final, acc / n)
 
 
+@operation
 def tv_norm(mu: FiniteMeasure) -> float:
     """Total variation norm sum |weights|."""
     return float(np.abs(mu.weights).sum())
 
 
+@operation
 def tv_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     if not _same_carrier(mu.carrier, nu.carrier):
         raise ValueError("carrier mismatch: cannot compare measures on different carriers")
@@ -281,6 +289,7 @@ class DecayReport:
         return [v.real for v in self.values]
 
 
+@operation
 def weak_star_decay(mu: FiniteMeasure, f_pairs, n_max: int) -> DecayReport:
     """Exact pairing sequence <mu^n, f> on Z, f given as (point, value) pairs.
 

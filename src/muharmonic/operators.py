@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ops import operation
 from .errors import CapacityError, ConstructionError
-from .groups import FiniteGroup, Subgroup, same_group
+from .groups import FiniteGroup, Subgroup, orbit_labels, same_group
 from .measures import FiniteMeasure, convolve
 
 STOCHASTIC_TOL = 1e-12
@@ -106,6 +107,7 @@ def left_regular(g: FiniteGroup) -> np.ndarray:
 
 # ------------------------------------------------------------ averaging matrices
 
+@operation
 def right_markov_matrix(g: FiniteGroup, mu: FiniteMeasure) -> OperatorMatrix:
     """Averaging matrix of the measure: M[g, x] = mu(g^{-1} x)."""
     if not (mu.on_group and same_group(mu.carrier, g)):
@@ -116,6 +118,7 @@ def right_markov_matrix(g: FiniteGroup, mu: FiniteMeasure) -> OperatorMatrix:
     return OperatorMatrix(m, stochastic=mu.is_probability())
 
 
+@operation
 def predual_action(x: np.ndarray, mu: FiniteMeasure) -> np.ndarray:
     """Right convolution x * mu of an l^1 vector; the predual of averaging.
 
@@ -134,6 +137,7 @@ def predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     return right_markov_matrix(g, mu).entries.T.copy()
 
 
+@operation
 def conjugation_operator(g: FiniteGroup, mu: FiniteMeasure) -> OperatorMatrix:
     """The averaged conjugation A -> sum_g mu(g) rho(g) A rho(g)^{-1}.
 
@@ -214,9 +218,6 @@ class GSpaceAction:
         object.__setattr__(self, "table", t)
         t.setflags(write=False)
 
-    def apply(self, g: int, x: int) -> int:
-        return int(self.table[g, x])
-
 
 def translation_action(g: FiniteGroup) -> GSpaceAction:
     """G acting on itself by left translation."""
@@ -224,26 +225,20 @@ def translation_action(g: FiniteGroup) -> GSpaceAction:
 
 
 def coset_action(g: FiniteGroup, h: Subgroup) -> GSpaceAction:
-    """G acting on the left cosets of a subgroup."""
-    from .groups import left_cosets
+    """G acting on the left cosets of a subgroup, numbered as `orbit_labels` does.
 
-    part = left_cosets(g, h)
-    block_index = np.zeros(g.order, dtype=np.int64)
-    for i, block in enumerate(part.blocks):
-        for x in block:
-            block_index[x] = i
-    reps = [block[0] for block in part.blocks]
-    table = np.zeros((g.order, len(reps)), dtype=np.int64)
-    for a in range(g.order):
-        for i, r in enumerate(reps):
-            table[a, i] = block_index[g.mul(a, r)]
-    return GSpaceAction(g, len(reps), table)
+    a . (r H) = (a r) H, with r the smallest member of its coset.
+    """
+    labels = orbit_labels(g, h)
+    _, reps = np.unique(labels, return_index=True)
+    return GSpaceAction(g, len(reps), labels[g.cayley[:, reps]])
 
 
 def trivial_action(g: FiniteGroup, points: int) -> GSpaceAction:
     return GSpaceAction(g, points, np.tile(np.arange(points), (g.order, 1)))
 
 
+@operation
 def gspace_markov_matrix(action: GSpaceAction, mu: FiniteMeasure) -> OperatorMatrix:
     """Transition matrix P[x, y] = mu({g : g.x = y}) of the induced chain."""
     if not (mu.on_group and same_group(mu.carrier, action.group)):

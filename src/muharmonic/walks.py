@@ -15,11 +15,11 @@ Monte Carlo values differ from records made before that change.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._ops import operation
 from .groups import FiniteGroup, same_group
 from .measures import FiniteMeasure, ZWindow
 from .operators import GSpaceAction, gspace_markov_matrix
@@ -51,19 +51,6 @@ class FreeMeasure:
                 raise ValueError("support words must share the rank")
         object.__setattr__(self, "weights", w)
         w.setflags(write=False)
-
-    @property
-    def is_srw(self) -> bool:
-        """Uniform on the 2k single-letter words."""
-        if len(self.words) != 2 * self.rank:
-            return False
-        letters = sorted(wd.letters[0] for wd in self.words if len(wd) == 1)
-        expected = sorted(list(range(1, self.rank + 1)) + [-i for i in range(1, self.rank + 1)])
-        return (
-            all(len(wd) == 1 for wd in self.words)
-            and letters == expected
-            and np.allclose(self.weights, 1.0 / (2 * self.rank), atol=1e-12)
-        )
 
 
 def srw(k: int) -> FreeMeasure:
@@ -98,6 +85,7 @@ def walk_path_to_csv(path: WalkPath, file) -> None:
             writer.writerow([m, str(inc), str(pos)])
 
 
+@operation
 def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
     """Deterministic-by-seed path of length n with i.i.d. increments of law mu."""
     if n < 0:
@@ -139,6 +127,7 @@ def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
 
 # ------------------------------------------------- exact boundary quantities
 
+@operation
 def harmonic_measure_cylinder(k: int, w: FreeWord) -> float:
     """Hitting measure of the boundary cylinder [w] for the simple walk.
 
@@ -151,6 +140,7 @@ def harmonic_measure_cylinder(k: int, w: FreeWord) -> float:
     return (1.0 / (2 * k)) * (1.0 / (2 * k - 1)) ** (len(w) - 1)
 
 
+@operation
 def poisson_extension(k: int, w: FreeWord, g: FreeWord) -> float:
     """Harmonic extension of the cylinder indicator: h(g) = nu_g([w]).
 
@@ -249,17 +239,8 @@ class CylinderEstimate:
     seed: int
     inconclusive_count: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "estimate": self.estimate,
-                "stderr": self.stderr,
-                "n_paths": self.n_paths,
-                "seed": self.seed,
-                "inconclusive_count": self.inconclusive_count,
-            },
-            sort_keys=True,
-        )
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
 def empirical_cylinder_measure(
@@ -302,21 +283,11 @@ class MartingaleReport:
     threshold: float
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_paths": self.n_paths,
-                "n_steps": self.n_steps,
-                "conclusive_fraction": self.conclusive_fraction,
-                "agreement_fraction": self.agreement_fraction,
-                "inconclusive_count": self.inconclusive_count,
-                "threshold": self.threshold,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+    def to_json(self) -> dict:
+        return asdict(self)
 
 
+@operation
 def martingale_convergence_check(
     k: int,
     w: FreeWord,
@@ -377,23 +348,12 @@ class DiamondReport:
     def distance_to_pointwise(self) -> float:
         return abs(self.estimate - self.pointwise_value)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "estimate": self.estimate,
-                "stderr": self.stderr,
-                "boundary_value": self.boundary_value,
-                "pointwise_value": self.pointwise_value,
-                "distance_to_boundary": self.distance_to_boundary,
-                "distance_to_pointwise": self.distance_to_pointwise,
-                "n_paths": self.n_paths,
-                "n_steps": self.n_steps,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+    def to_json(self) -> dict:
+        return asdict(self) | {"distance_to_boundary": self.distance_to_boundary,
+                               "distance_to_pointwise": self.distance_to_pointwise}
 
 
+@operation
 def diamond_vs_pointwise_mc(
     k: int, w: FreeWord, n_steps: int, n_paths: int, seed: int
 ) -> DiamondReport:
@@ -469,6 +429,7 @@ class StationaryReport:
         }
 
 
+@operation
 def stationary_measure(
     action: GSpaceAction,
     mu: FiniteMeasure,
@@ -544,6 +505,7 @@ class SubharmonicReport:
         return self.max_violation <= 1e-12
 
 
+@operation
 def subharmonic_check(h: np.ndarray, g: FiniteGroup, mu: FiniteMeasure) -> SubharmonicReport:
     """Verify h(x) <= sum_t h(x t) mu(t) at every group element."""
     from .operators import right_markov_matrix

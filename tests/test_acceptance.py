@@ -2,13 +2,14 @@
 
 Every test prints a single PASS/FAIL line (visible under ``pytest -s``) and
 then asserts.  The final test drives the same criteria through the public
-suite runner, which additionally enforces that every operation in the
-package was exercised.
+suite runner, which additionally checks that the run called every operation
+marked ``@operation`` in the package; a call made by an earlier run in the
+same process does not count.
 """
 
 import pytest
 
-from muharmonic import ACCEPTANCE, ExperimentConfig, run
+from muharmonic import ACCEPTANCE, ExperimentConfig, build_group, run
 from muharmonic.experiments import run_criterion
 
 _NAMES = {number: name for number, name, _ in ACCEPTANCE}
@@ -84,9 +85,23 @@ def test_criterion_15_determinism():
     _run_and_report(15)
 
 
-def test_suite_scenario_and_op_coverage():
-    record = run(ExperimentConfig(scenario="suite"))
-    coverage = [c for c in record.checks if c.name.startswith("op coverage")]
-    assert coverage and coverage[0].passed, coverage
-    assert record.passed
+def test_suite_scenario_and_op_coverage(monkeypatch):
+    # two passes in one process: each must build the catalog itself
+    builds = []
+
+    def counting_build_group(*args, **kwargs):
+        builds.append(args[0])
+        return build_group(*args, **kwargs)
+
+    monkeypatch.setattr("muharmonic.experiments.build_group", counting_build_group)
+    records = []
+    for _ in range(2):
+        before = len(builds)
+        record = run(ExperimentConfig(scenario="suite"))
+        assert len(builds) > before
+        coverage = [c for c in record.checks if c.name.startswith("op coverage")]
+        assert coverage and coverage[0].passed, coverage
+        assert record.passed
+        records.append(record.canonical_json())
+    assert records[0] == records[1]
     print(f"SUITE: PASS ({len(record.checks)} checks, op coverage complete)")

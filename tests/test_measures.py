@@ -124,6 +124,23 @@ def test_cesaro_sequence_matches_averages():
         assert np.allclose(a_n.weights, cesaro_average(mu, n).weights)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_window_cesaro_average_matches_the_list_of_powers(n):
+    mu = z_from_pairs([(-2, 0.3), (1, 0.5), (3, 0.2)])
+    # reference: keep every power, then add them on the last power's window
+    powers = [mu]
+    for _ in range(n - 1):
+        powers.append(convolve(powers[-1], mu))
+    final = powers[-1].carrier
+    acc = np.zeros(final.size, dtype=np.complex128)
+    for p in powers:
+        off = p.carrier.lo - final.lo
+        acc[off : off + p.carrier.size] += p.weights
+    a_n = cesaro_average(mu, n)
+    assert a_n.carrier == final
+    assert np.array_equal(a_n.weights, acc / n)
+
+
 def test_powers_start_at_one():
     mu = point_mass(Z4, 1)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from muharmonic import (
     FiniteMeasure,
     GSpaceAction,
     apply_conjugation,
+    catalog,
     conjugation_operator,
     convolve,
     coset_action,
@@ -14,6 +15,7 @@ from muharmonic import (
     from_pairs,
     generated_subgroup,
     gspace_markov_matrix,
+    left_cosets,
     left_regular,
     point_mass,
     predual_action,
@@ -181,6 +183,29 @@ def test_gspace_doubly_stochastic():
     p = gspace_markov_matrix(action, mu).entries.real
     assert np.allclose(p.sum(axis=0), 1.0)
     assert np.allclose(p.sum(axis=1), 1.0)
+
+
+def _coset_action_table(g, h):
+    """Reference: number the left_cosets blocks, act on their first members."""
+    part = left_cosets(g, h)
+    block_index = np.zeros(g.order, dtype=np.int64)
+    for i, block in enumerate(part.blocks):
+        block_index[list(block)] = i
+    reps = [block[0] for block in part.blocks]
+    return np.array([[block_index[g.mul(a, r)] for r in reps] for a in range(g.order)])
+
+
+def test_coset_action_matches_the_left_cosets_numbering():
+    rng = np.random.default_rng(5)
+    for e in catalog():
+        g = e.group
+        for _ in range(5):
+            gens = rng.choice(g.order, size=min(g.order, int(rng.integers(1, 4))), replace=False)
+            h = generated_subgroup(g, [int(x) for x in gens])
+            action = coset_action(g, h)
+            assert np.array_equal(action.table, _coset_action_table(g, h))
+    with pytest.raises(ConstructionError, match="does not belong"):
+        coset_action(S3, generated_subgroup(Z6, [2]))
 
 
 def test_action_validation():

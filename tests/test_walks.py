@@ -257,10 +257,8 @@ def test_diamond_mc_reports():
 
 
 def test_empirical_cylinder_report_fields():
-    import json
-
     est = empirical_cylinder_measure(2, W_A, 60, 5000, seed=16)
-    payload = json.loads(est.to_json())
+    payload = est.to_json()
     assert set(payload) == {"estimate", "stderr", "n_paths", "seed", "inconclusive_count"}
     assert payload["n_paths"] == 5000
 
