@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import CapacityError, ConfigError
 from .experiments import SCENARIOS, ExperimentConfig, run
@@ -24,32 +25,26 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--out", help="output directory for JSON records and CSV series")
-        p.add_argument("--paths", type=int, help="Monte Carlo path count")
-        p.add_argument("--n", type=int, help="step count / averaging horizon")
-        p.add_argument("--trials", type=int,
-                       help="ncconv: random trials per entry (each trial makes five "
-                            "operator convolutions, about 40 ms on S5); stationary: "
-                            "random coset actions; cesaro: horizon n_max of the Cesaro "
-                            "gap diagnostic; unused elsewhere")
-        p.add_argument("--word", help="free-group cylinder, e.g. a, ab, a'b")
-        p.add_argument("--entry", help="run a single catalog entry by name")
+        for f in fields(ExperimentConfig):
+            if f.metadata.get("help"):
+                p.add_argument(f"--{f.name}", type=f.metadata["kind"].type,
+                               help=f.metadata["help"])
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
-    raw["scenario"] = args.scenario
-    for key in ("seed", "out", "paths", "n", "trials", "word", "entry"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
+    # the subcommand is the scenario field, and each other flag is the field it names
+    raw.update((key, val) for key, val in vars(args).items()
+               if key != "config" and val is not None)
     return ExperimentConfig.from_dict(raw)
 
 

@@ -16,7 +16,7 @@ import math
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -93,8 +93,6 @@ from .walks import (
 )
 
 MASTER_SEED = 20260808
-SCENARIOS = ("harmonic", "cesaro", "derriennic", "ncconv", "freewalk",
-             "stationary", "decay", "suite")
 
 
 # ------------------------------------------------------------------- catalog
@@ -148,7 +146,7 @@ def catalog_entry(name: str) -> CatalogEntry:
     for e in _catalog_tuple():
         if e.name == name:
             return e
-    raise ConfigError(f"catalog: unknown entry {name!r}")
+    raise ConfigError(f"entry: unknown catalog entry {name!r}")
 
 
 # ------------------------------------------------------------- records
@@ -207,66 +205,80 @@ def _check(name: str, value: float, bound: float, mode: str = "le") -> CheckResu
 
 # ------------------------------------------------------------- config
 
-_CONFIG_KEYS = frozenset({"scenario", "group", "measure", "entry", "word", "n", "paths",
-                          "trials", "seed", "out"})
 _MEASURE_FORMS = ("point", "uniform_on", "entries")
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Kind:
+    """What a config field holds: its JSON type and, for integers, its least value."""
+
+    type: type
+    expected: str
+    least: int | None = None
+
+
+_OBJECT = _Kind(dict, "a JSON object")
+_TEXT = _Kind(str, "a string")
+_SIZE = _Kind(int, "a positive integer", 1)
+_SEED = _Kind(int, "a nonnegative integer", 0)
+
+
+def _field(kind: _Kind, flag_help: str | None = None, default=None):
+    """A config field; a field with flag help also has the command-line flag --<name>."""
+    return field(default=default, metadata={"kind": kind, "help": flag_help})
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A scenario and its settings, checked on construction.
+
+    The fields are the config-file keys; `None` means unset, and a size left
+    unset takes the scenario's default.  The fields with flag help, in this
+    order, are the CLI flags after --config.
+    """
+
     scenario: str
-    group: dict | None = None
-    measure: dict | None = None
-    entry: str | None = None
-    word_spec: str = "a"
-    n: int | None = None
-    paths: int | None = None
-    trials: int | None = None
-    seed: int = MASTER_SEED
-    out: str | None = None
+    group: dict | None = _field(_OBJECT)
+    measure: dict | None = _field(_OBJECT)
+    seed: int = _field(_SEED, "master seed", MASTER_SEED)
+    out: str | None = _field(_TEXT, "output directory for JSON records and CSV series")
+    paths: int | None = _field(_SIZE, "Monte Carlo path count")
+    n: int | None = _field(_SIZE, "step count / averaging horizon")
+    trials: int | None = _field(
+        _SIZE, "ncconv: random trials per entry (each trial makes five operator "
+               "convolutions, about 40 ms on S5); stationary: random coset actions; "
+               "cesaro: horizon n_max of the Cesaro gap diagnostic; unused elsewhere")
+    word: str = _field(_TEXT, "free-group cylinder, e.g. a, ab, a'b", "a")
+    entry: str | None = _field(_TEXT, "run a single catalog entry by name")
+
+    def __post_init__(self):
+        if self.scenario not in SCENARIOS:
+            raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
+        for f in fields(self)[1:]:  # the fields after scenario
+            val, kind = getattr(self, f.name), f.metadata["kind"]
+            if val is None and f.default is None:
+                continue
+            if (not isinstance(val, kind.type) or isinstance(val, bool)
+                    or (kind.least is not None and val < kind.least)):
+                raise ConfigError(f"{f.name}: expected {kind.expected}, got {val!r}")
+        if (self.group is None) != (self.measure is None):
+            raise ConfigError("measure: a group and a measure must be given together")
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        """Config from a JSON object; a null value leaves its field unset."""
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
+        names = {f.name for f in fields(ExperimentConfig)}
         for key in raw:
-            if key not in _CONFIG_KEYS:
+            if key not in names:
                 raise ConfigError(f"{key}: unknown config key")
-        scenario = raw.get("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {scenario!r}")
-        cfg = ExperimentConfig(scenario=scenario)
-        for key in ("group", "measure"):
-            val = raw.get(key)
-            if val is not None and not isinstance(val, dict):
-                raise ConfigError(f"{key}: expected an object")
-            setattr(cfg, key, val)
-        if raw.get("entry") is not None:
-            cfg.entry = str(raw["entry"])
-        if raw.get("word") is not None:
-            cfg.word_spec = str(raw["word"])
-        for key in ("n", "paths", "trials", "seed"):
-            val = raw.get(key)
-            if val is not None:
-                if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-                    raise ConfigError(f"{key}: expected a nonnegative integer")
-                setattr(cfg, key, val)
-        if raw.get("out") is not None:
-            cfg.out = str(raw["out"])
-        return cfg
+        given = {key: val for key, val in raw.items() if val is not None}
+        return ExperimentConfig(given.pop("scenario", None), **given)
 
     def echo(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "group": self.group,
-            "measure": self.measure,
-            "entry": self.entry,
-            "word": self.word_spec,
-            "n": self.n,
-            "paths": self.paths,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        """The record's copy of the config: every field but the output directory."""
+        return {key: val for key, val in asdict(self).items() if key != "out"}
 
     def resolve_pairs(self) -> list[CatalogEntry]:
         """Catalog entries to run over: explicit pair > named entry > all."""
@@ -277,31 +289,15 @@ class ExperimentConfig:
                 raise
             except Exception as exc:
                 raise ConfigError(f"group: {exc}") from exc
-            if self.measure is None:
-                raise ConfigError("measure: required when group is given")
             mu = _measure_from_spec(g, self.measure)
             if not mu.is_probability():
-                form = next(k for k in _MEASURE_FORMS if k in self.measure)
-                raise ConfigError(f"measure.{form}: weights must be nonnegative reals "
-                                  f"summing to 1, got total {mu.total_mass():.6g}")
+                raise ConfigError(f"measure.{next(iter(self.measure))}: weights must be "
+                                  f"nonnegative reals summing to 1, got total "
+                                  f"{mu.total_mass():.6g}")
             return [CatalogEntry("custom", g, mu)]
         if self.entry is not None:
             return [catalog_entry(self.entry)]
         return catalog()
-
-
-def _count(cfg: ExperimentConfig, key: str, default: int) -> int:
-    """A size field of the config, or the scenario's default when it is unset.
-
-    An explicit 0 is refused rather than read as unset: every size a scenario
-    takes must be at least 1 for its checks to measure anything.
-    """
-    val = getattr(cfg, key)
-    if val is None:
-        return default
-    if val < 1:
-        raise ConfigError(f"{key}: expected a positive integer, got {val}")
-    return val
 
 
 def _element(g: FiniteGroup, raw, path: str) -> int:
@@ -320,6 +316,12 @@ def _weight(raw, path: str) -> float:
 
 
 def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
+    for key in spec:
+        if key not in _MEASURE_FORMS:
+            raise ConfigError(f"measure.{key}: unknown measure form")
+    if len(spec) != 1:
+        raise ConfigError(f"measure: expected one of point / uniform_on / entries, "
+                          f"got {sorted(spec)}")
     if "point" in spec:
         return point_mass(g, _element(g, spec["point"], "measure.point"))
     if "uniform_on" in spec:
@@ -330,22 +332,20 @@ def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
             return uniform_on(g, [_element(g, x, "measure.uniform_on") for x in subset])
         except ValueError as exc:
             raise ConfigError(f"measure.uniform_on: {exc}") from exc
-    if "entries" in spec:
-        path = "measure.entries"
-        if not isinstance(spec["entries"], list):
-            raise ConfigError(f"{path}: expected a list of [index, weight] items")
-        pairs = []
-        for item in spec["entries"]:
-            if not isinstance(item, list) or len(item) not in (2, 3):
-                raise ConfigError(f"{path}: expected [index, weight] or [index, re, im], "
-                                  f"got {item!r}")
-            x = _element(g, item[0], path)
-            if len(item) == 2:
-                pairs.append((x, _weight(item[1], path)))
-            else:
-                pairs.append((x, complex(_weight(item[1], path), _weight(item[2], path))))
-        return from_pairs(g, pairs)
-    raise ConfigError("measure: expected one of point / uniform_on / entries")
+    path = "measure.entries"
+    if not isinstance(spec["entries"], list):
+        raise ConfigError(f"{path}: expected a list of [index, weight] items")
+    pairs = []
+    for item in spec["entries"]:
+        if not isinstance(item, list) or len(item) not in (2, 3):
+            raise ConfigError(f"{path}: expected [index, weight] or [index, re, im], "
+                              f"got {item!r}")
+        x = _element(g, item[0], path)
+        if len(item) == 2:
+            pairs.append((x, _weight(item[1], path)))
+        else:
+            pairs.append((x, complex(_weight(item[1], path), _weight(item[2], path))))
+    return from_pairs(g, pairs)
 
 
 def parse_word(k: int, spec: str) -> FreeWord:
@@ -494,6 +494,9 @@ def _stationary_checks(count: int, seed: int, extra: dict) -> list[CheckResult]:
 
 def _decay_checks(n: int, extra: dict, csv_path: str | None = None) -> list[CheckResult]:
     """<mu^m, delta_0> for the simple walk on Z, m = 1..n, against binomials."""
+    if n < 4:
+        # below 4 the binomial or the decreasing-sequence loop has no terms
+        raise ConfigError(f"n: decay needs at least 4 steps, got {n}")
     mu = simple_random_walk_z()
     report = weak_star_decay(mu, [(0, 1.0)], n)
     vals = report.real_values()
@@ -789,7 +792,7 @@ def _coverage_extras() -> list[CheckResult]:
 
 def _scenario_derriennic(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     checks = []
-    n_avg = _count(cfg, "n", 4096)
+    n_avg = cfg.n or 4096
     for e in cfg.resolve_pairs():
         ideal = coboundary_ideal(e.group, e.measure)
         # signed, unit l1 mass: a nonnegative x sits at distance ||x||_1 = 1
@@ -807,12 +810,12 @@ def _scenario_derriennic(cfg: ExperimentConfig, extra: dict) -> list[CheckResult
 
 
 def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
-    w = parse_word(2, cfg.word_spec)
+    w = parse_word(2, cfg.word)
     if len(w) == 0:
-        raise ConfigError(f"word: {cfg.word_spec!r} reduces to the identity, "
+        raise ConfigError(f"word: {cfg.word!r} reduces to the identity, "
                           "which indexes no cylinder")
-    paths = _count(cfg, "paths", 100_000)
-    n = _count(cfg, "n", 100)
+    paths = cfg.paths or 100_000
+    n = cfg.n or 100
     est = empirical_cylinder_measure(2, w, n, paths, cfg.seed)
     exact = harmonic_measure_cylinder(2, w)
     sigma = max(np.sqrt(exact * (1 - exact) / max(est.n_paths - est.inconclusive_count, 1)), 1e-12)
@@ -862,25 +865,23 @@ def _scenario_suite(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
 # run by their builders at configurable sizes
 _SCENARIO_FUNCS = {
     "harmonic": lambda cfg, extra: _harmonic_checks(cfg.resolve_pairs(), extra),
-    "cesaro": lambda cfg, extra: _cesaro_checks(cfg.resolve_pairs(), _count(cfg, "n", 1000),
-                                                _count(cfg, "trials", 10_000), extra),
+    "cesaro": lambda cfg, extra: _cesaro_checks(cfg.resolve_pairs(), cfg.n or 1000,
+                                                cfg.trials or 10_000, extra),
     "derriennic": _scenario_derriennic,
-    "ncconv": lambda cfg, extra: _ncconv_checks(cfg.resolve_pairs(),
-                                                _count(cfg, "trials", 100), cfg.seed, extra),
+    "ncconv": lambda cfg, extra: _ncconv_checks(cfg.resolve_pairs(), cfg.trials or 100,
+                                                cfg.seed, extra),
     "freewalk": _scenario_freewalk,
-    "stationary": lambda cfg, extra: _stationary_checks(_count(cfg, "trials", 20), cfg.seed,
-                                                        extra),
+    "stationary": lambda cfg, extra: _stationary_checks(cfg.trials or 20, cfg.seed, extra),
     "decay": lambda cfg, extra: _decay_checks(
-        _count(cfg, "n", 200), extra, cfg.out and os.path.join(cfg.out, "decay_srw.csv")),
+        cfg.n or 200, extra, cfg.out and os.path.join(cfg.out, "decay_srw.csv")),
     "suite": _scenario_suite,
 }
+SCENARIOS = tuple(_SCENARIO_FUNCS)
 
 
 @operation
 def run(cfg: ExperimentConfig) -> RunRecord:
     """Execute a scenario and return its record; writes artifacts under cfg.out."""
-    if cfg.scenario not in _SCENARIO_FUNCS:
-        raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
     if not cfg.out and os.environ.get("MUHARMONIC_OUT"):
         cfg = replace(cfg, out=os.environ["MUHARMONIC_OUT"])
     if cfg.out:

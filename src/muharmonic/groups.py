@@ -146,6 +146,8 @@ def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGro
         raise CapacityError(f"group order {n} exceeds the cap of {MAX_ORDER}")
     identity, inverses = _validate_table(cayley, check_associativity=n <= EXHAUSTIVE_CHECK_ORDER)
     lab = tuple(labels) if labels is not None else None
+    if lab is not None and len(lab) != n:
+        raise ConstructionError(f"labels: expected one per element ({n}), got {len(lab)}")
     return FiniteGroup(n, cayley, identity, inverses, lab, name)
 
 
@@ -316,16 +318,7 @@ def orbit_labels(g: FiniteGroup, h: Subgroup, rep: str = "functions") -> np.ndar
 
 @operation
 def left_cosets(g: FiniteGroup, h: Subgroup) -> CosetPartition:
-    """Partition of g into left cosets xH."""
-    if not same_group(h.parent, g):
-        raise ConstructionError("subgroup does not belong to the given group")
-    seen = np.zeros(g.order, dtype=bool)
-    blocks = []
-    members = np.array(h.members, dtype=np.int64)
-    for x in range(g.order):
-        if seen[x]:
-            continue
-        block = np.unique(g.cayley[x, members])
-        seen[block] = True
-        blocks.append(tuple(int(b) for b in block))
-    return CosetPartition(g, h, tuple(blocks))
+    """Partition of g into left cosets xH, in the numbering of `orbit_labels`."""
+    # a stable sort by label lists each coset's members in increasing order
+    members = np.argsort(orbit_labels(g, h), kind="stable").reshape(-1, h.order)
+    return CosetPartition(g, h, tuple(map(tuple, members.tolist())))

@@ -30,6 +30,7 @@ from .subspaces import (
     column_space,
     kernel,
     kernel_and_range,
+    mutual_residual,
     span_of_rows,
 )
 
@@ -92,10 +93,15 @@ def cesaro_limit(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TO
     This is the projection onto ker(I - M) along range(I - M); for such M the
     two spaces are complementary (the eigenvalue 1 is semisimple).
     """
+    return _fixed_space_and_limit(m, rel_tol)[1]
+
+
+def _fixed_space_and_limit(m: OperatorMatrix | np.ndarray,
+                           rel_tol: float = DEFAULT_REL_TOL) -> tuple[Subspace, np.ndarray]:
+    """ker(I - M) and the Cesaro limit K, from one factorization of I - M."""
     a = as_matrix(m)
     n = a.shape[0]
-    shifted = np.eye(n) - a
-    fixed, moving = kernel_and_range(shifted, rel_tol)
+    fixed, moving = kernel_and_range(np.eye(n) - a, rel_tol)
     if fixed.rank + moving.rank != n:
         raise ValueError(
             "ker(I - M) and range(I - M) do not split the space; "
@@ -103,7 +109,7 @@ def cesaro_limit(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TO
         )
     basis = np.hstack([fixed.basis.T, moving.basis.T])
     coeffs = np.linalg.solve(basis, np.eye(n, dtype=np.complex128))
-    return basis[:, : fixed.rank] @ coeffs[: fixed.rank, :]
+    return fixed, basis[:, : fixed.rank] @ coeffs[: fixed.rank, :]
 
 
 def cesaro_mean(m: OperatorMatrix | np.ndarray, n: int,
@@ -259,20 +265,16 @@ def harmonic_triviality_verdict(
 ) -> TrivialityVerdict:
     """Check that harmonic = trivial and that the diamond product is pointwise.
 
-    Both conditions hold on every finite group; they are computed
-    independently and their agreement is asserted.
+    Both conditions hold on every finite group; their agreement is asserted.
+    The fixed space ker(I - M) and the Cesaro limit K come from one
+    factorization of I - M.
     """
-    m = right_markov_matrix(g, mu)
-    space = harmonic_space(m)
+    space, k = _fixed_space_and_limit(right_markov_matrix(g, mu))
     h_mu = generated_subgroup(g, mu.support())
     trivial = trivial_solution_space(g, h_mu, rep="functions")
-
-    from .subspaces import mutual_residual
-
     sub_res = mutual_residual(space, trivial)
     equal = space.rank == trivial.rank and sub_res <= tol
 
-    k = cesaro_limit(m)
     worst = 0.0
     for i in range(space.rank):
         for j in range(i, space.rank):

@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +112,7 @@ def test_scenario_at_pinned_sizes_reproduces_its_criterion(number, config, crite
 def test_scenario_sizes_reach_the_checks():
     decay = run(ExperimentConfig(scenario="decay", n=30))
     assert decay.checks[0].name == "binomial match over 2m <= 30"
+    assert run(ExperimentConfig(scenario="decay", n=4)).passed  # the least n decay takes
     cesaro = run(ExperimentConfig(scenario="cesaro", entry="Z6_delta2", n=500, trials=7))
     assert cesaro.checks[0].name == "Z6_delta2: tv(A_500, haar)"
     assert cesaro.extra["Z6_delta2"]["n_iterations"] == 7
@@ -149,8 +153,9 @@ def test_coverage_counts_calls_not_claims(monkeypatch, capsys):
     assert not coverage.passed
 
 
-def test_harmonic_scenario_factorizes_three_times_per_entry(monkeypatch):
-    # the verdict's harmonic space and Cesaro limit, and diamond_product's limit
+def test_harmonic_scenario_factorizes_twice_per_entry(monkeypatch):
+    # the verdict's fixed space and Cesaro limit share one factorization of
+    # I - M; diamond_product's limit is the other
     s5 = symmetric_group(5)
     support = [s5.labels.index("(1 2)"), s5.labels.index("(1 2 3 4 5)")]
     svd = np.linalg.svd
@@ -165,7 +170,7 @@ def test_harmonic_scenario_factorizes_three_times_per_entry(monkeypatch):
         "scenario": "harmonic", "group": {"kind": "symmetric", "n": 5},
         "measure": {"uniform_on": support}}))
     assert record.passed
-    assert shapes == [(120, 120)] * 3
+    assert shapes == [(120, 120)] * 2
 
 
 @pytest.mark.parametrize("spec", ["aa'", ""])
@@ -255,16 +260,25 @@ def test_out_directory_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "record_decay.json").exists()
 
 
-def test_run_rejects_unknown_scenario():
+def test_config_checks_itself_on_construction():
+    with pytest.raises(ConfigError, match="^scenario: "):
+        ExperimentConfig(scenario="bogus")
+    with pytest.raises(ConfigError, match="^trials: expected a positive integer"):
+        ExperimentConfig(scenario="harmonic", trials=0)
     cfg = ExperimentConfig(scenario="harmonic")
-    cfg.scenario = "bogus"
-    with pytest.raises(ConfigError):
-        run(cfg)
+    # frozen: a checked config cannot be turned into an unchecked one
+    with pytest.raises(FrozenInstanceError):
+        cfg.scenario = "bogus"
+    assert replace(cfg, n=5).n == 5
+    with pytest.raises(ConfigError, match="^out: expected a string"):
+        replace(cfg, out=5)
 
 
 @pytest.mark.parametrize("measure, field", [
     ({"point": 9}, "measure.point"),  # Z6 has no element 9
     ({"entries": [[1, 0.5]]}, "measure.entries"),  # total mass 1/2
+    ({"point": 1, "uniform_on": [2]}, "measure"),  # two forms
+    ({"point": 1, "weight": 2}, "measure.weight"),  # unknown form
 ])
 def test_cli_bad_measure_exits_2_with_field_path(tmp_path, capsys, measure, field):
     cfg = tmp_path / "bad_measure.json"
@@ -318,9 +332,83 @@ def test_cli_rejects_removed_window_key(tmp_path, capsys):
     (["cesaro", "--entry", "Z4_delta1", "--trials", "0"], "trials"),
     (["stationary", "--trials", "0"], "trials"),
     (["decay", "--n", "0"], "n"),
+    (["harmonic", "--entry", "Z2_delta1", "--trials", "0"], "trials"),
+    # below 4 steps the decay checks have no terms to compare
+    (["decay", "--n", "1"], "n"),
+    (["decay", "--n", "3"], "n"),
 ])
 def test_cli_explicit_zero_size_exits_2_with_field_path(argv, field, tmp_path, capsys):
     # an explicit 0 is not "unset": it must not silently run the default size
     assert cli_main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"entry": "Z2_delta1", "measure": {"point": 1}}, "measure"),  # no group
+    ({"group": {"kind": "from_table", "cayley": [[0, 1], [1, 0]], "labels": ["e"]},
+      "measure": {"point": 1}}, "group"),  # one label for two elements
+])
+def test_cli_ignored_spec_exits_2_with_field_path(spec, field, tmp_path, capsys):
+    cfg = tmp_path / "ignored.json"
+    cfg.write_text(json.dumps(spec))
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+_BAD_VALUES = (
+    ("group", ("cyclic", [6], True)),
+    ("measure", ("point", [2], True)),
+    ("seed", ("7", 1.5, True, -1)),
+    ("out", (5, True, ["results"])),
+    ("paths", ("100", 2.5, True, 0, -1)),
+    ("n", ("100", 2.5, True, 0, -1)),
+    ("trials", ("100", 2.5, True, 0, -1)),
+    ("word", (5, True, ["ab"])),
+    ("entry", (5, True, {"name": "Z2_delta1"})),
+)
+
+
+@pytest.mark.parametrize("field, value", [(f, v) for f, values in _BAD_VALUES for v in values])
+def test_bad_field_value_exits_2_naming_the_field(field, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a wrongly accepted "out" must not write into the checkout
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    if type(value) is int and field in ("seed", "paths", "n", "trials"):
+        assert cli_main(["harmonic", f"--{field}", str(value)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_cli_unreadable_config_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for path in (bad, tmp_path / "missing.json"):
+        assert cli_main(["harmonic", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: cannot read ")
+
+
+def test_cli_unknown_entry_exits_2_naming_entry(capsys):
+    assert cli_main(["harmonic", "--entry", "Z7_delta1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: entry: ")
+
+
+def test_flags_override_the_file_and_null_is_unset(tmp_path):
+    cfg = tmp_path / "decay.json"
+    cfg.write_text(json.dumps({"n": 2, "word": None, "seed": None}))
+    assert cli_main(["decay", "--config", str(cfg), "--n", "10", "--out", str(tmp_path)]) == 0
+    echoed = json.loads((tmp_path / "record_decay.json").read_text())["config"]
+    assert (echoed["n"], echoed["word"], echoed["seed"]) == (10, "a", MASTER_SEED)
+
+
+def test_readme_flags_sentence_lists_the_parser_flags(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme[readme.index("Flags: "):]
+    sentence = sentence[:sentence.index(".  ")]
+    documented = re.findall(r"--\w+", sentence)
+    for scenario in muharmonic.experiments.SCENARIOS:
+        with pytest.raises(SystemExit):
+            cli_main([scenario, "--help"])
+        flags = dict.fromkeys(re.findall(r"--\w+", capsys.readouterr().out))
+        assert documented == [f for f in flags if f != "--help"], scenario

@@ -12,6 +12,7 @@ from muharmonic import (
     convolve,
     coset_action,
     cyclic_group,
+    dihedral_group,
     from_pairs,
     generated_subgroup,
     gspace_markov_matrix,
@@ -185,27 +186,38 @@ def test_gspace_doubly_stochastic():
     assert np.allclose(p.sum(axis=1), 1.0)
 
 
-def _coset_action_table(g, h):
-    """Reference: number the left_cosets blocks, act on their first members."""
-    part = left_cosets(g, h)
+def _cosets_by_definition(g, h):
+    """Reference: the cosets xH for x = 0, 1, ..., each sorted, in order of first appearance."""
+    blocks = []
+    for x in range(g.order):
+        block = tuple(sorted(g.mul(x, s) for s in h.members))
+        if block not in blocks:
+            blocks.append(block)
+    return tuple(blocks)
+
+
+def _coset_action_table(blocks, g):
+    """Reference: number the blocks, act on their first members."""
     block_index = np.zeros(g.order, dtype=np.int64)
-    for i, block in enumerate(part.blocks):
+    for i, block in enumerate(blocks):
         block_index[list(block)] = i
-    reps = [block[0] for block in part.blocks]
+    reps = [block[0] for block in blocks]
     return np.array([[block_index[g.mul(a, r)] for r in reps] for a in range(g.order)])
 
 
 def test_coset_action_matches_the_left_cosets_numbering():
     rng = np.random.default_rng(5)
-    for e in catalog():
-        g = e.group
+    groups = [e.group for e in catalog()] + [symmetric_group(5), dihedral_group(6)]
+    for g in groups:
         for _ in range(5):
             gens = rng.choice(g.order, size=min(g.order, int(rng.integers(1, 4))), replace=False)
             h = generated_subgroup(g, [int(x) for x in gens])
-            action = coset_action(g, h)
-            assert np.array_equal(action.table, _coset_action_table(g, h))
-    with pytest.raises(ConstructionError, match="does not belong"):
-        coset_action(S3, generated_subgroup(Z6, [2]))
+            blocks = _cosets_by_definition(g, h)
+            assert left_cosets(g, h).blocks == blocks
+            assert np.array_equal(coset_action(g, h).table, _coset_action_table(blocks, g))
+    for subgroup_of_other in (coset_action, left_cosets):
+        with pytest.raises(ConstructionError, match="does not belong"):
+            subgroup_of_other(S3, generated_subgroup(Z6, [2]))
 
 
 def test_action_validation():
