@@ -4,17 +4,15 @@ On a finite group the averaging equation forces coset-periodicity.  On the
 free group F_2 the simple random walk escapes to the boundary of the tree,
 and every boundary cylinder produces a genuinely nonconstant bounded
 harmonic function: the probability, seen from g, of escaping through that
-cylinder.  This script samples walks, checks the martingale picture, and
-exhibits the failure of the pointwise-product identity that held in the
-finite world.
+cylinder.  This script samples walks once, reads off the escape frequency,
+checks the martingale picture on the same paths, and exhibits the failure
+of the pointwise-product identity that held in the finite world.
 """
 
 from muharmonic import (
-    diamond_vs_pointwise_mc,
-    empirical_cylinder_measure,
+    boundary_reports,
     free_ball,
     harmonic_measure_cylinder,
-    martingale_convergence_check,
     neighbors,
     poisson_extension,
     word,
@@ -24,8 +22,10 @@ K = 2
 W = word(K, (1,))  # the cylinder of boundary points starting with 'a'
 SEED = 2024
 
+# one pass of 100,000 walks of 100 steps, with h(X_60) read on the way
+(est, mart, dia), = boundary_reports(K, (W,), n_steps=100, n_paths=100_000, seed=SEED,
+                                     snapshot=60)
 print(f"cylinder [{W}]: exact escape probability = {harmonic_measure_cylinder(K, W)}")
-est = empirical_cylinder_measure(K, W, n_steps=100, n_paths=100_000, seed=SEED)
 print(f"Monte Carlo over {est.n_paths} paths: {est.estimate:.4f} "
       f"(stderr {est.stderr:.4f}, {est.inconclusive_count} inconclusive)")
 
@@ -40,12 +40,10 @@ for g in free_ball(K, 6):
     worst = max(worst, abs(avg - poisson_extension(K, W, g)))
 print(f"worst mean-value residual on the radius-6 ball: {worst:.2e}")
 
-mart = martingale_convergence_check(K, W, n_steps=100, n_paths=10_000, seed=SEED + 1)
-print(f"\nalong the walk, h(X_n) settles on the escape indicator:")
+print(f"\nalong the same walks, h(X_n) settles on the escape indicator:")
 print(f"  conclusive paths: {mart.conclusive_fraction:.4f}, "
       f"agreement at 1e-3: {mart.agreement_fraction:.4f}")
 
-dia = diamond_vs_pointwise_mc(K, W, n_steps=60, n_paths=100_000, seed=SEED + 2)
 print(f"\naveraged square of h at the root after 60 steps: {dia.estimate:.4f}")
 print(f"  boundary product value (escape probability): {dia.boundary_value}")
 print(f"  pointwise product value h(e)^2:              {dia.pointwise_value}")

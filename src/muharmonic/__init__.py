@@ -115,6 +115,7 @@ from .ideals import (
     trace_predual_matrix,
 )
 from .walks import (
+    BoundaryReport,
     CylinderEstimate,
     DiamondReport,
     FreeMeasure,
@@ -122,11 +123,8 @@ from .walks import (
     StationaryReport,
     SubharmonicReport,
     WalkPath,
-    diamond_vs_pointwise_mc,
-    empirical_cylinder_measure,
+    boundary_reports,
     harmonic_measure_cylinder,
-    martingale_convergence_check,
-    mean_endpoint_length,
     poisson_extension,
     sample_path,
     srw,

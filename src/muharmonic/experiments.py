@@ -82,10 +82,8 @@ from .operators import (
 from .subspaces import mutual_residual
 from .walks import (
     _poisson_values,
-    diamond_vs_pointwise_mc,
-    empirical_cylinder_measure,
+    boundary_reports,
     harmonic_measure_cylinder,
-    martingale_convergence_check,
     sample_path,
     stationary_measure,
     subharmonic_check,
@@ -634,11 +632,20 @@ def _crit_approximate_identity() -> list[CheckResult]:
     return checks
 
 
+@lru_cache(maxsize=1)
+def _boundary_pass():
+    """The one sampler pass criteria 8-10 share: [a] and [ab], 100 steps, 10^5 paths.
+
+    Cached so the three criteria read one pass; the suite clears it on every run.
+    """
+    return boundary_reports(2, (parse_word(2, "a"), parse_word(2, "ab")), 100, 100_000,
+                            MASTER_SEED + 41)
+
+
 def _crit_harmonic_measure() -> list[CheckResult]:
     w_a = parse_word(2, "a")
     w_ab = parse_word(2, "ab")
-    est_a = empirical_cylinder_measure(2, w_a, 100, 100_000, MASTER_SEED + 41)
-    est_ab = empirical_cylinder_measure(2, w_ab, 100, 100_000, MASTER_SEED + 42)
+    est_a, est_ab = (report.cylinder for report in _boundary_pass())
     return [
         _check("|nu_hat([a]) - 1/4|",
                abs(est_a.estimate - harmonic_measure_cylinder(2, w_a)), 0.005),
@@ -652,8 +659,7 @@ def _crit_harmonic_measure() -> list[CheckResult]:
 
 
 def _crit_martingale() -> list[CheckResult]:
-    report = martingale_convergence_check(2, parse_word(2, "a"), 100, 10_000,
-                                          MASTER_SEED + 43)
+    report = _boundary_pass()[0].martingale
     return [
         _check("conclusive fraction", report.conclusive_fraction, 0.999, "ge"),
         _check("agreement fraction", report.agreement_fraction, 0.99, "ge"),
@@ -661,8 +667,7 @@ def _crit_martingale() -> list[CheckResult]:
 
 
 def _crit_diamond_separation() -> list[CheckResult]:
-    report = diamond_vs_pointwise_mc(2, parse_word(2, "a"), 60, 100_000,
-                                     MASTER_SEED + 44)
+    report = _boundary_pass()[0].diamond
     return [
         _check("|E h(X_60)^2 - 1/4|", report.distance_to_boundary, 0.01),
         _check("separation from h(e)^2", report.distance_to_pointwise, 0.15, "ge"),
@@ -816,7 +821,7 @@ def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
                           "which indexes no cylinder")
     paths = cfg.paths or 100_000
     n = cfg.n or 100
-    est = empirical_cylinder_measure(2, w, n, paths, cfg.seed)
+    (est, mart, dia), = boundary_reports(2, (w,), n, paths, cfg.seed, snapshot=min(n, 60))
     exact = harmonic_measure_cylinder(2, w)
     sigma = max(np.sqrt(exact * (1 - exact) / max(est.n_paths - est.inconclusive_count, 1)), 1e-12)
     checks = [_check(f"cylinder [{w}] estimate within 4 sigma",
@@ -825,13 +830,11 @@ def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     # the pinned bounds hold at the default horizon; shorter runs get the
     # looser fractions they can honestly meet (and fail if they cannot)
     conclusive_bound = 0.999 if n >= 100 else (0.95 if n >= 25 else 0.5)
-    mart = martingale_convergence_check(2, w, n, max(paths // 10, 1000), cfg.seed + 1)
     checks.append(_check("martingale conclusive fraction",
                          mart.conclusive_fraction, conclusive_bound, "ge"))
     checks.append(_check("martingale agreement fraction",
                          mart.agreement_fraction, 0.99, "ge"))
     extra["martingale"] = mart.to_json()
-    dia = diamond_vs_pointwise_mc(2, w, min(n, 60), paths, cfg.seed + 2)
     checks.append(_check("diamond estimate near boundary value",
                          dia.distance_to_boundary, max(0.01, 5 * dia.stderr)))
     extra["diamond"] = dia.to_json()
@@ -839,8 +842,10 @@ def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
 
 
 def _scenario_suite(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
-    # coverage counts this run's calls: an earlier run's catalog is not reused
+    # coverage counts this run's calls: an earlier run's catalog and sampler
+    # pass are not reused
     _catalog_tuple.cache_clear()
+    _boundary_pass.cache_clear()
     checks = []
     with collecting() as called:
         for number, name, fn in ACCEPTANCE:

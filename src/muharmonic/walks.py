@@ -1,21 +1,24 @@
 """Random-walk paths, the free-group boundary, and stationary measures.
 
 Monte Carlo experiments are chunked: the master seed spawns one child
-SeedSequence per fixed-size chunk, workers own disjoint streams, and all
-aggregation is order-independent sums, so results are reproducible
-regardless of how chunks are scheduled.
+SeedSequence per fixed-size chunk, the chunks run in order, and each is
+reduced to sums before the next starts, so results are reproducible bit
+for bit and memory stays one chunk's worth.
 
 The free-group experiments read only |X_n| and the first |w| letters of
 X_n, so the sampler runs the simple walk as its length chain (a
 birth-death chain with drift (2k-2)/2k) and stores just those letters.
 It draws one uniform r in [0, 2k) per path-step; this stream replaced a
 sampler that kept whole words and drew the step's generator directly, so
-Monte Carlo values differ from records made before that change.
+Monte Carlo values differ from records made before that change.  One pass
+feeds all three boundary reports of every cylinder asked for: the
+cylinder frequency, the martingale check and the averaged square.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,7 +163,8 @@ def _gens_array(k: int) -> np.ndarray:
     return np.array(list(range(1, k + 1)) + [-i for i in range(1, k + 1)], dtype=np.int16)
 
 
-def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN):
+def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depths=None,
+                    snapshot=None):
     """Simulate n_paths simple-walk trajectories on the length chain.
 
     From a nonempty reduced word exactly one of the 2k steps cancels, so
@@ -169,21 +173,28 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN):
     (inv(top) + r) mod 2k, uniform over the 2k - 1 letters that do not
     cancel; at L == 0 it pushes letter index r.  Letter indices follow
     `_gens_array`; inv(i) = (i + k) mod 2k.  The draws do not depend on
-    `keep`, so runs that store more letters see the same paths.
+    `keep`, `depths` or `snapshot`, so runs that store more see the same
+    paths.
 
     Only the first `keep` letters of each word are stored, so letters are
     written only for pushes at depth < keep and memory is n_paths * keep.
-    Returns (prefix, lengths, stable): `prefix[:, j]` is the j-th letter
-    where j < lengths (entries at or past the length are stale), and
-    `stable` marks paths that reached length keep + margin and never went
-    back below keep + 1 after that, whose first keep letters are final.
+    Returns (prefix, lengths, stable, snap).  `prefix[:, j]` is the j-th
+    letter where j < lengths (entries at or past the length are stale).
+    Row i of `stable` is for the depth d = depths[i] (default: keep alone):
+    it marks the paths that reached length d + margin and never went back
+    below d + 1 after that, whose first min(d, keep) letters are final.
+    `snap` is (prefix, lengths) after `snapshot` steps, or None.
     """
     two_k = 2 * k
+    gens = _gens_array(k)
+    depths = (keep,) if depths is None else depths
     prefix = np.zeros((n_paths, keep), dtype=np.int16)
     lengths = np.zeros(n_paths, dtype=np.int32)
-    hit = np.zeros(n_paths, dtype=bool)
-    fell = np.zeros(n_paths, dtype=bool)
-    for _ in range(n_steps):
+    flags = [(d, np.zeros(n_paths, dtype=bool), np.zeros(n_paths, dtype=bool)) for d in depths]
+    snap = None
+    for step in range(n_steps):
+        if step == snapshot:
+            snap = (gens[prefix], lengths.copy())
         r = rng.integers(0, two_k, size=n_paths, dtype=np.int16)
         low = np.flatnonzero(lengths < keep)
         if low.size:
@@ -198,9 +209,13 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN):
         lengths += 1
         lengths -= cancel
         lengths -= cancel
-        hit |= lengths >= keep + margin
-        fell |= hit & (lengths <= keep)
-    return _gens_array(k)[prefix], lengths, hit & ~fell
+        for d, hit, fell in flags:
+            hit |= lengths >= d + margin
+            fell |= hit & (lengths <= d)
+    if snapshot == n_steps:
+        snap = (gens[prefix], lengths.copy())
+    stable = np.array([hit & ~fell for _, hit, fell in flags])
+    return gens[prefix], lengths, stable, snap
 
 
 def _poisson_values(k, w_letters, words, lengths):
@@ -243,36 +258,6 @@ class CylinderEstimate:
         return asdict(self)
 
 
-def empirical_cylinder_measure(
-    k: int,
-    w: FreeWord,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    margin: int = DEFAULT_MARGIN,
-) -> CylinderEstimate:
-    """Monte Carlo estimate of nu([w]): frequency of paths escaping through [w].
-
-    A path is conclusive when its limit prefix has stabilized (it reached
-    length |w| + margin and never returned below |w| + 1); the estimate is
-    the match frequency among conclusive paths.
-    """
-    m = len(w)
-    if m == 0:
-        raise ValueError("cylinders are indexed by nonempty reduced words")
-    w_arr = np.array(w.letters, dtype=np.int16)
-    conclusive = 0
-    matches = 0
-    for child, size in _chunk_seeds(seed, n_paths):
-        rng = np.random.default_rng(child)
-        prefix, _, stable = _simulate_chunk(k, n_steps, size, rng, m, margin)
-        conclusive += int(stable.sum())
-        matches += int((stable & (prefix == w_arr).all(axis=1)).sum())
-    p = matches / conclusive if conclusive else 0.0
-    stderr = float(np.sqrt(p * (1 - p) / conclusive)) if conclusive else 0.0
-    return CylinderEstimate(p, stderr, n_paths, seed, n_paths - conclusive)
-
-
 @dataclass(frozen=True)
 class MartingaleReport:
     n_paths: int
@@ -285,47 +270,6 @@ class MartingaleReport:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-@operation
-def martingale_convergence_check(
-    k: int,
-    w: FreeWord,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    threshold: float = 1e-3,
-    margin: int = DEFAULT_MARGIN,
-) -> MartingaleReport:
-    """Check h(X_n) against the indicator of the path's limit cylinder.
-
-    For each conclusive path (stabilized prefix), agreement means
-    |h(X_n) - 1_{limit in [w]}| < threshold.  Inconclusive paths are counted
-    separately, never silently dropped.
-    """
-    m = len(w)
-    if m == 0:
-        raise ValueError("cylinders are indexed by nonempty reduced words")
-    w_arr = np.array(w.letters, dtype=np.int16)
-    conclusive = 0
-    agree = 0
-    for child, size in _chunk_seeds(seed, n_paths):
-        rng = np.random.default_rng(child)
-        prefix, lengths, stable = _simulate_chunk(k, n_steps, size, rng, m, margin)
-        h_vals = _poisson_values(k, w_arr, prefix, lengths)
-        indicator = (stable & (prefix == w_arr).all(axis=1)).astype(float)
-        close = np.abs(h_vals - indicator) < threshold
-        conclusive += int(stable.sum())
-        agree += int((stable & close).sum())
-    return MartingaleReport(
-        n_paths=n_paths,
-        n_steps=n_steps,
-        conclusive_fraction=conclusive / n_paths,
-        agreement_fraction=agree / conclusive if conclusive else 0.0,
-        inconclusive_count=n_paths - conclusive,
-        threshold=threshold,
-        seed=seed,
-    )
 
 
 @dataclass(frozen=True)
@@ -353,53 +297,81 @@ class DiamondReport:
                                "distance_to_pointwise": self.distance_to_pointwise}
 
 
+class BoundaryReport(NamedTuple):
+    """The three reports of one cylinder [w], read off a shared pass."""
+
+    cylinder: CylinderEstimate
+    martingale: MartingaleReport
+    diamond: DiamondReport
+
+
 @operation
-def diamond_vs_pointwise_mc(
-    k: int, w: FreeWord, n_steps: int, n_paths: int, seed: int
-) -> DiamondReport:
-    """Estimate the averaged square of the Poisson extension at the origin.
+def boundary_reports(
+    k: int,
+    words,
+    n_steps: int,
+    n_paths: int,
+    seed: int,
+    snapshot: int = 60,
+    threshold: float = 1e-3,
+    margin: int = DEFAULT_MARGIN,
+) -> tuple[BoundaryReport, ...]:
+    """One Monte Carlo pass of the simple walk, reduced for each cylinder [w].
 
-    The averaged products converge to the boundary product: since the
-    boundary function is an indicator, the limit is nu([w]) itself, far from
-    the pointwise value h(e)^2 -- the free group separates the two products.
+    A path is conclusive for [w] when its first |w| letters have stabilized
+    (it reached length |w| + margin and never returned below |w| + 1).
+    - `cylinder` estimates nu([w]) as the frequency of paths escaping
+      through [w] among the conclusive ones.
+    - `martingale` checks h(X_n) against the indicator of the path's limit
+      cylinder: agreement means |h(X_n) - 1_{limit in [w]}| < threshold on
+      a conclusive path.  Inconclusive paths are counted, never dropped.
+    - `diamond` estimates E h(X_snapshot)^2.  The averaged products tend to
+      the boundary product: the boundary function is an indicator, so the
+      limit is nu([w]) itself, far from the pointwise value h(e)^2 -- the
+      free group separates the two products.
+    Chunks run in order, each reduced to per-word sums before the next.
     """
-    m = len(w)
-    w_arr = np.array(w.letters, dtype=np.int16)
-    total = 0.0
-    total_sq = 0.0
-    h_e = poisson_extension(k, w, empty_word(k))
-    if n_steps == 0:
-        est = h_e * h_e
-        return DiamondReport(est, 0.0, harmonic_measure_cylinder(k, w), h_e * h_e,
-                             n_paths, 0, seed)
+    words = tuple(words)
+    if not words:
+        raise ValueError("give at least one cylinder word")
+    # both raise for a word of another rank or the empty word
+    boundary = [harmonic_measure_cylinder(k, w) for w in words]
+    h_e = [poisson_extension(k, w, empty_word(k)) for w in words]
+    if n_steps < 0 or n_paths < 1 or not 0 <= snapshot <= n_steps:
+        raise ValueError("need n_steps >= 0, n_paths >= 1 and 0 <= snapshot <= n_steps")
+    depths = sorted({len(w) for w in words})
+    letters = [np.array(w.letters, dtype=np.int16) for w in words]
+    rows = [depths.index(len(w)) for w in words]
+    # per word: conclusive, matching and agreeing paths, sum of h^2 and h^4
+    sums = [[0, 0, 0, 0.0, 0.0] for _ in words]
     for child, size in _chunk_seeds(seed, n_paths):
-        rng = np.random.default_rng(child)
-        prefix, lengths, _ = _simulate_chunk(k, n_steps, size, rng, m)
-        h_vals = _poisson_values(k, w_arr, prefix, lengths)
-        sq = h_vals * h_vals
-        total += float(sq.sum())
-        total_sq += float((sq * sq).sum())
-    est = total / n_paths
-    var = max(total_sq / n_paths - est * est, 0.0)
-    return DiamondReport(
-        estimate=est,
-        stderr=float(np.sqrt(var / n_paths)),
-        boundary_value=harmonic_measure_cylinder(k, w),
-        pointwise_value=h_e * h_e,
-        n_paths=n_paths,
-        n_steps=n_steps,
-        seed=seed,
-    )
-
-
-def mean_endpoint_length(k: int, n_steps: int, n_paths: int, seed: int) -> float:
-    """Monte Carlo mean of |X_n| for the simple walk; drift is (2k-2)/(2k)."""
-    total = 0
-    for child, size in _chunk_seeds(seed, n_paths):
-        rng = np.random.default_rng(child)
-        _, lengths, _ = _simulate_chunk(k, n_steps, size, rng, 0)
-        total += int(lengths.sum())
-    return total / n_paths
+        prefix, lengths, stable, (snap_prefix, snap_lengths) = _simulate_chunk(
+            k, n_steps, size, np.random.default_rng(child), depths[-1], margin, depths, snapshot)
+        for acc, w_arr, row in zip(sums, letters, rows):
+            ok = stable[row]
+            inside = ok & (prefix[:, :len(w_arr)] == w_arr).all(axis=1)
+            close = np.abs(_poisson_values(k, w_arr, prefix, lengths) - inside) < threshold
+            h_snap = _poisson_values(k, w_arr, snap_prefix, snap_lengths)
+            sq = h_snap * h_snap
+            acc[0] += int(ok.sum())
+            acc[1] += int(inside.sum())
+            acc[2] += int((ok & close).sum())
+            acc[3] += float(sq.sum())
+            acc[4] += float((sq * sq).sum())
+    reports = []
+    for (conclusive, matches, agree, total, total_sq), nu, h0 in zip(sums, boundary, h_e):
+        p = matches / conclusive if conclusive else 0.0
+        est = total / n_paths if snapshot else h0 * h0  # every path is at e at step 0
+        var = max(total_sq / n_paths - est * est, 0.0) if snapshot else 0.0
+        reports.append(BoundaryReport(
+            CylinderEstimate(p, float(np.sqrt(p * (1 - p) / conclusive)) if conclusive else 0.0,
+                             n_paths, seed, n_paths - conclusive),
+            MartingaleReport(n_paths, n_steps, conclusive / n_paths,
+                             agree / conclusive if conclusive else 0.0,
+                             n_paths - conclusive, threshold, seed),
+            DiamondReport(est, float(np.sqrt(var / n_paths)), nu, h0 * h0, n_paths, snapshot, seed),
+        ))
+    return tuple(reports)
 
 
 # ------------------------------------------------------------ stationary measures

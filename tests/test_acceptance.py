@@ -9,7 +9,7 @@ same process does not count.
 
 import pytest
 
-from muharmonic import ACCEPTANCE, ExperimentConfig, build_group, run
+from muharmonic import ACCEPTANCE, ExperimentConfig, boundary_reports, build_group, run
 from muharmonic.experiments import run_criterion
 
 _NAMES = {number: name for number, name, _ in ACCEPTANCE}
@@ -86,19 +86,29 @@ def test_criterion_15_determinism():
 
 
 def test_suite_scenario_and_op_coverage(monkeypatch):
-    # two passes in one process: each must build the catalog itself
+    # two passes in one process: each must build the catalog itself and run
+    # the free-group sampler pass of criteria 8-10 exactly once
     builds = []
+    passes = []
 
     def counting_build_group(*args, **kwargs):
         builds.append(args[0])
         return build_group(*args, **kwargs)
 
+    def counting_boundary_reports(*args, **kwargs):
+        passes.append(args)
+        return boundary_reports(*args, **kwargs)
+
     monkeypatch.setattr("muharmonic.experiments.build_group", counting_build_group)
+    monkeypatch.setattr("muharmonic.experiments.boundary_reports", counting_boundary_reports)
     records = []
     for _ in range(2):
         before = len(builds)
+        passes.clear()
         record = run(ExperimentConfig(scenario="suite"))
         assert len(builds) > before
+        # one pass shared by criteria 8-10, one per freewalk run of criterion 15
+        assert len(passes) == 3, passes
         coverage = [c for c in record.checks if c.name.startswith("op coverage")]
         assert coverage and coverage[0].passed, coverage
         assert record.passed

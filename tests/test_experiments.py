@@ -133,7 +133,7 @@ def test_operation_names_are_the_marked_functions():
         "quotient_norm_trace", "approximate_identity", "diagonal_measure",
         "operator_convolve", "left_ideal_residual",
         "sample_path", "harmonic_measure_cylinder", "poisson_extension",
-        "martingale_convergence_check", "diamond_vs_pointwise_mc",
+        "boundary_reports",
         "stationary_measure", "subharmonic_check",
         "run", "catalog",
     })

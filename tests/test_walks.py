@@ -3,14 +3,11 @@ import pytest
 
 from muharmonic import (
     GSpaceAction,
+    boundary_reports,
     cyclic_group,
-    diamond_vs_pointwise_mc,
-    empirical_cylinder_measure,
     empty_word,
     free_ball,
     harmonic_measure_cylinder,
-    martingale_convergence_check,
-    mean_endpoint_length,
     neighbors,
     point_mass,
     poisson_extension,
@@ -30,6 +27,15 @@ from muharmonic.walks import _chunk_seeds, _gens_array, _poisson_values, _simula
 
 W_A = word(2, (1,))
 W_AB = word(2, (1, 2))
+
+
+def _mean_endpoint_length(k, n_steps, n_paths, seed):
+    """Monte Carlo mean of |X_n| over the chunked sampler's paths."""
+    total = 0
+    for child, size in _chunk_seeds(seed, n_paths):
+        lengths = _simulate_chunk(k, n_steps, size, np.random.default_rng(child), 0)[1]
+        total += int(lengths.sum())
+    return total / n_paths
 
 
 def test_sample_path_deterministic_walk():
@@ -61,7 +67,7 @@ def test_sample_path_on_z_and_free_group():
 
 def test_free_walk_drift():
     # mean |X_100| concentrates near n/2 for the rank-2 simple walk
-    mean_len = mean_endpoint_length(2, 100, 10_000, seed=5)
+    mean_len = _mean_endpoint_length(2, 100, 10_000, seed=5)
     assert abs(mean_len - 50.0) < 1.5
 
 
@@ -102,7 +108,7 @@ def test_poisson_extension_harmonic_on_ball():
 
 def test_vectorized_h_matches_scalar():
     rng = np.random.default_rng(6)
-    words_arr, lengths, _ = _simulate_chunk(2, 40, 200, rng, keep=40)
+    words_arr, lengths, _, _ = _simulate_chunk(2, 40, 200, rng, keep=40)
     w_arr = np.array(W_AB.letters, dtype=np.int16)
     h_vec = _poisson_values(2, w_arr, words_arr, lengths)
     for i in range(200):
@@ -122,7 +128,8 @@ def test_sampler_prefix_matches_full_words():
 
 def test_sampler_full_words_are_reduced():
     for k in (1, 2, 3):
-        words_arr, lengths, _ = _simulate_chunk(k, 30, 300, np.random.default_rng(22), keep=30)
+        words_arr, lengths, _, _ = _simulate_chunk(k, 30, 300, np.random.default_rng(22),
+                                                   keep=30)
         assert np.all((lengths >= 0) & (lengths <= 30) & (lengths % 2 == 0))
         for i in range(300):
             letters = tuple(int(s) for s in words_arr[i, : lengths[i]])
@@ -137,7 +144,7 @@ def test_sampler_stable_matches_its_definition():
         _simulate_chunk(2, t, n_paths, np.random.default_rng(23), keep, margin)[1]
         for t in range(1, n_steps + 1)
     ])
-    _, _, stable = _simulate_chunk(2, n_steps, n_paths, np.random.default_rng(23), keep, margin)
+    stable = _simulate_chunk(2, n_steps, n_paths, np.random.default_rng(23), keep, margin)[2][0]
     expected = np.zeros(n_paths, dtype=bool)
     for i in range(n_paths):
         hits = np.flatnonzero(history[:, i] >= keep + margin)
@@ -165,7 +172,7 @@ def _exact_length_moments(k: int, n: int) -> tuple[float, float]:
 def test_mean_endpoint_length_matches_exact_chain(k):
     n_steps, n_paths = 40, 20_000
     mean, var = _exact_length_moments(k, n_steps)
-    estimate = mean_endpoint_length(k, n_steps, n_paths, seed=24)
+    estimate = _mean_endpoint_length(k, n_steps, n_paths, seed=24)
     assert abs(estimate - mean) < 4 * np.sqrt(var / n_paths), (estimate, mean)
 
 
@@ -184,7 +191,9 @@ def test_empirical_cylinder_frequencies_all_short_words():
     conclusive = 0
     for child, size in _chunk_seeds(77, n_paths):
         rng = np.random.default_rng(child)
-        words_arr, _, ok = _simulate_chunk(2, n_steps, size, rng, keep=prefix_len, margin=margin)
+        words_arr, _, ok, _ = _simulate_chunk(2, n_steps, size, rng, keep=prefix_len,
+                                              margin=margin)
+        ok = ok[0]
         conclusive += int(ok.sum())
         prefixes = words_arr[ok].astype(np.int64)
         codes.extend(pack(prefixes, m) for m in (1, 2, 3))
@@ -201,32 +210,76 @@ def test_empirical_cylinder_frequencies_all_short_words():
 
 
 def test_martingale_convergence_report():
-    report = martingale_convergence_check(2, W_A, 100, 5000, seed=11)
-    assert report.conclusive_fraction >= 0.999
-    assert report.agreement_fraction >= 0.99
-    again = martingale_convergence_check(2, W_A, 100, 5000, seed=11)
-    assert report == again
+    (report,) = boundary_reports(2, (W_A,), 100, 5000, seed=11)
+    assert report.martingale.conclusive_fraction >= 0.999
+    assert report.martingale.agreement_fraction >= 0.99
+    assert report.martingale.n_paths == 5000
+    again = boundary_reports(2, (W_A,), 100, 5000, seed=11)
+    assert again == (report,)  # all three reports, bit for bit
 
 
 def test_martingale_horizon_zero():
-    report = martingale_convergence_check(2, W_A, 0, 100, seed=12)
-    assert report.conclusive_fraction == 0.0
-    assert report.agreement_fraction == 0.0
-    assert report.inconclusive_count == 100
+    (report,) = boundary_reports(2, (W_A,), 0, 100, seed=12, snapshot=0)
+    assert report.martingale.conclusive_fraction == 0.0
+    assert report.martingale.agreement_fraction == 0.0
+    assert report.martingale.inconclusive_count == 100
+    assert report.cylinder.inconclusive_count == 100
 
 
 def test_martingale_rejects_empty_word():
-    # the empty word indexes no cylinder, as in the other two samplers
-    for sampler in (martingale_convergence_check, empirical_cylinder_measure):
-        with pytest.raises(ValueError, match="nonempty reduced words"):
-            sampler(2, empty_word(2), 50, 1000, seed=1)
+    # the empty word indexes no cylinder
+    with pytest.raises(ValueError, match="nonempty reduced words"):
+        boundary_reports(2, (empty_word(2),), 50, 1000, seed=1)
+    with pytest.raises(ValueError, match="nonempty reduced words"):
+        boundary_reports(2, (W_A, empty_word(2)), 50, 1000, seed=1)
+
+
+def test_boundary_reports_reject_a_cylinder_of_another_rank():
+    # a word of F_2 indexes no cylinder of F_3's boundary
+    with pytest.raises(ValueError, match="cylinder rank 2 != 3"):
+        boundary_reports(3, (W_A,), 50, 2000, seed=1, snapshot=50)
+    with pytest.raises(ValueError, match="cylinder rank 2 != 3"):
+        boundary_reports(3, (word(3, (1,)), W_A), 50, 2000, seed=1, snapshot=50)
+
+
+def test_boundary_reports_reject_bad_sizes():
+    with pytest.raises(ValueError, match="snapshot"):
+        boundary_reports(2, (W_A,), 50, 2000, seed=1)  # the default snapshot 60 > 50
+    with pytest.raises(ValueError, match="at least one"):
+        boundary_reports(2, (), 50, 2000, seed=1, snapshot=50)
+
+
+def test_one_pass_reproduces_the_single_depth_sampler():
+    # stability at each |w| and the letters match a run that keeps |w| letters;
+    # the snapshot matches a run stopped at `snapshot` steps
+    for k, n_paths in ((2, 1000), (3, 999)):
+        prefix, lengths, stable, (snap_prefix, snap_lengths) = _simulate_chunk(
+            k, 80, n_paths, np.random.default_rng(31), 2, 10, (1, 2), 50)
+        for row, keep in enumerate((1, 2)):
+            ref = _simulate_chunk(k, 80, n_paths, np.random.default_rng(31), keep)
+            assert np.array_equal(prefix[:, :keep], ref[0])
+            assert np.array_equal(lengths, ref[1])
+            assert np.array_equal(stable[row], ref[2][0])
+        short = _simulate_chunk(k, 50, n_paths, np.random.default_rng(31), 2, snapshot=50)
+        assert np.array_equal(snap_prefix, short[0])
+        assert np.array_equal(snap_lengths, short[1])
+        # a snapshot at the last step is the final state
+        assert np.array_equal(short[3][0], short[0])
+        assert np.array_equal(short[3][1], short[1])
+
+
+def test_one_pass_for_two_words_equals_one_pass_each():
+    both = boundary_reports(2, (W_A, W_AB), 100, 12_000, seed=32, snapshot=40)
+    alone = [boundary_reports(2, (w,), 100, 12_000, seed=32, snapshot=40)[0]
+             for w in (W_A, W_AB)]
+    assert list(both) == alone
 
 
 def test_martingale_one_step_mean_property():
     # E[h(X_{n+1}) | X_n] = h(X_n): regress one extra step over sampled paths
     n_paths = 100_000
     rng = np.random.default_rng(13)
-    words_arr, lengths, _ = _simulate_chunk(2, 20, n_paths, rng, keep=20)
+    words_arr, lengths, _, _ = _simulate_chunk(2, 20, n_paths, rng, keep=20)
     w_arr = np.array(W_A.letters, dtype=np.int16)
     h_before = _poisson_values(2, w_arr, words_arr, lengths)
     gens = _gens_array(2)
@@ -249,15 +302,16 @@ def test_martingale_one_step_mean_property():
 
 
 def test_diamond_mc_reports():
-    report = diamond_vs_pointwise_mc(2, W_A, 60, 20_000, seed=14)
+    report = boundary_reports(2, (W_A,), 60, 20_000, seed=14)[0].diamond
     assert abs(report.estimate - 0.25) < 0.02
     assert report.distance_to_pointwise > 0.15
-    at_zero = diamond_vs_pointwise_mc(2, W_A, 0, 100, seed=15)
+    at_zero = boundary_reports(2, (W_A,), 0, 100, seed=15, snapshot=0)[0].diamond
     assert at_zero.estimate == 0.0625
+    assert at_zero.stderr == 0.0 and at_zero.n_steps == 0
 
 
 def test_empirical_cylinder_report_fields():
-    est = empirical_cylinder_measure(2, W_A, 60, 5000, seed=16)
+    est = boundary_reports(2, (W_A,), 60, 5000, seed=16)[0].cylinder
     payload = est.to_json()
     assert set(payload) == {"estimate", "stderr", "n_paths", "seed", "inconclusive_count"}
     assert payload["n_paths"] == 5000
