@@ -1,19 +1,20 @@
 """Command-line experiment runner.
 
-Subcommands mirror the scenarios; a JSON config file supplies anything the
-flags do not.  Exit codes: 0 all checks passed, 1 a check failed, 2 bad
-usage or config, 3 a capacity cap was hit.
+Subcommands mirror the scenarios, each with the flags of the fields its scenario
+reads; a JSON config file supplies anything the flags do not.  Exit codes: 0 all
+checks passed, 1 a check failed, 2 bad usage or config, 3 a capacity cap was hit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
 from .errors import CapacityError, ConfigError
-from .experiments import SCENARIOS, ExperimentConfig, run
+from .experiments import SCENARIOS, ExperimentConfig, run, scenario_fields
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,10 +26,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SCENARIOS:
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", help="JSON config file; flags override its fields")
+        reads = scenario_fields(name)
         for f in fields(ExperimentConfig):
-            if f.metadata.get("help"):
+            if f.metadata.get("help") and f.name in reads:
+                default = "" if reads[f.name] is None else f" (default {reads[f.name]})"
                 p.add_argument(f"--{f.name}", type=f.metadata["kind"].type,
-                               help=f.metadata["help"])
+                               help=f.metadata["help"] + default)
     return parser
 
 
@@ -45,6 +48,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     # the subcommand is the scenario field, and each other flag is the field it names
     raw.update((key, val) for key, val in vars(args).items()
                if key != "config" and val is not None)
+    if raw.get("out") is None and os.environ.get("MUHARMONIC_OUT"):
+        raw["out"] = os.environ["MUHARMONIC_OUT"]
     return ExperimentConfig.from_dict(raw)
 
 

@@ -10,13 +10,14 @@ asserts that the run called every public operation (each function marked
 from __future__ import annotations
 
 import csv
+import inspect
 import itertools
 import json
 import math
 import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -230,9 +231,9 @@ def _field(kind: _Kind, flag_help: str | None = None, default=None):
 class ExperimentConfig:
     """A scenario and its settings, checked on construction.
 
-    The fields are the config-file keys; `None` means unset, and a size left
-    unset takes the scenario's default.  The fields with flag help, in this
-    order, are the CLI flags after --config.
+    The fields are the config-file keys; `None` means unset, and a size left unset
+    takes the scenario's default.  A field the scenario does not read must keep its
+    default.  The fields with flag help, in this order, are the CLI flags after --config.
     """
 
     scenario: str
@@ -245,15 +246,18 @@ class ExperimentConfig:
     trials: int | None = _field(
         _SIZE, "ncconv: random trials per entry (each trial makes five operator "
                "convolutions, about 40 ms on S5); stationary: random coset actions; "
-               "cesaro: horizon n_max of the Cesaro gap diagnostic; unused elsewhere")
+               "cesaro: horizon n_max of the Cesaro gap diagnostic")
     word: str = _field(_TEXT, "free-group cylinder, e.g. a, ab, a'b", "a")
     entry: str | None = _field(_TEXT, "run a single catalog entry by name")
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
+        reads = scenario_fields(self.scenario)
         for f in fields(self)[1:]:  # the fields after scenario
             val, kind = getattr(self, f.name), f.metadata["kind"]
+            if f.name not in reads and val != f.default:
+                raise ConfigError(f"{f.name}: not read by {self.scenario}")
             if val is None and f.default is None:
                 continue
             if (not isinstance(val, kind.type) or isinstance(val, bool)
@@ -365,11 +369,11 @@ def parse_word(k: int, spec: str) -> FreeWord:
 
 
 # ---------------------------------------------------------- check builders
-# A topic shared by a criterion and a scenario has one builder: it returns the
-# checks and fills `extra` (the record's extras).  The criterion runs it over
-# the catalog at pinned sizes, the scenario at the configured pairs and sizes.
+# Each scenario is one builder: it returns the checks and fills `extra` (the
+# record's extras).  Its parameters after `extra`, with their defaults, are the
+# config fields the scenario reads; `pairs` stands for group, measure and entry.
 
-def _harmonic_checks(pairs: list[CatalogEntry], extra: dict) -> list[CheckResult]:
+def _harmonic_checks(extra: dict, pairs: list[CatalogEntry]) -> list[CheckResult]:
     checks = []
     for e in pairs:
         verdict = harmonic_triviality_verdict(e.group, e.measure)
@@ -390,14 +394,15 @@ def _harmonic_checks(pairs: list[CatalogEntry], extra: dict) -> list[CheckResult
     return checks
 
 
-def _cesaro_checks(pairs: list[CatalogEntry], n: int, n_max: int,
-                   extra: dict) -> list[CheckResult]:
+def _cesaro_checks(extra: dict, pairs: list[CatalogEntry], n: int = 1000,
+                   trials: int = 10_000) -> list[CheckResult]:
+    """`trials` is the horizon n_max of the Cesaro gap diagnostic."""
     checks = []
     for e in pairs:
         omega = haar_on_subgroup(e.group, generated_subgroup(e.group, e.measure.support()))
         checks.append(_check(f"{e.name}: tv(A_{n}, haar)",
                              tv_distance(cesaro_average(e.measure, n), omega), 1e-2))
-        report = cesaro_projection(right_markov_matrix(e.group, e.measure), n_max=n_max)
+        report = cesaro_projection(right_markov_matrix(e.group, e.measure), n_max=trials)
         target = right_markov_matrix(e.group, omega).entries
         checks.append(_check(f"{e.name}: ||K - pi(haar)||_F",
                              float(np.linalg.norm(report.K.entries - target)), 1e-9))
@@ -413,8 +418,8 @@ def _entry_seed(base: int, name: str) -> int:
     return base + (zlib.crc32(name.encode()) % 1_000_000)
 
 
-def _ncconv_checks(pairs: list[CatalogEntry], trials: int, seed: int,
-                   extra: dict) -> list[CheckResult]:
+def _ncconv_checks(extra: dict, pairs: list[CatalogEntry], trials: int = 100,
+                   seed: int = MASTER_SEED) -> list[CheckResult]:
     checks = []
     for e in pairs:
         g = e.group
@@ -466,8 +471,9 @@ def _random_coset_action(seed: int) -> tuple[GSpaceAction, FiniteMeasure]:
     return action, FiniteMeasure(g, weights.astype(np.complex128))
 
 
-def _stationary_checks(count: int, seed: int, extra: dict) -> list[CheckResult]:
-    """S3 on its three points, then `count` random coset actions."""
+def _stationary_checks(extra: dict, trials: int = 20,
+                       seed: int = MASTER_SEED) -> list[CheckResult]:
+    """S3 on its three points, then `trials` random coset actions."""
     s3 = symmetric_group(3)
     action = GSpaceAction(s3, 3, np.array(list(itertools.permutations(range(3))), dtype=np.int64))
     mu = uniform_on(s3, [s3.labels.index("(1 2)"), s3.labels.index("(1 3)")])
@@ -481,7 +487,7 @@ def _stationary_checks(count: int, seed: int, extra: dict) -> list[CheckResult]:
     ]
     extra["s3_on_points"] = report.to_json()
     worst = 0.0
-    for i in range(count):
+    for i in range(trials):
         action_i, mu_i = _random_coset_action(seed + i)
         rep = stationary_measure(action_i, mu_i, tol=1e-13)
         ok = rep.fixed_dim == 1 and rep.agreement is not None
@@ -490,7 +496,7 @@ def _stationary_checks(count: int, seed: int, extra: dict) -> list[CheckResult]:
     return checks
 
 
-def _decay_checks(n: int, extra: dict, csv_path: str | None = None) -> list[CheckResult]:
+def _decay_checks(extra: dict, n: int = 200, out: str | None = None) -> list[CheckResult]:
     """<mu^m, delta_0> for the simple walk on Z, m = 1..n, against binomials."""
     if n < 4:
         # below 4 the binomial or the decreasing-sequence loop has no terms
@@ -508,8 +514,8 @@ def _decay_checks(n: int, extra: dict, csv_path: str | None = None) -> list[Chec
     for m in range(1, n // 2):
         increasing_violation = max(increasing_violation, vals[2 * m + 1] - vals[2 * m - 1])
     extra["final_value"] = vals[-1]
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+    if out:
+        with open(os.path.join(out, "decay_srw.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "value"])
             for i, v in enumerate(vals, start=1):
@@ -523,14 +529,6 @@ def _decay_checks(n: int, extra: dict, csv_path: str | None = None) -> list[Chec
 
 # ---------------------------------------------------------------- criteria
 # Each criterion function returns its CheckResults.
-
-def _crit_finite_triviality() -> list[CheckResult]:
-    return _harmonic_checks(catalog(), {})
-
-
-def _crit_cesaro_limit() -> list[CheckResult]:
-    return _cesaro_checks(catalog(), 1000, 10_000, {})
-
 
 def _crit_projection() -> list[CheckResult]:
     checks = []
@@ -590,7 +588,7 @@ def _crit_nc_convolution() -> list[CheckResult]:
     worked = _check("Z2 worked example exact",
                     max(float(np.abs(st - expected).max()), kappa_gap, 0.0 if inside else 1.0),
                     0.0)
-    return [worked] + _ncconv_checks(catalog(), 100, MASTER_SEED, {})
+    return [worked] + _ncconv_checks({}, catalog())
 
 
 def _crit_quotient_norms() -> list[CheckResult]:
@@ -698,14 +696,6 @@ def _crit_poisson_harmonicity() -> list[CheckResult]:
     ]
 
 
-def _crit_stationary() -> list[CheckResult]:
-    return _stationary_checks(20, MASTER_SEED + 500, {})
-
-
-def _crit_lattice_decay() -> list[CheckResult]:
-    return _decay_checks(200, {})
-
-
 def _crit_l1_triviality() -> list[CheckResult]:
     mu = simple_random_walk_z()
     return [_check(f"kernel rank at L={window}", l1_harmonic_triviality(mu, window).kernel_rank,
@@ -731,8 +721,8 @@ def _crit_determinism() -> list[CheckResult]:
 
 
 ACCEPTANCE = (
-    (1, "finite_triviality", _crit_finite_triviality),
-    (2, "cesaro_limit", _crit_cesaro_limit),
+    (1, "finite_triviality", lambda: _harmonic_checks({}, catalog())),
+    (2, "cesaro_limit", lambda: _cesaro_checks({}, catalog())),
     (3, "projection", _crit_projection),
     (4, "operator_harmonic_space", _crit_operator_harmonic),
     (5, "nc_convolution", _crit_nc_convolution),
@@ -742,8 +732,8 @@ ACCEPTANCE = (
     (9, "martingale_convergence", _crit_martingale),
     (10, "diamond_separation", _crit_diamond_separation),
     (11, "poisson_harmonicity", _crit_poisson_harmonicity),
-    (12, "stationary_measures", _crit_stationary),
-    (13, "lattice_decay", _crit_lattice_decay),
+    (12, "stationary_measures", lambda: _stationary_checks({}, seed=MASTER_SEED + 500)),
+    (13, "lattice_decay", lambda: _decay_checks({})),
     (14, "l1_triviality", _crit_l1_triviality),
     (15, "determinism", _crit_determinism),
 )
@@ -793,35 +783,33 @@ def _coverage_extras() -> list[CheckResult]:
 
 
 # ------------------------------------------------------------- scenarios
-# A scenario maps its config to checks and fills `extra`, the record's extras.
 
-def _scenario_derriennic(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
+def _derriennic_checks(extra: dict, pairs: list[CatalogEntry], n: int = 4096,
+                       seed: int = MASTER_SEED, out: str | None = None) -> list[CheckResult]:
     checks = []
-    n_avg = cfg.n or 4096
-    for e in cfg.resolve_pairs():
+    for e in pairs:
         ideal = coboundary_ideal(e.group, e.measure)
         # signed, unit l1 mass: a nonnegative x sits at distance ||x||_1 = 1
         # from the ideal whatever the measure, which would make the check vacuous
-        rng = np.random.default_rng(_entry_seed(cfg.seed, e.name))
+        rng = np.random.default_rng(_entry_seed(seed, e.name))
         x = rng.standard_normal(e.group.order)
         x /= np.abs(x).sum()
-        trace = quotient_norm_trace(x, ideal.predual_op, n_avg, ideal=ideal)
+        trace = quotient_norm_trace(x, ideal.predual_op, n, ideal=ideal)
         checks.append(_check(f"{e.name}: |a_N - quotient norm|",
                              abs(trace.limit_estimate - trace.distance), 5e-3))
         extra[e.name] = trace.summary()
-        if cfg.out:
-            trace.to_csv(os.path.join(cfg.out, f"derriennic_{e.name}.csv"))
+        if out:
+            trace.to_csv(os.path.join(out, f"derriennic_{e.name}.csv"))
     return checks
 
 
-def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
-    w = parse_word(2, cfg.word)
+def _freewalk_checks(extra: dict, word: str = "a", paths: int = 100_000, n: int = 100,
+                     seed: int = MASTER_SEED) -> list[CheckResult]:
+    w = parse_word(2, word)
     if len(w) == 0:
-        raise ConfigError(f"word: {cfg.word!r} reduces to the identity, "
+        raise ConfigError(f"word: {word!r} reduces to the identity, "
                           "which indexes no cylinder")
-    paths = cfg.paths or 100_000
-    n = cfg.n or 100
-    (est, mart, dia), = boundary_reports(2, (w,), n, paths, cfg.seed, snapshot=min(n, 60))
+    (est, mart, dia), = boundary_reports(2, (w,), n, paths, seed, snapshot=min(n, 60))
     exact = harmonic_measure_cylinder(2, w)
     sigma = max(np.sqrt(exact * (1 - exact) / max(est.n_paths - est.inconclusive_count, 1)), 1e-12)
     checks = [_check(f"cylinder [{w}] estimate within 4 sigma",
@@ -841,7 +829,7 @@ def _scenario_freewalk(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     return checks
 
 
-def _scenario_suite(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
+def _suite_checks(extra: dict) -> list[CheckResult]:
     # coverage counts this run's calls: an earlier run's catalog and sampler
     # pass are not reused
     _catalog_tuple.cache_clear()
@@ -866,34 +854,41 @@ def _scenario_suite(cfg: ExperimentConfig, extra: dict) -> list[CheckResult]:
     return checks
 
 
-# harmonic, cesaro, ncconv, stationary and decay are criteria 1, 2, 5, 12 and 13
-# run by their builders at configurable sizes
+# harmonic, cesaro, ncconv, stationary and decay: criteria 1, 2, 5, 12 and 13
 _SCENARIO_FUNCS = {
-    "harmonic": lambda cfg, extra: _harmonic_checks(cfg.resolve_pairs(), extra),
-    "cesaro": lambda cfg, extra: _cesaro_checks(cfg.resolve_pairs(), cfg.n or 1000,
-                                                cfg.trials or 10_000, extra),
-    "derriennic": _scenario_derriennic,
-    "ncconv": lambda cfg, extra: _ncconv_checks(cfg.resolve_pairs(), cfg.trials or 100,
-                                                cfg.seed, extra),
-    "freewalk": _scenario_freewalk,
-    "stationary": lambda cfg, extra: _stationary_checks(cfg.trials or 20, cfg.seed, extra),
-    "decay": lambda cfg, extra: _decay_checks(
-        cfg.n or 200, extra, cfg.out and os.path.join(cfg.out, "decay_srw.csv")),
-    "suite": _scenario_suite,
+    "harmonic": _harmonic_checks,
+    "cesaro": _cesaro_checks,
+    "derriennic": _derriennic_checks,
+    "ncconv": _ncconv_checks,
+    "freewalk": _freewalk_checks,
+    "stationary": _stationary_checks,
+    "decay": _decay_checks,
+    "suite": _suite_checks,
 }
 SCENARIOS = tuple(_SCENARIO_FUNCS)
+
+
+def scenario_fields(scenario: str) -> dict:
+    """The config fields a scenario reads, each with its default (None: unset):
+    seed and out, which every record echoes, then its builder's parameters."""
+    reads = {"seed": MASTER_SEED, "out": None}
+    for p in list(inspect.signature(_SCENARIO_FUNCS[scenario]).parameters.values())[1:]:
+        reads.update(dict.fromkeys(("group", "measure", "entry")) if p.name == "pairs"
+                     else {p.name: p.default})
+    return reads
 
 
 @operation
 def run(cfg: ExperimentConfig) -> RunRecord:
     """Execute a scenario and return its record; writes artifacts under cfg.out."""
-    if not cfg.out and os.environ.get("MUHARMONIC_OUT"):
-        cfg = replace(cfg, out=os.environ["MUHARMONIC_OUT"])
+    builder = _SCENARIO_FUNCS[cfg.scenario]
+    given = {name: cfg.resolve_pairs() if name == "pairs" else getattr(cfg, name)
+             for name in list(inspect.signature(builder).parameters)[1:]}
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
     record = RunRecord(scenario=cfg.scenario, config=cfg.echo())
     record.started = time.time()
-    record.checks = _SCENARIO_FUNCS[cfg.scenario](cfg, record.extra)
+    record.checks = builder(record.extra, **{k: v for k, v in given.items() if v is not None})
     record.finished = time.time()
     if cfg.out:
         path = os.path.join(cfg.out, f"record_{cfg.scenario}.json")

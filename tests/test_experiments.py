@@ -1,6 +1,7 @@
 import json
+import os
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ from muharmonic import (
 )
 from muharmonic.cli import main as cli_main
 from muharmonic.experiments import (
+    ACCEPTANCE,
     MASTER_SEED,
     OPERATION_NAMES,
+    SCENARIOS,
     _measure_from_spec,
     run_criterion,
 )
@@ -254,22 +257,94 @@ def test_derriennic_on_s5_runs_no_lp(monkeypatch):
     assert [c.name for c in record.checks] == ["custom: |a_N - quotient norm|"]
 
 
-def test_out_directory_env_override(tmp_path, monkeypatch):
+def test_out_directory_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MUHARMONIC_OUT", str(tmp_path / "envout"))
-    run(ExperimentConfig(scenario="decay", n=10))
+    assert cli_main(["decay", "--n", "10"]) == 0
     assert (tmp_path / "envout" / "record_decay.json").exists()
+    # the config file's directory comes before the environment's
+    cfg = tmp_path / "out.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "fileout")}))
+    assert cli_main(["decay", "--n", "10", "--config", str(cfg)]) == 0
+    assert (tmp_path / "fileout" / "record_decay.json").exists()
+
+
+def test_suite_writes_only_its_record_under_env_out(tmp_path, monkeypatch, capsys):
+    # criterion 15 runs freewalk and harmonic inside the suite; their records
+    # must not land in (and overwrite files of) the user's output directory
+    monkeypatch.setattr("muharmonic.experiments.ACCEPTANCE",
+                        tuple(c for c in ACCEPTANCE if c[0] == 15))
+    monkeypatch.setenv("MUHARMONIC_OUT", str(tmp_path))
+    cli_main(["suite"])  # its op-coverage check fails: only the files are checked
+    assert os.listdir(tmp_path) == ["record_suite.json"]
+
+
+# the config fields each scenario reads, written out so that a builder whose
+# parameters change is caught
+_READS = {
+    "harmonic": {"group", "measure", "entry", "seed", "out"},
+    "cesaro": {"group", "measure", "entry", "n", "trials", "seed", "out"},
+    "derriennic": {"group", "measure", "entry", "n", "seed", "out"},
+    "ncconv": {"group", "measure", "entry", "trials", "seed", "out"},
+    "freewalk": {"word", "paths", "n", "seed", "out"},
+    "stationary": {"trials", "seed", "out"},
+    "decay": {"n", "seed", "out"},
+    "suite": {"seed", "out"},
+}
+_SET = {"group": {"kind": "cyclic", "n": 6}, "measure": {"point": 2}, "seed": 7,
+        "out": "results", "paths": 10, "n": 10, "trials": 3, "word": "ab", "entry": "Z2_delta1"}
+
+
+def test_every_config_field_is_read_by_some_scenario():
+    assert set(_READS) == set(SCENARIOS)
+    names = {f.name for f in fields(ExperimentConfig)} - {"scenario"}
+    assert set().union(*_READS.values()) == names
+    assert sum(map(len, _READS.values())) == 37
+
+
+@pytest.mark.parametrize("scenario", sorted(_READS))
+def test_scenario_refuses_the_fields_it_does_not_read(scenario, tmp_path, capsys):
+    # every field it reads is taken (nothing runs here)...
+    ExperimentConfig(scenario=scenario, **{f: _SET[f] for f in _READS[scenario]})
+    cfg = tmp_path / "unread.json"
+    for field in sorted(set(_SET) - _READS[scenario]):
+        # ...a field it does not read is refused from a file, unless it holds its default...
+        cfg.write_text(json.dumps({field: _SET[field]}))
+        assert cli_main([scenario, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {field}: not read by {scenario}\n"
+        ExperimentConfig(scenario=scenario, **{field: {"word": "a"}.get(field)})
+        # ...and its flag, if it has one, is unknown to the subcommand
+        if field not in ("group", "measure"):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main([scenario, f"--{field}", str(_SET[field])])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: --{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["freewalk", "--entry", "Z2_delta1", "--trials", "3", "--paths", "500"],
+    ["suite", "--n", "5", "--paths", "3", "--entry", "Z2_delta1"],
+    ["harmonic", "--entry", "Z2_delta1", "--trials", "0"],
+])
+def test_unread_flags_exit_2_before_any_work(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv + ["--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_checks_itself_on_construction():
     with pytest.raises(ConfigError, match="^scenario: "):
         ExperimentConfig(scenario="bogus")
     with pytest.raises(ConfigError, match="^trials: expected a positive integer"):
-        ExperimentConfig(scenario="harmonic", trials=0)
-    cfg = ExperimentConfig(scenario="harmonic")
+        ExperimentConfig(scenario="ncconv", trials=0)
+    cfg = ExperimentConfig(scenario="cesaro")
     # frozen: a checked config cannot be turned into an unchecked one
     with pytest.raises(FrozenInstanceError):
         cfg.scenario = "bogus"
     assert replace(cfg, n=5).n == 5
+    with pytest.raises(ConfigError, match="^n: not read by harmonic$"):
+        replace(cfg, scenario="harmonic", n=5)
     with pytest.raises(ConfigError, match="^out: expected a string"):
         replace(cfg, out=5)
 
@@ -332,7 +407,7 @@ def test_cli_rejects_removed_window_key(tmp_path, capsys):
     (["cesaro", "--entry", "Z4_delta1", "--trials", "0"], "trials"),
     (["stationary", "--trials", "0"], "trials"),
     (["decay", "--n", "0"], "n"),
-    (["harmonic", "--entry", "Z2_delta1", "--trials", "0"], "trials"),
+    (["ncconv", "--trials", "0"], "trials"),
     # below 4 steps the decay checks have no terms to compare
     (["decay", "--n", "1"], "n"),
     (["decay", "--n", "3"], "n"),
@@ -356,6 +431,10 @@ def test_cli_ignored_spec_exits_2_with_field_path(spec, field, tmp_path, capsys)
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
+# a scenario that reads the field, so that the value is what gets refused
+_READER = {"group": "harmonic", "measure": "harmonic", "seed": "harmonic", "out": "harmonic",
+           "paths": "freewalk", "n": "decay", "trials": "stationary", "word": "freewalk",
+           "entry": "harmonic"}
 _BAD_VALUES = (
     ("group", ("cyclic", [6], True)),
     ("measure", ("point", [2], True)),
@@ -374,10 +453,10 @@ def test_bad_field_value_exits_2_naming_the_field(field, value, tmp_path, monkey
     monkeypatch.chdir(tmp_path)  # a wrongly accepted "out" must not write into the checkout
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({field: value}))
-    assert cli_main(["harmonic", "--config", str(cfg)]) == 2
+    assert cli_main([_READER[field], "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     if type(value) is int and field in ("seed", "paths", "n", "trials"):
-        assert cli_main(["harmonic", f"--{field}", str(value)]) == 2
+        assert cli_main([_READER[field], f"--{field}", str(value)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
 
 
@@ -402,13 +481,16 @@ def test_flags_override_the_file_and_null_is_unset(tmp_path):
     assert (echoed["n"], echoed["word"], echoed["seed"]) == (10, "a", MASTER_SEED)
 
 
-def test_readme_flags_sentence_lists_the_parser_flags(capsys):
+def test_readme_flag_table_lists_each_parser_flags(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sentence = readme[readme.index("Flags: "):]
-    sentence = sentence[:sentence.index(".  ")]
-    documented = re.findall(r"--\w+", sentence)
-    for scenario in muharmonic.experiments.SCENARIOS:
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*?) \|", readme, re.MULTILINE))
+    for scenario in SCENARIOS:
         with pytest.raises(SystemExit):
             cli_main([scenario, "--help"])
-        flags = dict.fromkeys(re.findall(r"--\w+", capsys.readouterr().out))
-        assert documented == [f for f in flags if f != "--help"], scenario
+        options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+        # (flag, default) in --help's order, the default empty when none is given
+        entries = re.findall(r"(--\w+) [A-Z]+ (.*?)(?= --\w+ [A-Z]+ |$)", options)
+        listed = [(flag, "".join(re.findall(r"\(default (\S+)\)$", text)))
+                  for flag, text in entries]
+        documented = re.findall(r"`(--\w+) [A-Z]+`(?: \(default (\S+)\))?", rows[scenario])
+        assert documented == listed, scenario
