@@ -17,7 +17,8 @@ from .errors import CapacityError, ConfigError
 from .experiments import SCENARIOS, ExperimentConfig, run, scenario_fields
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each scenario's subcommand parser."""
     parser = argparse.ArgumentParser(
         prog="muharmonic",
         description="run harmonic-analysis experiments on groups, lattices and free groups",
@@ -29,10 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
         reads = scenario_fields(name)
         for f in fields(ExperimentConfig):
             if f.metadata.get("help") and f.name in reads:
+                text = f.metadata["help"]
+                if isinstance(text, dict):  # a field whose meaning depends on the scenario
+                    text = text[name]
                 default = "" if reads[f.name] is None else f" (default {reads[f.name]})"
-                p.add_argument(f"--{f.name}", type=f.metadata["kind"].type,
-                               help=f.metadata["help"] + default)
-    return parser
+                p.add_argument(f"--{f.name}", type=f.metadata["kind"].type, help=text + default)
+    return parser, sub.choices
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -54,8 +57,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, subcommands = _build_parser()
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # refused by the subcommand, with its usage: the flags it does take
+        subcommands[args.scenario].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         cfg = _config_from_args(args)
         record = run(cfg)

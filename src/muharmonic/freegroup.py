@@ -106,6 +106,26 @@ def _packed_ball(k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(spheres), lengths
 
 
+def _packed_neighbors(k: int, letters: np.ndarray,
+                      lengths: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The neighbours g s of packed words g, as (letters, lengths) for each s.
+
+    s runs over the generators and then their inverses, the order of
+    `neighbors`: g s pops the last letter of g when it is s^{-1} and pushes
+    s otherwise (a popped letter stays in its row, past the new length).
+    Each row needs a free column after its word, as `_packed_ball` leaves.
+    """
+    rows = np.arange(len(lengths))
+    last = letters[rows, np.maximum(lengths - 1, 0)]
+    out = []
+    for s in [*range(1, k + 1), *range(-1, -k - 1, -1)]:
+        cancel = (lengths > 0) & (last == -s)
+        nb = letters.copy()
+        nb[rows[~cancel], lengths[~cancel]] = s
+        out.append((nb, lengths + np.where(cancel, -1, 1)))
+    return out
+
+
 @operation
 def free_ball(k: int, r: int) -> list[FreeWord]:
     """All reduced words of length <= r, in breadth-first order.

@@ -9,6 +9,16 @@ exactly zero (the catalog's measures and their operators) is factorized in
 real arithmetic, at about half the cost, and the factors are returned as
 complex128; complex data keeps the complex SVD.  `kernel_and_range` takes
 the kernel and the range of a square matrix from a single factorization.
+
+Kernels and ranges factorize a matrix block by block: the columns that
+share a nonzero row form one block, with the rows they touch, and each
+block gets its own SVD.  The rank cutoff stays global, relative to the
+largest singular value of any block, so the result is that of the whole
+matrix; a matrix whose nonzero pattern is one block with no zero row is
+factorized whole, bit for bit as before.  The blocks are read from the
+entries alone: an averaging operator of a measure whose support generates
+a proper subgroup splits into one block per orbit, and nothing here is
+told so.
 """
 
 from __future__ import annotations
@@ -53,14 +63,12 @@ class Subspace:
         return f"Subspace(rank={self.rank}, ambient={self.ambient_dim})"
 
 
-def _cutoff(singular_values: np.ndarray, rel_tol: float) -> float:
+def _cutoff(sigma_max: float, rel_tol: float) -> float:
     # relative to the largest singular value, floored at rel_tol itself:
     # the operators here are unit-scale (stochastic matrices, permutation
     # representations, and their differences), so a sigma_max at roundoff
     # level means the matrix is genuinely zero
-    if singular_values.size == 0:
-        return rel_tol
-    return rel_tol * max(float(singular_values[0]), 1.0)
+    return rel_tol * max(sigma_max, 1.0)
 
 
 def _svd(a: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -72,7 +80,74 @@ def _svd(a: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _rank(s: np.ndarray, rel_tol: float) -> int:
-    return int(np.sum(s > _cutoff(s, rel_tol)))
+    return int(np.sum(s > _cutoff(float(s[0]) if s.size else 0.0, rel_tol)))
+
+
+def _blocks(a: np.ndarray):
+    """(rows, cols) of each connected block of the nonzero pattern of a.
+
+    Columns sharing a nonzero row are in one block; a zero column is a block
+    with no rows, and a zero row is in none.  Each column is labelled by the
+    smallest column of its block: the labels pass to the rows and back, as
+    minima over the nonzero entries, with pointer jumping, until they hold
+    still.  Blocks come in the order of their smallest column, and list
+    their rows and columns in increasing order.
+    """
+    m, n = a.shape
+    r, c = np.divmod(np.flatnonzero(a != 0), n)
+    col = np.arange(n)
+    row = np.full(m, n)  # zero rows keep the label n, past every block
+    while True:
+        # column labels only fall, so the row minima may accumulate
+        np.minimum.at(row, r, col[c])
+        nxt = col.copy()
+        np.minimum.at(nxt, c, row[r])
+        nxt = nxt[nxt]
+        if (nxt == col).all():
+            break
+        col = nxt
+    labels = np.flatnonzero(col == np.arange(n))
+    col_ends = np.cumsum(np.bincount(col, minlength=n)[labels]).tolist()
+    row_ends = np.cumsum(np.bincount(row, minlength=n + 1)[labels]).tolist()
+    col_order = np.argsort(col, kind="stable")
+    row_order = np.argsort(row, kind="stable")
+    for i in range(labels.size):
+        yield (row_order[row_ends[i - 1] if i else 0:row_ends[i]],
+               col_order[col_ends[i - 1] if i else 0:col_ends[i]])
+
+
+def _factor(a: np.ndarray, rel_tol: float, full_when_wide: bool):
+    """SVD (rows, cols, u, s, vh) of each block of a, and the common rank cutoff.
+
+    full_when_wide asks for the full V of a wide block, whose kernel it spans.
+    """
+    parts = []
+    for rows, cols in _blocks(a):
+        u, s, vh = _svd(a[rows[:, None], cols],
+                        full_matrices=full_when_wide and rows.size < cols.size)
+        parts.append((rows, cols, u, s, vh))
+    sigma_max = max((float(s[0]) for *_, s, _ in parts if s.size), default=0.0)
+    return parts, _cutoff(sigma_max, rel_tol)
+
+
+def _scatter(dim: int, pieces) -> np.ndarray:
+    """Rows given on coordinate subsets, as one (count, dim) array."""
+    out = np.zeros((sum(len(rows) for _, rows in pieces), dim), dtype=np.complex128)
+    at = 0
+    for idx, rows in pieces:
+        out[at:at + len(rows), idx] = rows
+        at += len(rows)
+    return out
+
+
+def _null_rows(n: int, parts, cutoff: float) -> np.ndarray:
+    # rows of each vh beyond its rank are conjugated kernel vectors
+    return _scatter(n, [(cols, vh[np.sum(s > cutoff):].conj())
+                        for _, cols, _, s, vh in parts])
+
+
+def _range_rows(m: int, parts, cutoff: float) -> np.ndarray:
+    return _scatter(m, [(rows, u[:, :np.sum(s > cutoff)].T) for rows, _, u, s, _ in parts])
 
 
 def span_of_rows(rows: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
@@ -86,31 +161,28 @@ def span_of_rows(rows: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace
 
 
 def kernel(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
-    """Null space {v : a v = 0} via SVD with relative cutoff."""
+    """Null space {v : a v = 0}, one SVD per block, with relative cutoff."""
     a = np.asarray(a, dtype=np.complex128)
-    m, n = a.shape
-    # a tall matrix already yields all n right singular vectors in thin form;
-    # only wide matrices need the full V to expose the nullspace
-    _, s, vh = _svd(a, full_matrices=m < n)
-    # rows of vh beyond the rank are conjugated basis vectors of the kernel
-    return Subspace(n, vh[_rank(s, rel_tol):].conj().copy(), rel_tol)
+    # a tall block already yields all its right singular vectors in thin
+    # form; only wide blocks need the full V to expose their nullspace
+    parts, cutoff = _factor(a, rel_tol, full_when_wide=True)
+    return Subspace(a.shape[1], _null_rows(a.shape[1], parts, cutoff), rel_tol)
 
 
 def column_space(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
     """Range of the matrix (its column span), stored as orthonormal rows."""
     a = np.asarray(a, dtype=np.complex128)
-    u, s, _ = _svd(a, full_matrices=False)
-    return Subspace(a.shape[0], u[:, : _rank(s, rel_tol)].T.copy(), rel_tol)
+    parts, cutoff = _factor(a, rel_tol, full_when_wide=False)
+    return Subspace(a.shape[0], _range_rows(a.shape[0], parts, cutoff), rel_tol)
 
 
 def kernel_and_range(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> tuple[Subspace, Subspace]:
-    """kernel(a) and column_space(a) of a square matrix, from one SVD."""
+    """kernel(a) and column_space(a) of a square matrix, from one factorization."""
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    u, s, vh = _svd(a, full_matrices=False)
-    r = _rank(s, rel_tol)
-    return (Subspace(n, vh[r:].conj().copy(), rel_tol),
-            Subspace(n, u[:, :r].T.copy(), rel_tol))
+    m, n = a.shape
+    parts, cutoff = _factor(a, rel_tol, full_when_wide=True)
+    return (Subspace(n, _null_rows(n, parts, cutoff), rel_tol),
+            Subspace(m, _range_rows(m, parts, cutoff), rel_tol))
 
 
 def mutual_residual(a: Subspace, b: Subspace) -> float:

@@ -26,7 +26,7 @@ from ._ops import operation
 from .groups import FiniteGroup, same_group
 from .measures import FiniteMeasure, ZWindow
 from .operators import GSpaceAction, gspace_markov_matrix
-from .freegroup import FreeWord, empty_word, free_mul, neighbors, word
+from .freegroup import FreeWord, empty_word, free_mul, word
 from .subspaces import kernel
 
 CHUNK_SIZE = 10_000
@@ -485,14 +485,3 @@ def subharmonic_check(h: np.ndarray, g: FiniteGroup, mu: FiniteMeasure) -> Subha
     h = np.asarray(h, dtype=float)
     averaged = (right_markov_matrix(g, mu).entries.real @ h).real
     return SubharmonicReport(float((h - averaged).max()), g.order)
-
-
-def subharmonic_check_free(h_fn, k: int, samples) -> SubharmonicReport:
-    """Same inequality for the simple walk on a free group, over sample words."""
-    worst = -np.inf
-    count = 0
-    for g in samples:
-        avg = sum(h_fn(nb) for nb in neighbors(g)) / (2 * k)
-        worst = max(worst, h_fn(g) - avg)
-        count += 1
-    return SubharmonicReport(float(worst), count)

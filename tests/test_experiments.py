@@ -333,6 +333,31 @@ def test_unread_flags_exit_2_before_any_work(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_unread_flag_is_reported_with_the_subcommand_usage(capsys):
+    # the subcommand refuses it, so the usage shown lists the flags it does take
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["freewalk", "--entry", "Z2_delta1", "--trials", "3", "--paths", "500"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: muharmonic freewalk ")
+    assert err.endswith("muharmonic freewalk: error: unrecognized arguments: "
+                        "--entry Z2_delta1 --trials 3\n")
+
+
+@pytest.mark.parametrize("scenario, meaning, others", [
+    ("ncconv", "random trials per entry", ("coset actions", "n_max")),
+    ("stationary", "random coset actions", ("trials per entry", "n_max")),
+    ("cesaro", "horizon n_max of the Cesaro gap diagnostic", ("trials per entry",
+                                                              "coset actions")),
+])
+def test_trials_help_gives_its_scenarios_meaning_only(scenario, meaning, others, capsys):
+    with pytest.raises(SystemExit):
+        cli_main([scenario, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--trials TRIALS {meaning}" in text
+    assert not any(other in text for other in others)
+
+
 def test_config_checks_itself_on_construction():
     with pytest.raises(ConfigError, match="^scenario: "):
         ExperimentConfig(scenario="bogus")

@@ -11,7 +11,7 @@ from muharmonic import (
     neighbors,
     word,
 )
-from muharmonic.freegroup import _packed_ball
+from muharmonic.freegroup import _packed_ball, _packed_neighbors
 
 
 def test_cancellation_examples():
@@ -112,3 +112,14 @@ def test_neighbors_are_the_products_with_each_generator():
     gens = [word(3, (s,)) for s in (1, 2, 3, -1, -2, -3)]
     for g in free_ball(3, 3):
         assert neighbors(g) == [free_mul(g, s) for s in gens]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_packed_neighbors_are_neighbors(k):
+    letters, lengths = _packed_ball(k, 3)
+    before = letters.copy()
+    nbrs = _packed_neighbors(k, letters, lengths)
+    assert np.array_equal(letters, before)
+    packed = [[tuple(nb[i, :nb_len[i]].tolist()) for nb, nb_len in nbrs]
+              for i in range(len(lengths))]
+    assert packed == [[h.letters for h in neighbors(g)] for g in free_ball(k, 3)]

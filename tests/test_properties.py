@@ -12,6 +12,8 @@ from muharmonic import (
     build_group,
     coboundary_ideal,
     convolve,
+    generated_subgroup,
+    harmonic_space,
     l1_distance,
     predual_action,
     quotient_norm,
@@ -115,3 +117,19 @@ def test_quotient_norm_equals_the_lp(spec, data):
     ideal = coboundary_ideal(g, FiniteMeasure(g, (w / w.sum()).astype(np.complex128)))
     x = rng.standard_normal(g.order)
     assert abs(quotient_norm(x, ideal) - l1_distance(x, ideal)) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(GROUP_SPECS, st.data())
+def test_harmonic_rank_is_the_coset_count(spec, data):
+    # Choquet-Deny on a finite group: the mu-harmonic functions are the
+    # functions constant on the left cosets of H = <supp mu>; a support that
+    # does not generate G makes I - M block-diagonal, one block per coset
+    g = _group(spec)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = np.zeros(g.order)
+    support = rng.permutation(g.order)[:data.draw(st.integers(1, min(3, g.order)))]
+    w[support] = rng.random(support.size) + 1e-3
+    mu = FiniteMeasure(g, (w / w.sum()).astype(np.complex128))
+    h = generated_subgroup(g, support.tolist())
+    assert harmonic_space(right_markov_matrix(g, mu)).rank == g.order // h.order

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muharmonic import (
+    Subspace,
     catalog,
+    catalog_entry,
     column_space,
     kernel,
     kernel_and_range,
@@ -102,26 +106,27 @@ def test_kernel_and_range_is_bitwise_kernel_and_column_space(a):
 
 
 def _spy_svd(monkeypatch) -> list:
-    dtypes = []
+    """The list of matrices handed to np.linalg.svd from here on."""
+    seen = []
     svd = np.linalg.svd
 
     def spy(a, *args, **kwargs):
-        dtypes.append(np.asarray(a).dtype)
+        seen.append(np.asarray(a))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(subspaces.np.linalg, "svd", spy)
-    return dtypes
+    return seen
 
 
 def test_real_data_takes_the_real_svd_and_complex_data_the_complex_one(monkeypatch):
-    dtypes = _spy_svd(monkeypatch)
+    seen = _spy_svd(monkeypatch)
     a = _shifted(catalog()[5]).astype(np.complex128)
     kernel(a), column_space(a), span_of_rows(a), kernel_and_range(a)
-    assert dtypes == [np.float64] * 4
-    dtypes.clear()
+    assert [x.dtype for x in seen] == [np.float64] * 4
+    seen.clear()
     c = _complex_matrix()
     kernel(c), column_space(c), span_of_rows(c), kernel_and_range(c)
-    assert dtypes == [np.complex128] * 4
+    assert [x.dtype for x in seen] == [np.complex128] * 4
 
 
 @pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
@@ -135,3 +140,98 @@ def test_real_and_complex_paths_give_the_same_subspaces(e, monkeypatch):
         assert r.basis.dtype == c.basis.dtype == np.complex128
         assert r.rank == c.rank
         assert mutual_residual(r, c) <= 1e-12
+
+
+# ---------------------------------------------------------- block kernels
+
+def _dense_kernel(a: np.ndarray) -> np.ndarray:
+    """Oracle: the kernel of the whole matrix from one dense SVD, global cutoff."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    cutoff = subspaces.DEFAULT_REL_TOL * max(float(s[0]) if s.size else 0.0, 1.0)
+    return vh[int(np.sum(s > cutoff)):].conj()
+
+
+def _random_block(rng, m, n, svals, is_complex):
+    """An m x n block with the given nonzero singular values on random frames.
+
+    Every entry is nonzero almost surely, so the block is one block of the
+    nonzero pattern.
+    """
+    def frame(k):
+        x = rng.standard_normal((k, k))
+        if is_complex:
+            x = x + 1j * rng.standard_normal((k, k))
+        return np.linalg.qr(x)[0]
+    return (frame(m)[:, :len(svals)] * svals) @ frame(n)[:, :len(svals)].conj().T
+
+
+@st.composite
+def _block_diagonal_matrices(draw):
+    """Random blocks on the diagonal, zero rows and columns, rows and columns permuted.
+
+    Blocks are tall, wide or square, some rank deficient, all real or all
+    complex, with nonzero singular values in [0.1, 10].  Optionally the
+    first block's largest singular value is raised to 100 or 1000 and a
+    further block gets singular values a factor 30 below the global cutoff,
+    where a cutoff taken per block would count them, or a factor 1e5 above
+    it.  (Closer above the cutoff the dense oracle's kernel is itself
+    perturbed by about eps * sigma_max / sigma, over 1e-9.)
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    is_complex = draw(st.booleans())
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        svals = rng.uniform(0.1, 10.0, draw(st.integers(1, min(m, n))))
+        if not blocks and draw(st.booleans()):
+            svals[0] = sigma_max = float(draw(st.sampled_from([100.0, 1000.0])))
+            k = draw(st.integers(1, 3))
+            side = draw(st.sampled_from([1 / 30, 1e5]))
+            blocks.append(_random_block(rng, k, k, np.full(k, side * 1e-10 * sigma_max),
+                                        is_complex))
+        blocks.append(_random_block(rng, m, n, svals, is_complex))
+    m = sum(b.shape[0] for b in blocks) + draw(st.integers(0, 3))  # zero rows
+    n = sum(b.shape[1] for b in blocks) + draw(st.integers(0, 3))  # zero columns
+    a = np.zeros((m, n), dtype=np.complex128 if is_complex else np.float64)
+    i = j = 0
+    for b in blocks:
+        a[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i, j = i + b.shape[0], j + b.shape[1]
+    return a[rng.permutation(m)][:, rng.permutation(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_diagonal_matrices())
+def test_block_kernel_matches_the_dense_kernel(a):
+    k = kernel(a)
+    oracle = _dense_kernel(a)
+    assert k.rank == oracle.shape[0]
+    assert k.basis.shape == (oracle.shape[0], a.shape[1])
+    assert np.abs(k.basis @ k.basis.conj().T - np.eye(k.rank)).max(initial=0.0) < 1e-12
+    assert mutual_residual(k, Subspace(a.shape[1], oracle, k.tol)) <= 1e-9
+
+
+@pytest.mark.parametrize("a", [_shifted(catalog_entry("S4_two_gens")), _complex_matrix(),
+                               _complex_matrix()[:4], _complex_matrix()[:, :4]],
+                         ids=["S4_two_gens", "complex_square", "complex_wide", "complex_tall"])
+def test_one_block_is_factorized_whole_bitwise(a):
+    # a matrix whose nonzero pattern is one block, with no zero row, gets the
+    # dense SVD of the whole matrix: the same input, hence the same bits
+    m, n = a.shape
+    _, s, vh = subspaces._svd(a.astype(np.complex128), full_matrices=m < n)
+    dense = vh[subspaces._rank(s, subspaces.DEFAULT_REL_TOL):].conj()
+    assert kernel(a).basis.tobytes() == dense.tobytes()
+
+
+def test_operator_criterion_factorizes_nothing_above_24(monkeypatch):
+    # pi_mu - I on S4 is 576 x 576 but splits into 24 blocks of 24 x 24; the
+    # S3 commutant stack (six 36 x 36 Sylvester blocks, one per member of H)
+    # splits into 30 x 6 blocks, the identity's rows being zero
+    from muharmonic.experiments import _crit_operator_harmonic
+
+    seen = _spy_svd(monkeypatch)
+    assert all(c.passed for c in _crit_operator_harmonic())
+    shapes = [x.shape for x in seen]
+    assert shapes
+    assert max(cols for _, cols in shapes) <= 24
+    assert max(rows * cols for rows, cols in shapes) <= 24 * 24

@@ -15,14 +15,13 @@ from muharmonic import (
     simple_random_walk_z,
     srw,
     stationary_measure,
-    subharmonic_check_free,
     symmetric_group,
     translation_action,
     trivial_action,
     uniform_on,
     word,
 )
-from muharmonic.freegroup import FreeWord, _packed_ball
+from muharmonic.freegroup import FreeWord, _packed_ball, _packed_neighbors
 from muharmonic.walks import _chunk_seeds, _gens_array, _poisson_values, _simulate_chunk
 
 W_A = word(2, (1,))
@@ -360,11 +359,20 @@ def test_subharmonic_free_max():
     letters, lengths = _packed_ball(2, 7)
     ball = free_ball(2, 7)
     h1 = dict(zip(ball, _poisson_values(2, W_A.letters, letters, lengths)))
-    h2 = dict(zip(ball, _poisson_values(2, (-2,), letters, lengths)))
     for g in (ball[0], ball[-1], word(2, (1, 2, -1))):
         assert h1[g] == poisson_extension(2, W_A, g)
-    inner = [g for g in ball if len(g) <= 6]
-    report = subharmonic_check_free(lambda g: max(h1[g], h2[g]), 2, inner)
-    assert report.max_violation <= 1e-12
-    harmonic_report = subharmonic_check_free(h1.__getitem__, 2, inner)
-    assert abs(harmonic_report.max_violation) <= 1e-12
+    # on ball(6): the max of two extensions is subharmonic, an extension harmonic
+    letters, lengths = _packed_ball(2, 6)
+    nbrs = _packed_neighbors(2, letters, lengths)
+
+    def violation(h):
+        return (h(letters, lengths) - sum(h(*nb) for nb in nbrs) / 4).max()
+
+    def h_a(words, lens):
+        return _poisson_values(2, W_A.letters, words, lens)
+
+    def h_max(words, lens):
+        return np.maximum(h_a(words, lens), _poisson_values(2, (-2,), words, lens))
+
+    assert violation(h_max) <= 1e-12
+    assert abs(violation(h_a)) <= 1e-12
