@@ -130,7 +130,6 @@ from .walks import (
     srw,
     stationary_measure,
     subharmonic_check,
-    walk_path_to_csv,
 )
 from .experiments import (
     ACCEPTANCE,

@@ -8,11 +8,15 @@ for bit and memory stays one chunk's worth.
 The free-group experiments read only |X_n| and the first |w| letters of
 X_n, so the sampler runs the simple walk as its length chain (a
 birth-death chain with drift (2k-2)/2k) and stores just those letters.
-It draws one uniform r in [0, 2k) per path-step; this stream replaced a
-sampler that kept whole words and drew the step's generator directly, so
-Monte Carlo values differ from records made before that change.  One pass
-feeds all three boundary reports of every cylinder asked for: the
-cylinder frequency, the martingale check and the averaged square.
+Each path-step reads one raw byte u of the chunk's PCG64 (its 64-bit
+words taken little-endian, so the stream is the same on every platform)
+and maps it to r = (u * 2k) >> 8 in [0, 2k), Lemire's multiply-shift; a
+byte whose low product byte falls below 256 mod 2k is redrawn, so r is
+exactly uniform.  For k = 2 no byte is ever redrawn.  Chunks hold 25,000
+paths.  Records made before this stream (which drew r with
+`Generator.integers` in chunks of 10,000) have other Monte Carlo values.
+One pass feeds all three boundary reports of every cylinder asked for:
+the cylinder frequency, the martingale check and the averaged square.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .operators import GSpaceAction, gspace_markov_matrix
 from .freegroup import FreeWord, empty_word, free_mul, word
 from .subspaces import kernel
 
-CHUNK_SIZE = 10_000
+CHUNK_SIZE = 25_000
 DEFAULT_MARGIN = 10
 
 
@@ -74,18 +78,6 @@ class WalkPath:
 
     def __len__(self):
         return len(self.increments)
-
-
-def walk_path_to_csv(path: WalkPath, file) -> None:
-    """Audit trace: one (step, increment, position) row per step."""
-    import csv
-
-    with open(file, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "increment", "position"])
-        writer.writerow([0, "", str(path.positions[0])])
-        for m, (inc, pos) in enumerate(zip(path.increments, path.positions[1:]), start=1):
-            writer.writerow([m, str(inc), str(pos)])
 
 
 @operation
@@ -163,12 +155,47 @@ def _gens_array(k: int) -> np.ndarray:
     return np.array(list(range(1, k + 1)) + [-i for i in range(1, k + 1)], dtype=np.int16)
 
 
+def _check_rank(k: int) -> None:
+    # a step is drawn from one byte, which has room for 2k <= 256 values
+    if not 1 <= k <= 128:
+        raise ValueError(f"free-group rank k={k} is outside 1..128")
+
+
+def _raw_bytes(bitgen, n: int) -> np.ndarray:
+    """The next n raw bytes of bitgen: ceil(n / 8) words, read little-endian."""
+    return bitgen.random_raw((n + 7) // 8).astype("<u8", copy=False).view(np.uint8)[:n]
+
+
+def _draw_steps(bitgen, two_k: int, n: int) -> np.ndarray:
+    """n uniform int16 values in [0, two_k), two_k <= 256, from raw bytes.
+
+    Lemire's multiply-shift: byte u gives the product u * two_k, whose high
+    byte is the value.  A product whose low byte is below 256 mod two_k is
+    redrawn, at its own position only, which leaves floor(256 / two_k)
+    accepted bytes on each value.
+    """
+    # the product is taken in uint16 by dtype, not by the promotion rules of
+    # the numpy at hand (NumPy 1 would keep a uint8 array times a small
+    # scalar in uint8, and wrap)
+    prod = np.multiply(_raw_bytes(bitgen, n), two_k, dtype=np.uint16)
+    limit = 256 % two_k
+    if limit:
+        redo = np.flatnonzero((prod & 255) < limit)
+        while redo.size:
+            fresh = np.multiply(_raw_bytes(bitgen, redo.size), two_k, dtype=np.uint16)
+            prod[redo] = fresh
+            redo = redo[(fresh & 255) < limit]
+    prod >>= 8
+    return prod.view(np.int16)  # every value is below 256
+
+
 def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depths=None,
                     snapshot=None):
     """Simulate n_paths simple-walk trajectories on the length chain.
 
     From a nonempty reduced word exactly one of the 2k steps cancels, so
-    each path-step draws one r uniform in [0, 2k): for a path of length
+    each path-step draws one r uniform in [0, 2k) (`_draw_steps`, from the
+    raw bytes of rng's bit generator): for a path of length
     L > 0, r == 0 cancels the last letter and otherwise pushes letter index
     (inv(top) + r) mod 2k, uniform over the 2k - 1 letters that do not
     cancel; at L == 0 it pushes letter index r.  Letter indices follow
@@ -185,7 +212,9 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
     below d + 1 after that, whose first min(d, keep) letters are final.
     `snap` is (prefix, lengths) after `snapshot` steps, or None.
     """
+    _check_rank(k)
     two_k = 2 * k
+    bitgen = rng.bit_generator
     gens = _gens_array(k)
     depths = (keep,) if depths is None else depths
     prefix = np.zeros((n_paths, keep), dtype=np.int16)
@@ -195,7 +224,7 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
     for step in range(n_steps):
         if step == snapshot:
             snap = (gens[prefix], lengths.copy())
-        r = rng.integers(0, two_k, size=n_paths, dtype=np.int16)
+        r = _draw_steps(bitgen, two_k, n_paths)
         low = np.flatnonzero(lengths < keep)
         if low.size:
             depth = lengths[low]
@@ -228,10 +257,14 @@ def _poisson_values(k, w_letters, words, lengths):
     subtree), and h = ((2k-1)/2k) q^{-d} otherwise.
     """
     m = len(w_letters)
-    width = min(m, words.shape[1])
-    match = words[:, :width] == np.asarray(w_letters[:width])
-    match &= np.arange(width) < lengths[:, None]
-    lcp = match.cumprod(axis=1).sum(axis=1)
+    # lcp: the length of the common prefix of w and each vertex, one column
+    # at a time (a cumprod along rows this short pays per row)
+    lcp = np.zeros(len(lengths), dtype=np.int64)
+    agree = np.ones(len(lengths), dtype=bool)
+    for j in range(min(m, words.shape[1])):
+        agree &= words[:, j] == w_letters[j]
+        agree &= lengths > j
+        lcp += agree
     q = float(2 * k - 1)
     q_d = q ** (2 * lcp - lengths - m)  # q^{-d}
     return np.where(lcp == m, 1.0 - q_d / (2 * k), (q / (2 * k)) * q_d)
@@ -331,6 +364,7 @@ def boundary_reports(
       free group separates the two products.
     Chunks run in order, each reduced to per-word sums before the next.
     """
+    _check_rank(k)
     words = tuple(words)
     if not words:
         raise ValueError("give at least one cylinder word")
@@ -349,7 +383,9 @@ def boundary_reports(
             k, n_steps, size, np.random.default_rng(child), depths[-1], margin, depths, snapshot)
         for acc, w_arr, row in zip(sums, letters, rows):
             ok = stable[row]
-            inside = ok & (prefix[:, :len(w_arr)] == w_arr).all(axis=1)
+            inside = ok.copy()
+            for j, letter in enumerate(w_arr):  # by column: rows are short
+                inside &= prefix[:, j] == letter
             close = np.abs(_poisson_values(k, w_arr, prefix, lengths) - inside) < threshold
             h_snap = _poisson_values(k, w_arr, snap_prefix, snap_lengths)
             sq = h_snap * h_snap

@@ -22,7 +22,13 @@ from muharmonic import (
     word,
 )
 from muharmonic.freegroup import FreeWord, _packed_ball, _packed_neighbors
-from muharmonic.walks import _chunk_seeds, _gens_array, _poisson_values, _simulate_chunk
+from muharmonic.walks import (
+    _chunk_seeds,
+    _draw_steps,
+    _gens_array,
+    _poisson_values,
+    _simulate_chunk,
+)
 
 W_A = word(2, (1,))
 W_AB = word(2, (1, 2))
@@ -115,6 +121,32 @@ def test_vectorized_h_matches_scalar():
         assert abs(h_vec[i] - poisson_extension(2, W_AB, g)) < 1e-13
 
 
+def _poisson_values_by_cumprod(k, w_letters, words, lengths):
+    """Oracle: the closed form with the common prefix taken by a row cumprod."""
+    m = len(w_letters)
+    width = min(m, words.shape[1])
+    match = words[:, :width] == np.asarray(w_letters[:width])
+    match &= np.arange(width) < lengths[:, None]
+    lcp = match.cumprod(axis=1).sum(axis=1)
+    q = float(2 * k - 1)
+    q_d = q ** (2 * lcp - lengths - m)
+    return np.where(lcp == m, 1.0 - q_d / (2 * k), (q / (2 * k)) * q_d)
+
+
+def test_poisson_values_are_bitwise_the_cumprod_form():
+    words_arr, lengths, _, (snap_words, snap_lengths) = _simulate_chunk(
+        2, 30, 2000, np.random.default_rng(33), 3, snapshot=4)
+    ball, ball_lengths = _packed_ball(2, 5)
+    cases = [(words_arr, lengths), (snap_words, snap_lengths), (ball, ball_lengths),
+             (words_arr[:, :1], lengths)]
+    for w in ((1,), (1, 2), (-2, 1, 1), (2, -1, -1, 2, 2)):
+        for letters in (w, np.array(w, dtype=np.int16)):
+            for words, lens in cases:
+                got = _poisson_values(2, letters, words, lens)
+                assert got.tobytes() == _poisson_values_by_cumprod(2, letters, words,
+                                                                   lens).tobytes()
+
+
 def test_sampler_prefix_matches_full_words():
     # the draws do not depend on keep: a short prefix is the start of the full word
     for k, keep in ((2, 1), (2, 3), (3, 2)):
@@ -123,6 +155,77 @@ def test_sampler_prefix_matches_full_words():
         assert short[0].shape == (500, keep)
         assert np.array_equal(short[0], full[0][:, :keep])
         assert np.array_equal(short[1], full[1])
+
+
+class _Rounds:
+    """A bit-generator stand-in: the 256 byte values in order on the first call,
+    zero bytes on the second, 0xFF bytes after that."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        if len(self.sizes) == 1:
+            return np.arange(8 * size, dtype=np.uint8).view("<u8").astype(np.uint64)
+        return np.full(size, 0 if len(self.sizes) == 2 else 2**64 - 1, dtype=np.uint64)
+
+
+def test_accepted_bytes_cover_each_value_equally():
+    # byte 0 is rejected whenever any byte is, and byte 255 never is (it maps
+    # to s - 1): the rejected positions are redrawn twice, and each value
+    # below s - 1 counts accepted bytes of the first round only
+    for s in range(1, 257):
+        source = _Rounds()
+        r = _draw_steps(source, s, 256)
+        assert r.dtype == np.int16
+        counts = np.bincount(r, minlength=s)
+        assert counts.size == s
+        assert (counts[:-1] == 256 // s).all(), s
+        assert counts[-1] == 256 // s + 256 % s, s
+        redraw = (256 % s + 7) // 8
+        assert source.sizes == ([32, redraw, redraw] if redraw else [32]), s
+
+
+def test_draws_read_the_words_little_endian():
+    words = np.random.default_rng(40).bit_generator.random_raw(3)
+    expected = [b * 4 >> 8 for w in words for b in int(w).to_bytes(8, "little")][:20]
+    r = _draw_steps(np.random.default_rng(40).bit_generator, 4, 20)
+    assert r.tolist() == expected
+
+
+def test_rejected_bytes_redraw_the_same_way_for_a_seed():
+    # 2k = 6 rejects 4 of the 256 bytes: redraws read further words, and the
+    # same seed gives the same draws and the same paths
+    n = 20_000
+    bitgen = np.random.default_rng(41).bit_generator
+    r = _draw_steps(bitgen, 6, n)
+    again = np.random.default_rng(41).bit_generator
+    assert np.array_equal(r, _draw_steps(again, 6, n))
+    nxt = bitgen.random_raw()
+    assert nxt == again.random_raw()
+    # the redraws read words past the first ceil(n / 8), at least one per 8
+    # bytes rejected on the first pass
+    words = np.random.default_rng(41).bit_generator.random_raw((n + 7) // 8 + 100)
+    first = words[:(n + 7) // 8].astype("<u8").view(np.uint8)[:n].astype(int) * 6
+    rejected = int(((first & 255) < 4).sum())
+    assert rejected > 0
+    assert words.tolist().index(nxt) >= (n + 7) // 8 + (rejected + 7) // 8
+    counts = np.bincount(r, minlength=6)
+    assert counts.size == 6
+    assert np.abs(counts - n / 6).max() < 4 * np.sqrt(n * (1 / 6) * (5 / 6))
+    a = _simulate_chunk(3, 40, 500, np.random.default_rng(42), keep=3)
+    b = _simulate_chunk(3, 40, 500, np.random.default_rng(42), keep=3)
+    for x, y in zip(a[:3], b[:3]):
+        assert np.array_equal(x, y)
+
+
+def test_sampler_refuses_a_rank_above_128():
+    with pytest.raises(ValueError, match="k=129"):
+        _simulate_chunk(129, 5, 10, np.random.default_rng(43), keep=1)
+    with pytest.raises(ValueError, match="k=129"):
+        boundary_reports(129, (word(129, (1,)),), 5, 10, seed=1, snapshot=5)
+    assert _simulate_chunk(128, 5, 10, np.random.default_rng(43), keep=1)[1].shape == (10,)
 
 
 def test_sampler_full_words_are_reduced():
@@ -337,21 +440,6 @@ def test_stationary_examples():
     z3 = cyclic_group(3)
     rep_z3 = stationary_measure(translation_action(z3), point_mass(z3, 1))
     assert np.abs(rep_z3.measure.weights.real - 1 / 3).max() < 1e-15
-
-
-def test_walk_path_csv(tmp_path):
-    import csv
-
-    from muharmonic import walk_path_to_csv
-
-    z4 = cyclic_group(4)
-    path = sample_path(z4, point_mass(z4, 1), 0, 5, seed=3)
-    file = tmp_path / "path.csv"
-    walk_path_to_csv(path, file)
-    rows = list(csv.reader(file.open()))
-    assert rows[0] == ["step", "increment", "position"]
-    assert len(rows) == 7
-    assert [r[2] for r in rows[1:]] == ["0", "1", "2", "3", "0", "1"]
 
 
 def test_subharmonic_free_max():
