@@ -23,7 +23,7 @@ z2 = catalog_entry("Z2_delta1")
 ideal2 = coboundary_ideal(z2.group, z2.measure)
 print("Z/2 with the swap law; ideal = span{(1,-1)}")
 for x in (np.array([1.0, 0.0]), np.array([1.0, -1.0])):
-    trace = quotient_norm_trace(x, ideal2.predual_op, 16, ideal=ideal2)
+    trace = quotient_norm_trace(x, ideal2, 16)
     print(f"  x = {x.tolist()}: a_1..a_4 = {[round(a, 12) for a in trace.norms[:4]]}, "
           f"quotient norm = {trace.distance:g}")
 
@@ -33,7 +33,7 @@ rng = np.random.default_rng(11)
 x = rng.standard_normal(24)
 x /= np.abs(x).sum()
 
-trace = quotient_norm_trace(x, ideal.predual_op, 4096, ideal=ideal)
+trace = quotient_norm_trace(x, ideal, 4096)
 print(f"\nS4 with two generators, a random signed unit-l1 vector:")
 for n in (1, 2, 8, 64, 512, 4096):
     print(f"   a_{n:<5d} = {trace.norms[n-1]:.10f}")

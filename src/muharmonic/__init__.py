@@ -19,7 +19,6 @@ from .groups import (
     generated_subgroup,
     group_from_json,
     group_from_table,
-    group_to_json,
     left_cosets,
     orbit_labels,
     product_group,
@@ -33,14 +32,12 @@ from .freegroup import (
     free_mul,
     generator,
     neighbors,
-    tree_distance,
     word,
 )
 from .measures import (
     FiniteMeasure,
     ZWindow,
     cesaro_average,
-    cesaro_sequence,
     convolution_power,
     convolve,
     from_pairs,
@@ -65,12 +62,10 @@ from .operators import (
     coset_action,
     gspace_markov_matrix,
     left_regular,
-    operator_to_csv,
     predual_action,
     predual_matrix,
     right_markov_matrix,
     right_regular,
-    translation_action,
     trivial_action,
 )
 from .subspaces import (
@@ -80,7 +75,6 @@ from .subspaces import (
     kernel_and_range,
     mutual_residual,
     span_of_rows,
-    subspaces_equal,
 )
 from .harmonic import (
     L1TrivialityReport,
@@ -108,7 +102,6 @@ from .ideals import (
     l1_distance,
     left_ideal_residual,
     operator_convolve,
-    predual_coboundary_ideal,
     quotient_norm,
     quotient_norm_trace,
     trace_class_ideal,
@@ -118,7 +111,6 @@ from .walks import (
     BoundaryReport,
     CylinderEstimate,
     DiamondReport,
-    FreeMeasure,
     MartingaleReport,
     StationaryReport,
     SubharmonicReport,
@@ -127,7 +119,6 @@ from .walks import (
     harmonic_measure_cylinder,
     poisson_extension,
     sample_path,
-    srw,
     stationary_measure,
     subharmonic_check,
 )

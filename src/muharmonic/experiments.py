@@ -599,11 +599,11 @@ def _crit_quotient_norms() -> list[CheckResult]:
     checks = []
     z2 = catalog_entry("Z2_delta1")
     ideal2 = coboundary_ideal(z2.group, z2.measure)
-    trace_a = quotient_norm_trace(np.array([1.0, 0.0]), ideal2.predual_op, 64, ideal=ideal2)
+    trace_a = quotient_norm_trace(np.array([1.0, 0.0]), ideal2, 64)
     checks.append(_check("Z2 dist((1,0)) == 1", abs(trace_a.distance - 1.0), 1e-12))
     checks.append(_check("Z2 a_n == 1 throughout",
                          max(abs(a - 1.0) for a in trace_a.norms), 1e-12))
-    trace_b = quotient_norm_trace(np.array([1.0, -1.0]), ideal2.predual_op, 64, ideal=ideal2)
+    trace_b = quotient_norm_trace(np.array([1.0, -1.0]), ideal2, 64)
     checks.append(_check("Z2 dist((1,-1)) == 0", abs(trace_b.distance), 1e-12))
     checks.append(_check("Z2 a_2 == 0", abs(trace_b.norms[1]), 1e-12))
     n_avg = 4096
@@ -792,7 +792,7 @@ def _derriennic_checks(extra: dict, pairs: list[CatalogEntry], n: int = 4096,
         rng = np.random.default_rng(_entry_seed(seed, e.name))
         x = rng.standard_normal(e.group.order)
         x /= np.abs(x).sum()
-        trace = quotient_norm_trace(x, ideal.predual_op, n, ideal=ideal)
+        trace = quotient_norm_trace(x, ideal, n)
         checks.append(_check(f"{e.name}: |a_N - quotient norm|",
                              abs(trace.limit_estimate - trace.distance), 5e-3))
         extra[e.name] = trace.summary()

@@ -136,23 +136,6 @@ def free_ball(k: int, r: int) -> list[FreeWord]:
     return [FreeWord(k, tuple(row[:n])) for row, n in zip(letters.tolist(), lengths.tolist())]
 
 
-def common_prefix_length(a: FreeWord, b: FreeWord) -> int:
-    n = 0
-    for x, y in zip(a.letters, b.letters):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def tree_distance(a: FreeWord, b: FreeWord) -> int:
-    """Graph distance d(a, b) = |a^{-1} b| in the 2k-regular Cayley tree."""
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    lcp = common_prefix_length(a, b)
-    return len(a) + len(b) - 2 * lcp
-
-
 def neighbors(g: FreeWord) -> list[FreeWord]:
     """The 2k adjacent vertices gs, s a generator or inverse generator.
 

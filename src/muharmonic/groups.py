@@ -123,17 +123,17 @@ def _validate_table(cayley: np.ndarray, check_associativity: bool) -> tuple[int,
         inverses[x] = y
 
     if check_associativity:
-        # (xy)z == x(yz) for all triples; vectorised over z.
+        # (xy)z == x(yz) for all triples; one (y, z) array per x, whose
+        # first mismatch in row-major order is the first failing triple
         for x in range(n):
-            for y in range(n):
-                lhs = cayley[cayley[x, y], :]
-                rhs = cayley[x, cayley[y, :]]
-                if not np.array_equal(lhs, rhs):
-                    z = int(np.nonzero(lhs != rhs)[0][0])
-                    raise ConstructionError(
-                        f"associativity fails at triple (x={x}, y={y}, z={z}): "
-                        f"(xy)z={int(lhs[z])} but x(yz)={int(rhs[z])}"
-                    )
+            lhs = cayley[cayley[x]]
+            rhs = cayley[x][cayley]
+            if not np.array_equal(lhs, rhs):
+                y, z = (int(i) for i in np.argwhere(lhs != rhs)[0])
+                raise ConstructionError(
+                    f"associativity fails at triple (x={x}, y={y}, z={z}): "
+                    f"(xy)z={int(lhs[y, z])} but x(yz)={int(rhs[y, z])}"
+                )
 
     return identity, inverses
 
@@ -263,14 +263,6 @@ def group_from_json(obj) -> FiniteGroup:
         return build_group("product", factors=[group_from_json(f) for f in obj["factors"]])
     params = {k: v for k, v in obj.items() if k != "kind"}
     return build_group(kind, **params)
-
-
-def group_to_json(g: FiniteGroup) -> dict:
-    return {
-        "kind": "from_table",
-        "cayley": g.cayley.tolist(),
-        "labels": list(g.labels) if g.labels is not None else None,
-    }
 
 
 @operation

@@ -23,7 +23,6 @@ from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets, orbi
 from .measures import FiniteMeasure
 from .operators import OperatorMatrix, as_matrix, right_markov_matrix
 from .subspaces import (
-    DEFAULT_REL_TOL,
     Subspace,
     _rank,
     _svd,
@@ -36,10 +35,10 @@ from .subspaces import (
 
 
 @operation
-def harmonic_space(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
+def harmonic_space(m: OperatorMatrix | np.ndarray) -> Subspace:
     """Kernel of (M - I): the space of vectors fixed by the averaging matrix."""
     a = as_matrix(m)
-    return kernel(a - np.eye(a.shape[0]), rel_tol)
+    return kernel(a - np.eye(a.shape[0]))
 
 
 @operation
@@ -63,11 +62,11 @@ def _indicator_space(labels: np.ndarray) -> Subspace:
     sizes = np.bincount(labels)
     rows = np.zeros((sizes.size, labels.size), dtype=np.complex128)
     rows[labels, np.arange(labels.size)] = 1.0 / np.sqrt(sizes[labels])
-    return Subspace(labels.size, rows, DEFAULT_REL_TOL)
+    return Subspace(labels.size, rows)
 
 
 @operation
-def commutant(mats, *, dim: int | None = None, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
+def commutant(mats, *, dim: int | None = None) -> Subspace:
     """Solutions X of AX - XA = 0 for every A, as a subspace of vec'd matrices.
 
     The stacked Sylvester system uses row-major vec, where
@@ -84,24 +83,23 @@ def commutant(mats, *, dim: int | None = None, rel_tol: float = DEFAULT_REL_TOL)
             raise ValueError("all matrices must share the same square shape")
     eye = np.eye(n)
     blocks = [np.kron(a, eye) - np.kron(eye, a.T) for a in mats]
-    return kernel(np.vstack(blocks), rel_tol)
+    return kernel(np.vstack(blocks))
 
 
-def cesaro_limit(m: OperatorMatrix | np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def cesaro_limit(m: OperatorMatrix | np.ndarray) -> np.ndarray:
     """Exact limit of (1/n) sum_{i=1..n} M^i for a power-bounded matrix.
 
     This is the projection onto ker(I - M) along range(I - M); for such M the
     two spaces are complementary (the eigenvalue 1 is semisimple).
     """
-    return _fixed_space_and_limit(m, rel_tol)[1]
+    return _fixed_space_and_limit(m)[1]
 
 
-def _fixed_space_and_limit(m: OperatorMatrix | np.ndarray,
-                           rel_tol: float = DEFAULT_REL_TOL) -> tuple[Subspace, np.ndarray]:
+def _fixed_space_and_limit(m: OperatorMatrix | np.ndarray) -> tuple[Subspace, np.ndarray]:
     """ker(I - M) and the Cesaro limit K, from one factorization of I - M."""
     a = as_matrix(m)
     n = a.shape[0]
-    fixed, moving = kernel_and_range(np.eye(n) - a, rel_tol)
+    fixed, moving = kernel_and_range(np.eye(n) - a)
     if fixed.rank + moving.rank != n:
         raise ValueError(
             "ker(I - M) and range(I - M) do not split the space; "
@@ -212,7 +210,6 @@ def diamond_product(
     h2: np.ndarray,
     g: FiniteGroup,
     mu: FiniteMeasure,
-    harmonic_tol: float = 1e-9,
 ) -> np.ndarray:
     """Limit of the averaged pointwise products of two harmonic vectors.
 
@@ -225,7 +222,7 @@ def diamond_product(
     h2 = np.asarray(h2, dtype=np.complex128)
     for tag, h in (("h1", h1), ("h2", h2)):
         res = float(np.abs(m @ h - h).max())
-        if res > harmonic_tol * max(1.0, float(np.abs(h).max())):
+        if res > 1e-9 * max(1.0, float(np.abs(h).max())):
             raise ValueError(f"{tag} is not harmonic: residual {res:.3e}")
     return cesaro_limit(m) @ (h1 * h2)
 
@@ -261,7 +258,7 @@ class TrivialityVerdict:
 
 @operation
 def harmonic_triviality_verdict(
-    g: FiniteGroup, mu: FiniteMeasure, tol: float = 1e-9
+    g: FiniteGroup, mu: FiniteMeasure
 ) -> TrivialityVerdict:
     """Check that harmonic = trivial and that the diamond product is pointwise.
 
@@ -273,14 +270,14 @@ def harmonic_triviality_verdict(
     h_mu = generated_subgroup(g, mu.support())
     trivial = trivial_solution_space(g, h_mu, rep="functions")
     sub_res = mutual_residual(space, trivial)
-    equal = space.rank == trivial.rank and sub_res <= tol
+    equal = space.rank == trivial.rank and sub_res <= 1e-9
 
     worst = 0.0
     for i in range(space.rank):
         for j in range(i, space.rank):
             prod = space.basis[i] * space.basis[j]
             worst = max(worst, float(np.abs(k @ prod - prod).max()))
-    diamond_ok = worst <= tol
+    diamond_ok = worst <= 1e-9
 
     verdict = TrivialityVerdict(
         diamond_matches_pointwise=diamond_ok,
@@ -334,7 +331,7 @@ def l1_harmonic_triviality(mu: FiniteMeasure, window: int) -> L1TrivialityReport
     _, svals, _ = _svd(np.eye(pts.size) - t, full_matrices=False)
     return L1TrivialityReport(
         window=window,
-        kernel_rank=pts.size - _rank(svals, DEFAULT_REL_TOL),
+        kernel_rank=pts.size - _rank(svals),
         degenerate=mu.support() == [0],
         smallest_singular_value=float(svals[-1]),
     )

@@ -93,11 +93,6 @@ def trace_predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     return conjugation_operator(g, reflect(mu)).entries
 
 
-def predual_coboundary_ideal(predual_op: np.ndarray, ambient: str = "l1") -> IdealBasis:
-    """Range of (I - P) for an explicit predual operator matrix; no H is known."""
-    return IdealBasis(ambient, as_matrix(predual_op))
-
-
 @operation
 def trace_class_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
     """The ideal {X - P X} of trace-class matrices, by an SVD of I - P.
@@ -196,7 +191,7 @@ class QuotientNormTrace:
     """
 
     norms: tuple[float, ...]
-    distance: float | None
+    distance: float
     ambient: str
 
     @property
@@ -226,26 +221,19 @@ class QuotientNormTrace:
 
 
 @operation
-def quotient_norm_trace(
-    x: np.ndarray,
-    predual_op: np.ndarray,
-    n_max: int,
-    ideal: IdealBasis | None = None,
-    ambient: str = "l1",
-) -> QuotientNormTrace:
+def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> QuotientNormTrace:
     """Compute a_n for n <= n_max and compare with the ideal distance.
 
-    The distance is quotient_norm when the ideal carries its H-orbit labels,
-    and the LP (l1_distance) otherwise.  The averages stay above it for
-    every n; that bound is validated here, while the tightness |a_N - dist|
-    is left to callers to assert at their chosen N.
+    The averages are those of the ideal's predual operator, their norms
+    those of its ambient.  The distance is quotient_norm when the ideal
+    carries its H-orbit labels, and the LP (l1_distance) otherwise.  The
+    averages stay above it for every n; that bound is validated here, while
+    the tightness |a_N - dist| is left to callers to assert at their chosen N.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = as_matrix(predual_op)
+    p = as_matrix(ideal.predual_op)
     x = np.asarray(x, dtype=np.complex128)
-    if ideal is not None:
-        ambient = ideal.ambient
     norms = np.empty(n_max)
     buf = np.empty((min(_TRACE_BLOCK, n_max), x.size), dtype=np.complex128)
     y = x
@@ -260,19 +248,17 @@ def quotient_norm_trace(
         np.cumsum(block, axis=0, out=block)
         acc = block[-1].copy()
         block /= np.arange(start + 1, start + block.shape[0] + 1)[:, None]
-        norms[start : start + block.shape[0]] = _ambient_norms(block, ambient)
-    dist = None
-    if ideal is not None:
-        dist = quotient_norm(x, ideal) if ideal.labels is not None else l1_distance(x, ideal)
-        slack = 1e-8 * max(1.0, ambient_norm(x, ambient))
-        below = np.flatnonzero(norms < dist - slack)
-        if below.size:
-            n = int(below[0]) + 1
-            raise RuntimeError(
-                f"a_{n} = {norms[n - 1]} dipped below the quotient norm {dist}; "
-                "numerical inconsistency"
-            )
-    return QuotientNormTrace(tuple(norms.tolist()), dist, ambient)
+        norms[start : start + block.shape[0]] = _ambient_norms(block, ideal.ambient)
+    dist = quotient_norm(x, ideal) if ideal.labels is not None else l1_distance(x, ideal)
+    slack = 1e-8 * max(1.0, ambient_norm(x, ideal.ambient))
+    below = np.flatnonzero(norms < dist - slack)
+    if below.size:
+        n = int(below[0]) + 1
+        raise RuntimeError(
+            f"a_{n} = {norms[n - 1]} dipped below the quotient norm {dist}; "
+            "numerical inconsistency"
+        )
+    return QuotientNormTrace(tuple(norms.tolist()), dist, ideal.ambient)
 
 
 # --------------------------------------------------- bounded approximate identity

@@ -35,14 +35,6 @@ class ZWindow:
     def size(self) -> int:
         return self.hi - self.lo + 1
 
-    def index(self, x: int) -> int:
-        if not self.lo <= x <= self.hi:
-            raise ValueError(f"{x} outside window [{self.lo}, {self.hi}]")
-        return x - self.lo
-
-    def points(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1)
-
 
 Carrier = FiniteGroup | ZWindow
 
@@ -75,12 +67,12 @@ class FiniteMeasure:
     def total_mass(self) -> complex:
         return complex(self.weights.sum())
 
-    def is_probability(self, tol: float = PROBABILITY_TOL) -> bool:
+    def is_probability(self) -> bool:
         w = self.weights
         return bool(
-            np.all(np.abs(w.imag) <= tol)
-            and np.all(w.real >= -tol)
-            and abs(w.real.sum() - 1.0) <= tol
+            np.all(np.abs(w.imag) <= PROBABILITY_TOL)
+            and np.all(w.real >= -PROBABILITY_TOL)
+            and abs(w.real.sum() - 1.0) <= PROBABILITY_TOL
         )
 
     def support(self) -> list[int]:
@@ -206,40 +198,30 @@ def convolution_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     return result
 
 
-def cesaro_sequence(mu: FiniteMeasure, n_values) -> list[tuple[int, "FiniteMeasure"]]:
-    """Pairs (n, A_n) for increasing n, sharing one accumulation pass.
+@operation
+def cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
+    """(1/n) sum_{i=1..n} mu^i; powers start at i = 1.
 
-    Each A_n is a probability measure whenever mu is.  On a group the powers
-    are stepped as mu * mu^k (equal to mu^k * mu): supp mu, its weights and
-    its gather table are taken once, and each step is the gather of
-    `convolve` on raw weight arrays.  Window carriers grow per power and are
-    handled one n at a time.
+    A_n is a probability measure whenever mu is.  On a group the powers are
+    stepped as mu * mu^k (equal to mu^k * mu): supp mu, its weights and its
+    gather table are taken once, and each step is the gather of `convolve`
+    on raw weight arrays.
     """
-    n_values = sorted(set(operator.index(n) for n in n_values))
-    if not n_values or n_values[0] < 1:
+    n = operator.index(n)
+    if n < 1:
         raise ValueError("Cesaro averages start at n = 1")
     if not mu.on_group:
-        return [(n, _window_cesaro_average(mu, n)) for n in n_values]
+        return _window_cesaro_average(mu, n)
     g: FiniteGroup = mu.carrier
     s = np.nonzero(mu.weights)[0]
     w_s, table = mu.weights[s], g.left_quotients(s)
-    out = []
     acc = np.zeros_like(mu.weights)
     power = mu.weights
-    wanted = set(n_values)
-    for n in range(1, n_values[-1] + 1):
-        if n > 1:
+    for i in range(n):
+        if i:
             power = w_s @ power[table]
         acc += power
-        if n in wanted:
-            out.append((n, FiniteMeasure(g, acc / n)))
-    return out
-
-
-@operation
-def cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
-    """(1/n) sum_{i=1..n} mu^i; powers start at i = 1."""
-    return cesaro_sequence(mu, [n])[0][1]
+    return FiniteMeasure(g, acc / n)
 
 
 def _window_cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:

@@ -17,7 +17,6 @@ Conventions, fixed once and tested:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +50,12 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def check_stochastic(self, tol: float = STOCHASTIC_TOL) -> bool:
+    def check_stochastic(self) -> bool:
         e = self.entries
         return bool(
-            np.all(np.abs(e.imag) <= tol)
-            and np.all(e.real >= -tol)
-            and np.all(np.abs(e.real.sum(axis=1) - 1.0) <= tol)
+            np.all(np.abs(e.imag) <= STOCHASTIC_TOL)
+            and np.all(e.real >= -STOCHASTIC_TOL)
+            and np.all(np.abs(e.real.sum(axis=1) - 1.0) <= STOCHASTIC_TOL)
         )
 
     def __matmul__(self, other):
@@ -67,14 +66,6 @@ class OperatorMatrix:
 
     def __repr__(self):
         return f"OperatorMatrix(dim={self.dim}, stochastic={self.stochastic})"
-
-
-def operator_to_csv(op: OperatorMatrix | np.ndarray, path) -> None:
-    e = np.asarray(getattr(op, "entries", op))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in e:
-            writer.writerow([f"{z.real:.17g}{z.imag:+.17g}j" for z in row])
 
 
 def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
@@ -208,20 +199,15 @@ class GSpaceAction:
         e = self.group.identity
         if not np.array_equal(t[e], np.arange(self.points)):
             raise ConstructionError("identity must act trivially")
+        # row h of each side is (gh).x and g.(h.x) over all points x, so the
+        # first mismatching row of the first failing g is the first pair
         for g in range(self.group.order):
-            for h in range(self.group.order):
-                gh = self.group.mul(g, h)
-                if not np.array_equal(t[gh], t[g][t[h]]):
-                    raise ConstructionError(
-                        f"action fails homomorphism at (g={g}, h={h})"
-                    )
+            mismatch = (t[self.group.cayley[g]] != t[g][t]).any(axis=1)
+            if mismatch.any():
+                h = int(np.argmax(mismatch))
+                raise ConstructionError(f"action fails homomorphism at (g={g}, h={h})")
         object.__setattr__(self, "table", t)
         t.setflags(write=False)
-
-
-def translation_action(g: FiniteGroup) -> GSpaceAction:
-    """G acting on itself by left translation."""
-    return GSpaceAction(g, g.order, g.cayley.copy())
 
 
 def coset_action(g: FiniteGroup, h: Subgroup) -> GSpaceAction:

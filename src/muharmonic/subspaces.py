@@ -23,7 +23,6 @@ told so.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ DEFAULT_REL_TOL = 1e-10
 class Subspace:
     ambient_dim: int
     basis: np.ndarray  # (rank, ambient_dim), orthonormal rows
-    tol: float
 
     def __post_init__(self):
         self.basis.setflags(write=False)
@@ -56,19 +54,19 @@ class Subspace:
         v = np.asarray(v, dtype=np.complex128)
         return float(np.linalg.norm(v - self.project(v)))
 
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.residual(v) <= tol * max(1.0, float(np.linalg.norm(v)))
+    def contains(self, v: np.ndarray) -> bool:
+        return self.residual(v) <= 1e-9 * max(1.0, float(np.linalg.norm(v)))
 
     def __repr__(self):
         return f"Subspace(rank={self.rank}, ambient={self.ambient_dim})"
 
 
-def _cutoff(sigma_max: float, rel_tol: float) -> float:
-    # relative to the largest singular value, floored at rel_tol itself:
+def _cutoff(sigma_max: float) -> float:
+    # relative to the largest singular value, floored at DEFAULT_REL_TOL itself:
     # the operators here are unit-scale (stochastic matrices, permutation
     # representations, and their differences), so a sigma_max at roundoff
     # level means the matrix is genuinely zero
-    return rel_tol * max(sigma_max, 1.0)
+    return DEFAULT_REL_TOL * max(sigma_max, 1.0)
 
 
 def _svd(a: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,8 +77,8 @@ def _svd(a: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np
     return u.astype(np.complex128), s, vh.astype(np.complex128)
 
 
-def _rank(s: np.ndarray, rel_tol: float) -> int:
-    return int(np.sum(s > _cutoff(float(s[0]) if s.size else 0.0, rel_tol)))
+def _rank(s: np.ndarray) -> int:
+    return int(np.sum(s > _cutoff(float(s[0]) if s.size else 0.0)))
 
 
 def _blocks(a: np.ndarray):
@@ -116,7 +114,7 @@ def _blocks(a: np.ndarray):
                col_order[col_ends[i - 1] if i else 0:col_ends[i]])
 
 
-def _factor(a: np.ndarray, rel_tol: float, full_when_wide: bool):
+def _factor(a: np.ndarray, full_when_wide: bool):
     """SVD (rows, cols, u, s, vh) of each block of a, and the common rank cutoff.
 
     full_when_wide asks for the full V of a wide block, whose kernel it spans.
@@ -127,7 +125,7 @@ def _factor(a: np.ndarray, rel_tol: float, full_when_wide: bool):
                         full_matrices=full_when_wide and rows.size < cols.size)
         parts.append((rows, cols, u, s, vh))
     sigma_max = max((float(s[0]) for *_, s, _ in parts if s.size), default=0.0)
-    return parts, _cutoff(sigma_max, rel_tol)
+    return parts, _cutoff(sigma_max)
 
 
 def _scatter(dim: int, pieces) -> np.ndarray:
@@ -150,39 +148,39 @@ def _range_rows(m: int, parts, cutoff: float) -> np.ndarray:
     return _scatter(m, [(rows, u[:, :np.sum(s > cutoff)].T) for rows, _, u, s, _ in parts])
 
 
-def span_of_rows(rows: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
+def span_of_rows(rows: np.ndarray) -> Subspace:
     """Orthonormalized span of the given row vectors."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
     ambient = rows.shape[1]
     if rows.shape[0] == 0 or not np.any(rows):
-        return Subspace(ambient, np.zeros((0, ambient), dtype=np.complex128), rel_tol)
+        return Subspace(ambient, np.zeros((0, ambient), dtype=np.complex128))
     _, s, vh = _svd(rows, full_matrices=False)
-    return Subspace(ambient, vh[: _rank(s, rel_tol)].copy(), rel_tol)
+    return Subspace(ambient, vh[: _rank(s)].copy())
 
 
-def kernel(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
+def kernel(a: np.ndarray) -> Subspace:
     """Null space {v : a v = 0}, one SVD per block, with relative cutoff."""
     a = np.asarray(a, dtype=np.complex128)
     # a tall block already yields all its right singular vectors in thin
     # form; only wide blocks need the full V to expose their nullspace
-    parts, cutoff = _factor(a, rel_tol, full_when_wide=True)
-    return Subspace(a.shape[1], _null_rows(a.shape[1], parts, cutoff), rel_tol)
+    parts, cutoff = _factor(a, full_when_wide=True)
+    return Subspace(a.shape[1], _null_rows(a.shape[1], parts, cutoff))
 
 
-def column_space(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> Subspace:
+def column_space(a: np.ndarray) -> Subspace:
     """Range of the matrix (its column span), stored as orthonormal rows."""
     a = np.asarray(a, dtype=np.complex128)
-    parts, cutoff = _factor(a, rel_tol, full_when_wide=False)
-    return Subspace(a.shape[0], _range_rows(a.shape[0], parts, cutoff), rel_tol)
+    parts, cutoff = _factor(a, full_when_wide=False)
+    return Subspace(a.shape[0], _range_rows(a.shape[0], parts, cutoff))
 
 
-def kernel_and_range(a: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> tuple[Subspace, Subspace]:
+def kernel_and_range(a: np.ndarray) -> tuple[Subspace, Subspace]:
     """kernel(a) and column_space(a) of a square matrix, from one factorization."""
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
-    parts, cutoff = _factor(a, rel_tol, full_when_wide=True)
-    return (Subspace(n, _null_rows(n, parts, cutoff), rel_tol),
-            Subspace(m, _range_rows(m, parts, cutoff), rel_tol))
+    parts, cutoff = _factor(a, full_when_wide=True)
+    return (Subspace(n, _null_rows(n, parts, cutoff)),
+            Subspace(m, _range_rows(m, parts, cutoff)))
 
 
 def mutual_residual(a: Subspace, b: Subspace) -> float:
@@ -193,16 +191,3 @@ def mutual_residual(a: Subspace, b: Subspace) -> float:
     for v in b.basis:
         worst = max(worst, a.residual(v))
     return worst
-
-
-def subspaces_equal(a: Subspace, b: Subspace, tol: float = 1e-9) -> bool:
-    """Equality = rank match plus mutual-containment residual below tol."""
-    return a.rank == b.rank and mutual_residual(a, b) <= tol
-
-
-def subspace_to_csv(space: Subspace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j}" for j in range(space.ambient_dim)])
-        for row in space.basis:
-            writer.writerow([f"{z.real:.17g}{z.imag:+.17g}j" for z in row])

@@ -30,48 +30,25 @@ from ._ops import operation
 from .groups import FiniteGroup, same_group
 from .measures import FiniteMeasure, ZWindow
 from .operators import GSpaceAction, gspace_markov_matrix
-from .freegroup import FreeWord, empty_word, free_mul, word
+from .freegroup import FreeWord, empty_word
 from .subspaces import kernel
 
 CHUNK_SIZE = 25_000
 DEFAULT_MARGIN = 10
+# a martingale path agrees when |h(X_n) - 1_{limit in [w]}| is below this
+THRESHOLD = 1e-3
+# power-iteration steps of stationary_measure
+MAX_ITER = 100_000
 
 
-# ------------------------------------------------------------ walk laws and paths
-
-@dataclass(frozen=True, eq=False)
-class FreeMeasure:
-    """Finitely supported probability law on a free group."""
-
-    rank: int
-    words: tuple[FreeWord, ...]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.words),):
-            raise ValueError("weights must match the support")
-        if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("free-group laws must be probabilities")
-        for wd in self.words:
-            if wd.rank != self.rank:
-                raise ValueError("support words must share the rank")
-        object.__setattr__(self, "weights", w)
-        w.setflags(write=False)
-
-
-def srw(k: int) -> FreeMeasure:
-    """Simple random walk law: uniform on the 2k generators and inverses."""
-    gens = [word(k, (i,)) for i in range(1, k + 1)] + [word(k, (-i,)) for i in range(1, k + 1)]
-    return FreeMeasure(k, tuple(gens), np.full(2 * k, 1.0 / (2 * k)))
-
+# ------------------------------------------------------------------ walk paths
 
 @dataclass(frozen=True, eq=False)
 class WalkPath:
     """A sampled right-walk trajectory: positions[m] = start * Y_1 ... Y_m."""
 
-    carrier: FiniteGroup | ZWindow | int  # int = free-group rank
-    start: object
+    carrier: FiniteGroup
+    start: int
     increments: tuple
     positions: tuple
     seed: int
@@ -85,39 +62,18 @@ def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
     """Deterministic-by-seed path of length n with i.i.d. increments of law mu."""
     if n < 0:
         raise ValueError("path length must be >= 0")
+    if not (isinstance(carrier, FiniteGroup) and mu.on_group and same_group(mu.carrier, carrier)):
+        raise ValueError("law must be a measure on the carrier group")
+    if not mu.is_probability():
+        raise ValueError("walk law must be a probability measure")
     rng = np.random.default_rng(seed)
-    if isinstance(carrier, FiniteGroup):
-        if not (isinstance(mu, FiniteMeasure) and mu.on_group and same_group(mu.carrier, carrier)):
-            raise ValueError("law must be a measure on the carrier group")
-        if not mu.is_probability():
-            raise ValueError("walk law must be a probability measure")
-        weights = np.maximum(mu.weights.real, 0.0)
-        weights = weights / weights.sum()
-        incs = rng.choice(carrier.order, size=n, p=weights)
-        pos = [int(start)]
-        for y in incs:
-            pos.append(carrier.mul(pos[-1], int(y)))
-        return WalkPath(carrier, int(start), tuple(int(y) for y in incs), tuple(pos), seed)
-    if isinstance(mu, FiniteMeasure) and not mu.on_group:
-        if not mu.is_probability():
-            raise ValueError("walk law must be a probability measure")
-        support = np.array(mu.support())
-        probs = np.array([mu.weights[s - mu.carrier.lo].real for s in support])
-        probs = np.maximum(probs, 0.0)
-        probs /= probs.sum()
-        incs = rng.choice(support, size=n, p=probs)
-        pos = [int(start)]
-        for y in incs:
-            pos.append(pos[-1] + int(y))
-        return WalkPath(mu.carrier, int(start), tuple(int(y) for y in incs), tuple(pos), seed)
-    if isinstance(mu, FreeMeasure):
-        idx = rng.choice(len(mu.words), size=n, p=mu.weights)
-        incs = [mu.words[i] for i in idx]
-        pos = [start if isinstance(start, FreeWord) else empty_word(mu.rank)]
-        for y in incs:
-            pos.append(free_mul(pos[-1], y))
-        return WalkPath(mu.rank, pos[0], tuple(incs), tuple(pos), seed)
-    raise ValueError("unsupported carrier/law combination")
+    weights = np.maximum(mu.weights.real, 0.0)
+    weights = weights / weights.sum()
+    incs = rng.choice(carrier.order, size=n, p=weights)
+    pos = [int(start)]
+    for y in incs:
+        pos.append(carrier.mul(pos[-1], int(y)))
+    return WalkPath(carrier, int(start), tuple(int(y) for y in incs), tuple(pos), seed)
 
 
 # ------------------------------------------------- exact boundary quantities
@@ -346,17 +302,15 @@ def boundary_reports(
     n_paths: int,
     seed: int,
     snapshot: int = 60,
-    threshold: float = 1e-3,
-    margin: int = DEFAULT_MARGIN,
 ) -> tuple[BoundaryReport, ...]:
     """One Monte Carlo pass of the simple walk, reduced for each cylinder [w].
 
     A path is conclusive for [w] when its first |w| letters have stabilized
-    (it reached length |w| + margin and never returned below |w| + 1).
+    (it reached length |w| + DEFAULT_MARGIN and never returned below |w| + 1).
     - `cylinder` estimates nu([w]) as the frequency of paths escaping
       through [w] among the conclusive ones.
     - `martingale` checks h(X_n) against the indicator of the path's limit
-      cylinder: agreement means |h(X_n) - 1_{limit in [w]}| < threshold on
+      cylinder: agreement means |h(X_n) - 1_{limit in [w]}| < THRESHOLD on
       a conclusive path.  Inconclusive paths are counted, never dropped.
     - `diamond` estimates E h(X_snapshot)^2.  The averaged products tend to
       the boundary product: the boundary function is an indicator, so the
@@ -380,13 +334,14 @@ def boundary_reports(
     sums = [[0, 0, 0, 0.0, 0.0] for _ in words]
     for child, size in _chunk_seeds(seed, n_paths):
         prefix, lengths, stable, (snap_prefix, snap_lengths) = _simulate_chunk(
-            k, n_steps, size, np.random.default_rng(child), depths[-1], margin, depths, snapshot)
+            k, n_steps, size, np.random.default_rng(child), depths[-1], depths=depths,
+            snapshot=snapshot)
         for acc, w_arr, row in zip(sums, letters, rows):
             ok = stable[row]
             inside = ok.copy()
             for j, letter in enumerate(w_arr):  # by column: rows are short
                 inside &= prefix[:, j] == letter
-            close = np.abs(_poisson_values(k, w_arr, prefix, lengths) - inside) < threshold
+            close = np.abs(_poisson_values(k, w_arr, prefix, lengths) - inside) < THRESHOLD
             h_snap = _poisson_values(k, w_arr, snap_prefix, snap_lengths)
             sq = h_snap * h_snap
             acc[0] += int(ok.sum())
@@ -404,7 +359,7 @@ def boundary_reports(
                              n_paths, seed, n_paths - conclusive),
             MartingaleReport(n_paths, n_steps, conclusive / n_paths,
                              agree / conclusive if conclusive else 0.0,
-                             n_paths - conclusive, threshold, seed),
+                             n_paths - conclusive, THRESHOLD, seed),
             DiamondReport(est, float(np.sqrt(var / n_paths)), nu, h0 * h0, n_paths, snapshot, seed),
         ))
     return tuple(reports)
@@ -442,7 +397,6 @@ def stationary_measure(
     action: GSpaceAction,
     mu: FiniteMeasure,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
 ) -> StationaryReport:
     """Probability sigma with sigma P = sigma for the induced chain on the points.
 
@@ -461,7 +415,7 @@ def stationary_measure(
     sigma = np.full(m, 1.0 / m)
     converged = False
     n_used = 0
-    for n in range(1, max_iter + 1):
+    for n in range(1, MAX_ITER + 1):
         nxt = sigma @ p
         n_used = n
         if float(np.abs(nxt - sigma).sum()) < tol:
@@ -507,10 +461,6 @@ def stationary_measure(
 class SubharmonicReport:
     max_violation: float
     n_checked: int
-
-    @property
-    def holds(self) -> bool:
-        return self.max_violation <= 1e-12
 
 
 @operation

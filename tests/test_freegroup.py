@@ -7,7 +7,6 @@ from muharmonic import (
     free_ball,
     free_inverse,
     free_mul,
-    tree_distance,
     neighbors,
     word,
 )
@@ -60,17 +59,6 @@ def test_mul_associative_and_inverse_involutive_random():
         assert free_mul(free_mul(a, b), c) == free_mul(a, free_mul(b, c))
         assert free_inverse(free_inverse(a)) == a
         assert free_mul(a, free_inverse(a)) == empty_word(k)
-
-
-def test_tree_distance():
-    e = empty_word(2)
-    a = word(2, (1,))
-    ab = word(2, (1, 2))
-    ainv = word(2, (-1,))
-    assert tree_distance(e, a) == 1
-    assert tree_distance(a, ab) == 1
-    assert tree_distance(ainv, a) == 2
-    assert tree_distance(ab, word(2, (1, -2))) == 2
 
 
 def test_str_rendering():

@@ -12,7 +12,6 @@ from muharmonic import (
     generated_subgroup,
     group_from_json,
     group_from_table,
-    group_to_json,
     left_cosets,
     product_group,
     symmetric_group,
@@ -52,8 +51,11 @@ def test_broken_associativity_names_triple():
     table = np.arange(3)[None, :] + np.arange(3)[:, None]
     table %= 3
     table[2, 2] = 2  # identity and inverses survive, associativity does not
-    with pytest.raises(ConstructionError, match="triple"):
+    with pytest.raises(ConstructionError) as err:
         group_from_table(table)
+    # the first failing triple in (x, y, z) order
+    assert str(err.value) == ("associativity fails at triple (x=1, y=1, z=2): "
+                              "(xy)z=2 but x(yz)=1")
 
 
 def test_missing_identity_rejected():
@@ -153,7 +155,8 @@ def test_left_cosets_partition_properties():
 
 def test_json_round_trip():
     g = build_group("dihedral", n=3)
-    again = group_from_json(group_to_json(g))
+    again = group_from_json({"kind": "from_table", "cayley": g.cayley.tolist(),
+                             "labels": list(g.labels)})
     assert np.array_equal(g.cayley, again.cayley)
     nested = group_from_json(
         {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]}

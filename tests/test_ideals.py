@@ -5,6 +5,7 @@ import pytest
 
 from muharmonic import (
     FiniteMeasure,
+    IdealBasis,
     approximate_identity,
     apply_conjugation,
     catalog,
@@ -23,7 +24,6 @@ from muharmonic import (
     operator_convolve,
     orbit_labels,
     point_mass,
-    predual_coboundary_ideal,
     predual_matrix,
     quotient_norm,
     quotient_norm_trace,
@@ -214,14 +214,14 @@ def test_grid_distance_matches_lp_on_l1_like_problem():
 
 def test_quotient_norm_trace_hand_cases():
     ideal = coboundary_ideal(Z2, point_mass(Z2, 1))
-    tr1 = quotient_norm_trace(np.array([1.0, 0.0]), ideal.predual_op, 32, ideal=ideal)
+    tr1 = quotient_norm_trace(np.array([1.0, 0.0]), ideal, 32)
     assert all(abs(a - 1.0) < 1e-12 for a in tr1.norms)
     assert abs(tr1.distance - 1.0) < 1e-12
-    tr2 = quotient_norm_trace(np.array([1.0, -1.0]), ideal.predual_op, 32, ideal=ideal)
+    tr2 = quotient_norm_trace(np.array([1.0, -1.0]), ideal, 32)
     assert abs(tr2.norms[1]) < 1e-12
     assert abs(tr2.distance) < 1e-12
     assert abs(tr2.limit_estimate) < 1e-12
-    tr0 = quotient_norm_trace(np.zeros(2), ideal.predual_op, 8, ideal=ideal)
+    tr0 = quotient_norm_trace(np.zeros(2), ideal, 8)
     assert all(a == 0.0 for a in tr0.norms)
 
 
@@ -229,7 +229,7 @@ def test_quotient_norm_trace_subadditivity():
     rng = np.random.default_rng(31)
     ideal = coboundary_ideal(S3, S3_MU)
     x = rng.standard_normal(6)
-    tr = quotient_norm_trace(x, ideal.predual_op, 128, ideal=ideal)
+    tr = quotient_norm_trace(x, ideal, 128)
     s = [n * a for n, a in enumerate(tr.norms, start=1)]
     for m in range(1, 60):
         for n in range(1, 60):
@@ -351,12 +351,12 @@ def test_left_ideal_residual_examples():
 def test_quotient_norm_trace_takes_the_lp_without_labels():
     x = np.array([1.0, 0.0, -1.0, 0.5, 0.0, -0.5])
     mu = point_mass(Z6, 2)
-    closed = quotient_norm_trace(x, predual_matrix(Z6, mu), 8, ideal=coboundary_ideal(Z6, mu))
-    bare = predual_coboundary_ideal(predual_matrix(Z6, mu))
+    closed = quotient_norm_trace(x, coboundary_ideal(Z6, mu), 8)
+    bare = IdealBasis("l1", predual_matrix(Z6, mu))
     assert bare.labels is None
     with pytest.raises(ValueError, match="labels"):
         quotient_norm(x, bare)
-    lp = quotient_norm_trace(x, bare.predual_op, 8, ideal=bare)
+    lp = quotient_norm_trace(x, bare, 8)
     assert abs(lp.distance - closed.distance) < 1e-12
     # cosets {0,2,4} and {1,3,5}: |1 - 1 + 0| + |0 + 0.5 - 0.5|
     assert closed.distance == 0.0
@@ -508,11 +508,12 @@ def _norms_by_steps(x, p, n_max, norm):
 def test_quotient_norm_trace_is_bitwise_the_per_step_loop(ambient, n_max):
     rng = np.random.default_rng(n_max)
     if ambient == "l1":
-        p, norm = predual_matrix(S3, S3_MU), lambda v: float(np.abs(v).sum())
+        ideal, norm = coboundary_ideal(S3, S3_MU), lambda v: float(np.abs(v).sum())
     else:
-        p, norm = trace_predual_matrix(S3, S3_MU), _trace_norm
+        ideal, norm = trace_class_ideal(S3, S3_MU), _trace_norm
+    p = ideal.predual_op
     x = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
-    got = quotient_norm_trace(x, p, n_max, ambient=ambient).norms
+    got = quotient_norm_trace(x, ideal, n_max).norms
     assert len(got) == n_max
     assert np.array(got).tobytes() == np.array(_norms_by_steps(x, p, n_max, norm)).tobytes()
 
@@ -520,14 +521,14 @@ def test_quotient_norm_trace_is_bitwise_the_per_step_loop(ambient, n_max):
 def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
     s4 = symmetric_group(4)
     mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
-    p = predual_matrix(s4, mu)
+    ideal = coboundary_ideal(s4, mu)
     x = np.random.default_rng(5).standard_normal(s4.order)
 
     def transient_peak(n_max):
         # peak bytes above what the call leaves behind (its result included)
         tracemalloc.start()
         try:
-            result = quotient_norm_trace(x, p, n_max)
+            result = quotient_norm_trace(x, ideal, n_max)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -8,7 +8,6 @@ from muharmonic import (
     FiniteMeasure,
     catalog,
     cesaro_average,
-    cesaro_sequence,
     convolution_power,
     convolve,
     cyclic_group,
@@ -111,17 +110,6 @@ def test_cesaro_examples():
     expected = np.zeros(6)
     expected[[0, 2, 4]] = 1 / 3
     assert np.allclose(a3.weights, expected)
-
-
-def test_cesaro_sequence_matches_averages():
-    mu = from_pairs(Z6, [(2, 0.5), (4, 0.5)])
-    from muharmonic import cesaro_sequence
-
-    pairs = cesaro_sequence(mu, [1, 3, 7])
-    assert [n for n, _ in pairs] == [1, 3, 7]
-    for n, a_n in pairs:
-        assert a_n.is_probability()
-        assert np.allclose(a_n.weights, cesaro_average(mu, n).weights)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
@@ -236,10 +224,9 @@ def _complex_s3_measure():
 
 @pytest.mark.parametrize("mu", [e.measure for e in catalog()] + [_complex_s3_measure()],
                          ids=[e.name for e in catalog()] + ["S3_complex"])
-def test_cesaro_sequence_is_bitwise_the_convolve_loop(mu):
+def test_cesaro_average_is_bitwise_the_convolve_loop(mu):
     n_values = [1, 2, 7, 64, 300]
-    got = cesaro_sequence(mu, n_values)
     want = _cesaro_by_convolve(mu, n_values)
-    assert [n for n, _ in got] == n_values
-    for (_, avg), (_, ref) in zip(got, want):
-        assert avg.weights.tobytes() == ref.tobytes()
+    assert [n for n, _ in want] == n_values
+    for n, ref in want:
+        assert cesaro_average(mu, n).weights.tobytes() == ref.tobytes()

@@ -23,7 +23,6 @@ from muharmonic import (
     right_markov_matrix,
     right_regular,
     symmetric_group,
-    translation_action,
     trivial_action,
     uniform_on,
 )
@@ -169,7 +168,7 @@ def test_gspace_examples():
     triv = trivial_action(S3, 4)
     assert np.allclose(gspace_markov_matrix(triv, mu).entries, np.eye(4))
 
-    shift = gspace_markov_matrix(translation_action(Z3), point_mass(Z3, 1))
+    shift = gspace_markov_matrix(GSpaceAction(Z3, 3, Z3.cayley.copy()), point_mass(Z3, 1))
     expected = np.zeros((3, 3))
     for x in range(3):
         expected[x, (1 + x) % 3] = 1.0  # left translation by the generator
@@ -224,6 +223,16 @@ def test_action_validation():
     bad = np.zeros((2, 3), dtype=int)  # identity does not act trivially
     with pytest.raises(ConstructionError):
         GSpaceAction(Z2, 3, bad)
+
+
+def test_action_validation_names_the_first_failing_pair():
+    # Z4 on itself: the identity row is valid, but 3 acts as 1, so
+    # (g=1, h=1) holds and (g=1, h=2) is the first pair that fails
+    z4 = cyclic_group(4)
+    table = z4.cayley[[0, 1, 2, 1]]
+    with pytest.raises(ConstructionError) as err:
+        GSpaceAction(z4, 4, table)
+    assert str(err.value) == "action fails homomorphism at (g=1, h=2)"
 
 
 def test_stochastic_flag_semantics():

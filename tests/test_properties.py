@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from muharmonic import (
     FiniteMeasure,
     build_group,
+    cesaro_limit,
     coboundary_ideal,
     convolve,
     generated_subgroup,
+    haar_on_subgroup,
     harmonic_space,
     l1_distance,
     predual_action,
@@ -119,6 +121,16 @@ def test_quotient_norm_equals_the_lp(spec, data):
     assert abs(quotient_norm(x, ideal) - l1_distance(x, ideal)) < 1e-9
 
 
+def _sparse_probability(g, data):
+    """A random probability measure on g with 1 to 3 support points, and H = <supp>."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = np.zeros(g.order)
+    support = rng.permutation(g.order)[:data.draw(st.integers(1, min(3, g.order)))]
+    w[support] = rng.random(support.size) + 1e-3
+    mu = FiniteMeasure(g, (w / w.sum()).astype(np.complex128))
+    return mu, generated_subgroup(g, support.tolist())
+
+
 @PROPERTY_SETTINGS
 @given(GROUP_SPECS, st.data())
 def test_harmonic_rank_is_the_coset_count(spec, data):
@@ -126,10 +138,19 @@ def test_harmonic_rank_is_the_coset_count(spec, data):
     # functions constant on the left cosets of H = <supp mu>; a support that
     # does not generate G makes I - M block-diagonal, one block per coset
     g = _group(spec)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    w = np.zeros(g.order)
-    support = rng.permutation(g.order)[:data.draw(st.integers(1, min(3, g.order)))]
-    w[support] = rng.random(support.size) + 1e-3
-    mu = FiniteMeasure(g, (w / w.sum()).astype(np.complex128))
-    h = generated_subgroup(g, support.tolist())
+    mu, h = _sparse_probability(g, data)
     assert harmonic_space(right_markov_matrix(g, mu)).rank == g.order // h.order
+
+
+@PROPERTY_SETTINGS
+@given(GROUP_SPECS, st.data())
+def test_cesaro_limit_is_the_haar_projection(spec, data):
+    # K = lim (1/n) sum_{i<=n} M^i is the averaging matrix of omega_H, the
+    # Haar measure of H = <supp mu>: an idempotent of l^inf norm 1.  This
+    # pins the rank cutoff that splits ker(I - M) from range(I - M).
+    g = _group(spec)
+    mu, h = _sparse_probability(g, data)
+    k = cesaro_limit(right_markov_matrix(g, mu))
+    assert np.linalg.norm(k @ k - k) < 1e-9
+    assert abs(np.abs(k).sum(axis=1).max() - 1.0) < 1e-9
+    assert np.linalg.norm(k - right_markov_matrix(g, haar_on_subgroup(g, h)).entries) < 1e-9

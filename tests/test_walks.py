@@ -13,10 +13,8 @@ from muharmonic import (
     poisson_extension,
     sample_path,
     simple_random_walk_z,
-    srw,
     stationary_measure,
     symmetric_group,
-    translation_action,
     trivial_action,
     uniform_on,
     word,
@@ -47,6 +45,8 @@ def test_sample_path_deterministic_walk():
     z4 = cyclic_group(4)
     path = sample_path(z4, point_mass(z4, 1), 0, 5, seed=3)
     assert path.positions == (0, 1, 2, 3, 0, 1)
+    with pytest.raises(ValueError, match="carrier group"):
+        sample_path(None, simple_random_walk_z(), 0, 5, seed=3)
 
 
 def test_sample_path_seed_reproducibility():
@@ -58,16 +58,6 @@ def test_sample_path_seed_reproducibility():
     assert p1.increments == p2.increments
     p3 = sample_path(s3, mu, 0, 50, seed=10)
     assert p3.positions != p1.positions
-
-
-def test_sample_path_on_z_and_free_group():
-    path = sample_path(None, simple_random_walk_z(), 0, 100, seed=1)
-    assert path.positions[0] == 0
-    assert all(abs(b - a) == 1 for a, b in zip(path.positions, path.positions[1:]))
-
-    free_path = sample_path(None, srw(2), empty_word(2), 30, seed=2)
-    assert free_path.positions[0] == empty_word(2)
-    assert all(len(i) == 1 for i in free_path.increments)
 
 
 def test_free_walk_drift():
@@ -438,7 +428,7 @@ def test_stationary_examples():
     assert np.abs(rep_triv.measure.weights.real - 0.25).max() < 1e-15
 
     z3 = cyclic_group(3)
-    rep_z3 = stationary_measure(translation_action(z3), point_mass(z3, 1))
+    rep_z3 = stationary_measure(GSpaceAction(z3, 3, z3.cayley.copy()), point_mass(z3, 1))
     assert np.abs(rep_z3.measure.weights.real - 1 / 3).max() < 1e-15
 
 
