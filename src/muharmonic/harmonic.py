@@ -30,8 +30,10 @@ from .subspaces import (
     kernel,
     kernel_and_range,
     mutual_residual,
-    span_of_rows,
 )
+
+# the Frobenius gap below which cesaro_projection calls the averages converged
+_CONVERGED_GAP = 1e-10
 
 
 @operation
@@ -66,7 +68,7 @@ def _indicator_space(labels: np.ndarray) -> Subspace:
 
 
 @operation
-def commutant(mats, *, dim: int | None = None) -> Subspace:
+def commutant(mats) -> Subspace:
     """Solutions X of AX - XA = 0 for every A, as a subspace of vec'd matrices.
 
     The stacked Sylvester system uses row-major vec, where
@@ -74,9 +76,7 @@ def commutant(mats, *, dim: int | None = None) -> Subspace:
     """
     mats = [as_matrix(a) for a in mats]
     if not mats:
-        if dim is None:
-            raise ValueError("empty matrix list needs an explicit dim")
-        return span_of_rows(np.eye(dim * dim, dtype=np.complex128))
+        raise ValueError("commutant needs at least one matrix")
     n = mats[0].shape[0]
     for a in mats:
         if a.shape != (n, n):
@@ -166,7 +166,6 @@ class ProjectionReport:
 def cesaro_projection(
     m: OperatorMatrix | np.ndarray,
     n_max: int = 10_000,
-    tol: float = 1e-10,
     commute_with: dict[str, np.ndarray] | None = None,
 ) -> ProjectionReport:
     """Projection onto the fixed space of a stochastic matrix, with residuals.
@@ -174,7 +173,7 @@ def cesaro_projection(
     K is the exact Cesaro limit (see cesaro_limit).  As a diagnostic, the
     report gives the Frobenius gap between K and the average
     avg_n = (1/n) sum_{i<=n} M^i at n = n_max (see cesaro_mean).  n_iterations is that
-    n, and converged_iteratively says whether the gap is below tol; periodic
+    n, and converged_iteratively says whether the gap is below 1e-10; periodic
     chains converge only along some n.  The report also carries
     ||K^2 - K||_F, the max absolute row sum, and commutation residuals
     against any supplied named operators.
@@ -198,7 +197,7 @@ def cesaro_projection(
         norm_inf=float(np.abs(k).sum(axis=1).max()),
         commutation_residuals=commutation,
         range_rank=column_space(k).rank,
-        converged_iteratively=gap < tol,
+        converged_iteratively=gap < _CONVERGED_GAP,
         n_iterations=n_max,
         iterative_gap=gap,
     )

@@ -162,12 +162,16 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
 
     l1 ambient: exact, via the in-package simplex (real data); the oracle
     that quotient_norm is checked against.
-    trace ambient: the closed form of quotient_norm.
+    trace ambient: the closed form of quotient_norm, for an ideal with H-orbit labels.
     """
     x = np.asarray(x, dtype=np.complex128)
     if ideal.rank == 0:
         return ambient_norm(x, ideal.ambient)
     if ideal.ambient != "l1":
+        if ideal.labels is None:
+            raise ValueError("no trace-norm distance to an ideal without H-orbit labels: "
+                             "trace_class_ideal records them only for a probability measure, "
+                             "and the distance to a signed measure's ideal is not computed")
         return quotient_norm(x, ideal)
     from .lp import l1_distance_to_span
 

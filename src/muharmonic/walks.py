@@ -66,6 +66,8 @@ def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
         raise ValueError("law must be a measure on the carrier group")
     if not mu.is_probability():
         raise ValueError("walk law must be a probability measure")
+    if not 0 <= start < carrier.order:
+        raise ValueError(f"start {start} outside 0..{carrier.order - 1}")
     rng = np.random.default_rng(seed)
     weights = np.maximum(mu.weights.real, 0.0)
     weights = weights / weights.sum()

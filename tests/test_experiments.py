@@ -102,7 +102,8 @@ def test_run_record_determinism(tmp_path):
 @pytest.mark.parametrize("number, config, criterion_only", [
     (1, {"scenario": "harmonic"}, ()),
     (2, {"scenario": "cesaro", "n": 1000, "trials": 10_000}, ()),
-    (5, {"scenario": "ncconv", "trials": 100, "seed": MASTER_SEED}, ("Z2 worked example exact",)),
+    (5, {"scenario": "ncconv", "trials": 100, "seed": MASTER_SEED},
+     ("Z2 worked example exact", "reflect is an involution")),
     (12, {"scenario": "stationary", "trials": 20, "seed": MASTER_SEED + 500}, ()),
     (13, {"scenario": "decay", "n": 200}, ()),
 ])
@@ -110,6 +111,17 @@ def test_scenario_at_pinned_sizes_reproduces_its_criterion(number, config, crite
     # names, values, bounds and verdicts, in order
     expected = [c for c in run_criterion(number) if c.name not in criterion_only]
     assert run(ExperimentConfig.from_dict(config)).checks == expected
+
+
+def test_freewalk_at_the_criteria_seed_is_their_word_a_checks():
+    # criteria 8-10 and freewalk build their [a] checks with the same helpers;
+    # at the criteria's seed and sizes they agree in name and value
+    record = run(ExperimentConfig(scenario="freewalk", seed=MASTER_SEED + 41))
+    criteria = {c.name: c.value for n in (8, 9, 10) for c in run_criterion(n)}
+    assert [c.name for c in record.checks] == [
+        "|nu_hat([a]) - 1/4|", "conclusive fraction", "agreement fraction",
+        "|E h(X_60)^2 - 1/4|"]
+    assert all(c.value == criteria[c.name] for c in record.checks)
 
 
 def test_scenario_sizes_reach_the_checks():
@@ -147,7 +159,7 @@ def test_operation_names_are_the_marked_functions():
 
 
 def test_coverage_counts_calls_not_claims(monkeypatch, capsys):
-    # free_inverse is called only from the coverage extras; an equal function
+    # free_inverse is called only from criterion 11; an equal function
     # without the marker runs the same checks but is not an operation call
     monkeypatch.setattr("muharmonic.experiments.free_inverse",
                         lambda a: FreeWord(a.rank, tuple(-s for s in reversed(a.letters))))
@@ -503,7 +515,21 @@ def test_flags_override_the_file_and_null_is_unset(tmp_path):
     cfg.write_text(json.dumps({"n": 2, "word": None, "seed": None}))
     assert cli_main(["decay", "--config", str(cfg), "--n", "10", "--out", str(tmp_path)]) == 0
     echoed = json.loads((tmp_path / "record_decay.json").read_text())["config"]
-    assert (echoed["n"], echoed["word"], echoed["seed"]) == (10, "a", MASTER_SEED)
+    # the record echoes the scenario and the fields decay reads, not word
+    assert echoed == {"scenario": "decay", "seed": MASTER_SEED, "n": 10}
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_cli_out_that_is_not_a_directory_exits_2(tmp_path, capsys, sub):
+    # os.makedirs refuses an existing file and a path below one; the CLI
+    # names the field instead of showing a traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / sub if sub else blocker
+    assert cli_main(["decay", "--n", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: out: cannot make the directory {out}: ")
+    assert blocker.read_text() == ""
 
 
 def test_readme_flag_table_lists_each_parser_flags(capsys):

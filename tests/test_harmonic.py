@@ -69,7 +69,8 @@ def test_commutant_examples():
     assert commutant([np.eye(2)]).rank == 4
     rho = right_regular(S3)
     assert commutant([rho[g] for g in range(6)]).rank == 6
-    assert commutant([], dim=3).rank == 9
+    with pytest.raises(ValueError, match="at least one matrix"):
+        commutant([])
 
 
 def test_cesaro_projection_examples():

@@ -49,6 +49,14 @@ def test_sample_path_deterministic_walk():
         sample_path(None, simple_random_walk_z(), 0, 5, seed=3)
 
 
+@pytest.mark.parametrize("start", [9, 4, -1])
+def test_sample_path_refuses_a_start_outside_the_group(start):
+    # numpy indexing would take -1 as the last element of the group
+    z4 = cyclic_group(4)
+    with pytest.raises(ValueError, match=rf"start {start} outside 0\.\.3"):
+        sample_path(z4, point_mass(z4, 1), start, 3, seed=1)
+
+
 def test_sample_path_seed_reproducibility():
     s3 = symmetric_group(3)
     mu = uniform_on(s3, [1, 2, 3])
