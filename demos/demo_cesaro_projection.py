@@ -36,7 +36,7 @@ print(" (the walk alternates parity, so the averages oscillate and close at O(1/
 m = right_markov_matrix(g, mu)
 lam = left_regular(g)
 report = cesaro_projection(m, n_max=2000, commute_with={f"L{i}": lam[i] for i in range(g.order)})
-k = report.K.entries
+k = report.K
 
 print("\n exact projection K (spectral splitting of the averaged sequence):")
 print(f"   ||K^2 - K||_F            = {report.idempotency_residual:.2e}")
@@ -47,7 +47,7 @@ print(f"   rank                     = {report.range_rank}")
 print(f"   iterative gap at n={report.n_iterations}: {report.iterative_gap:.2e} "
       f"(converged iteratively: {report.converged_iteratively})")
 
-target = right_markov_matrix(g, omega).entries
+target = right_markov_matrix(g, omega)
 print(f"   ||K - averaging_by_haar||_F = {np.linalg.norm(k - target):.2e}")
 print("\n K is literally 'average over the generated subgroup': the Cesaro limit")
 print(" of the walk and the Haar average are the same matrix.")

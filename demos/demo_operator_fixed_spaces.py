@@ -25,7 +25,7 @@ entry = catalog_entry("S3_transpositions")
 g, mu = entry.group, entry.measure
 
 pi_mu = conjugation_operator(g, mu)
-print(f"conjugation operator on vec'd 6x6 matrices: {pi_mu.dim} x {pi_mu.dim}")
+print(f"conjugation operator on vec'd 6x6 matrices: {len(pi_mu)} x {len(pi_mu)}")
 
 fixed = harmonic_space(pi_mu)
 h = generated_subgroup(g, mu.support())
@@ -39,7 +39,7 @@ print("1^2 + 1^2 + 2^2 = 6, matching the ranks above")
 # sanity: the averaged conjugation really fixes a commutant element
 rho = right_regular(g)
 x = sum(rho[k] for k in range(6))  # the all-group sum commutes with everything
-out = (pi_mu.entries @ x.reshape(-1)).reshape(6, 6)
+out = (pi_mu @ x.reshape(-1)).reshape(6, 6)
 print(f"\naveraging fixes the group-algebra sum: residual {np.abs(out - x).max():.2e}")
 
 # a smaller law generates a proper subgroup and a bigger commutant

@@ -31,7 +31,7 @@ mu = uniform_on(s3, [s3.labels.index("(1 2)"), s3.labels.index("(1 3)")])
 p = gspace_markov_matrix(action, mu)
 print("S3 acting on three points, law uniform on (1 2) and (1 3):")
 print("transition matrix:")
-print(p.entries.real)
+print(p.real)
 
 report = stationary_measure(action, mu)
 print(f"power-iteration limit: {report.measure.weights.real.round(12).tolist()}")

@@ -56,7 +56,6 @@ from .measures import (
 )
 from .operators import (
     GSpaceAction,
-    OperatorMatrix,
     apply_conjugation,
     conjugation_operator,
     coset_action,

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields
@@ -324,6 +325,8 @@ def _element(g: FiniteGroup, raw, path: str) -> int:
 def _weight(raw, path: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {raw!r}")
+    if not abs(raw) <= sys.float_info.max:  # refuses nan, inf and ints too large for a float
+        raise ConfigError(f"{path}: expected a finite number, got {raw!r}")
     return float(raw)
 
 
@@ -349,14 +352,9 @@ def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
         raise ConfigError(f"{path}: expected a list of [index, weight] items")
     pairs = []
     for item in spec["entries"]:
-        if not isinstance(item, list) or len(item) not in (2, 3):
-            raise ConfigError(f"{path}: expected [index, weight] or [index, re, im], "
-                              f"got {item!r}")
-        x = _element(g, item[0], path)
-        if len(item) == 2:
-            pairs.append((x, _weight(item[1], path)))
-        else:
-            pairs.append((x, complex(_weight(item[1], path), _weight(item[2], path))))
+        if not isinstance(item, list) or len(item) != 2:
+            raise ConfigError(f"{path}: expected [index, weight], got {item!r}")
+        pairs.append((_element(g, item[0], path), _weight(item[1], path)))
     return from_pairs(g, pairs)
 
 
@@ -409,9 +407,9 @@ def _cesaro_checks(extra: dict, pairs: list[CatalogEntry], n: int = 1000,
         checks.append(_check(f"{e.name}: tv(A_{n}, haar)",
                              tv_distance(cesaro_average(e.measure, n), omega), 1e-2))
         report = cesaro_projection(right_markov_matrix(e.group, e.measure), n_max=trials)
-        target = right_markov_matrix(e.group, omega).entries
+        target = right_markov_matrix(e.group, omega)
         checks.append(_check(f"{e.name}: ||K - pi(haar)||_F",
-                             float(np.linalg.norm(report.K.entries - target)), 1e-9))
+                             float(np.linalg.norm(report.K - target)), 1e-9))
         checks.append(_check(f"{e.name}: tv_norm(haar) == 1",
                              abs(tv_norm(omega) - 1.0), 1e-12))
         extra[e.name] = report.to_json()
@@ -536,7 +534,7 @@ def _crit_projection() -> list[CheckResult]:
         commuting = {f"L{i}": rho_l[i] for i in range(e.group.order)}
         report = cesaro_projection(right_markov_matrix(e.group, e.measure),
                                    n_max=2000, commute_with=commuting)
-        k = report.K.entries
+        k = report.K
         checks.append(_check(f"{e.name}: ||K^2-K||", report.idempotency_residual, 1e-9))
         checks.append(_check(f"{e.name}: | ||K||_inf - 1 |",
                              abs(report.norm_inf - 1.0), 1e-12))
@@ -621,7 +619,7 @@ def _crit_quotient_norms() -> list[CheckResult]:
     e6 = catalog_entry("Z6_delta2")
     x = np.array([1.0, 2.0, 0.0, 0.0, 1.0, -1.0], dtype=np.complex128)
     h = np.arange(6, dtype=np.complex128)
-    m = right_markov_matrix(e6.group, e6.measure).entries
+    m = right_markov_matrix(e6.group, e6.measure)
     pairing_gap = abs(np.dot(predual_action(x, e6.measure), h) - np.dot(x, m @ h))
     return checks + witnesses + [_check("predual pairing identity", float(pairing_gap), 1e-12)]
 
@@ -692,17 +690,17 @@ def _crit_diamond_separation() -> list[CheckResult]:
     ]
 
 
-def _ball_gap(h, radius: int) -> np.ndarray:
-    """h(g) minus the mean of h over the neighbours of g, for g in the rank-2 ball;
-    h maps packed words (letters, lengths) to values."""
-    letters, lengths = _packed_ball(2, radius)
+def _ball_gap(h, letters: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """h(g) minus the mean of h over the neighbours of g, for g in a packed rank-2
+    ball; h maps packed words (letters, lengths) to values."""
     return h(letters, lengths) - sum(h(*nb) for nb in _packed_neighbors(2, letters, lengths)) / 4.0
 
 
 def _crit_poisson_harmonicity() -> list[CheckResult]:
     # the extensions of [a] and [ab], stacked: one pass over the ball and its neighbours
-    gaps = _ball_gap(lambda *v: np.stack([_poisson_values(2, w, *v) for w in ((1,), (1, 2))]), 8)
     letters, lengths = _packed_ball(2, 8)
+    gaps = _ball_gap(lambda *v: np.stack([_poisson_values(2, w, *v) for w in ((1,), (1, 2))]),
+                     letters, lengths)
     total = sum(_poisson_values(2, w, letters, lengths) for w in ((1,), (-1,), (2,), (-2,)))
     w = word(3, (1, 2, -1))
 
@@ -720,7 +718,8 @@ def _crit_poisson_harmonicity() -> list[CheckResult]:
         _check("free word w * w^-1 == e", len(free_mul(w, free_inverse(w))), 0, "eq"),
         _check("modulus of harmonic is subharmonic",
                subharmonic_check(habs.real, e6.group, e6.measure).max_violation, 1e-12),
-        _check("max of extensions is subharmonic", _ball_gap(h_max, 6).max(), 1e-12),
+        _check("max of extensions is subharmonic",
+               _ball_gap(h_max, *_packed_ball(2, 6)).max(), 1e-12),
     ]
 
 

@@ -138,12 +138,16 @@ def _validate_table(cayley: np.ndarray, check_associativity: bool) -> tuple[int,
     return identity, inverses
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise CapacityError(f"group order {n} exceeds the cap of {MAX_ORDER}")
+
+
 def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGroup:
     """Validate an explicit Cayley table and wrap it as a FiniteGroup."""
     cayley = np.asarray(cayley, dtype=np.int64)
     n = cayley.shape[0]
-    if n > MAX_ORDER:
-        raise CapacityError(f"group order {n} exceeds the cap of {MAX_ORDER}")
+    _check_order(n)
     identity, inverses = _validate_table(cayley, check_associativity=n <= EXHAUSTIVE_CHECK_ORDER)
     lab = tuple(labels) if labels is not None else None
     if lab is not None and len(lab) != n:
@@ -154,6 +158,7 @@ def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGro
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ConstructionError("cyclic order must be >= 1")
+    _check_order(n)  # before the n x n table is allocated
     i = np.arange(n)
     cayley = (i[:, None] + i[None, :]) % n
     return group_from_table(cayley, labels=[str(k) for k in range(n)], name=f"Z{n}")
@@ -163,6 +168,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: index j*n + i encodes r^i s^j."""
     if n < 1:
         raise ConstructionError("dihedral parameter must be >= 1")
+    _check_order(2 * n)  # before the Python double loop fills the table
 
     def mul(a, b):
         i1, j1 = a % n, a // n

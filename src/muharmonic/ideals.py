@@ -37,7 +37,6 @@ from .measures import (
 from .operators import (
     _conjugate_sum,
     apply_conjugation,
-    as_matrix,
     conjugation_operator,
     predual_matrix,
 )
@@ -90,7 +89,7 @@ def trace_predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     Pairing matrices by tr(SA), the predual of the averaged conjugation by
     mu is the averaged conjugation by the reflected measure.
     """
-    return conjugation_operator(g, reflect(mu)).entries
+    return conjugation_operator(g, reflect(mu))
 
 
 @operation
@@ -236,7 +235,7 @@ def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> Quotien
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = as_matrix(ideal.predual_op)
+    p = ideal.predual_op
     x = np.asarray(x, dtype=np.complex128)
     norms = np.empty(n_max)
     buf = np.empty((min(_TRACE_BLOCK, n_max), x.size), dtype=np.complex128)
@@ -306,7 +305,7 @@ def approximate_identity(
 @operation
 def diagonal_measure(s: np.ndarray, g: FiniteGroup) -> FiniteMeasure:
     """Diagonal read-off of an operator as a complex measure on the group."""
-    s = as_matrix(s)
+    s = np.asarray(s, dtype=np.complex128)
     if s.shape != (g.order, g.order):
         raise ValueError("operator dimension must equal the group order")
     return FiniteMeasure(g, np.diag(s).copy())
@@ -323,8 +322,8 @@ def operator_convolve(s: np.ndarray, t: np.ndarray, g: FiniteGroup) -> np.ndarra
     pairs are convolved one by one, in one gather over the union of the
     diagonal supports.
     """
-    s = as_matrix(s)
-    t = as_matrix(t)
+    s = np.asarray(s, dtype=np.complex128)
+    t = np.asarray(t, dtype=np.complex128)
     n = g.order
     if s.shape[-2:] != (n, n) or t.shape[-2:] != (n, n) or s.shape != t.shape:
         raise ValueError("operators must match the group order")

@@ -57,6 +57,8 @@ class FiniteMeasure:
         size = self.carrier.order if isinstance(self.carrier, FiniteGroup) else self.carrier.size
         if w.shape != (size,):
             raise ValueError(f"weight vector of length {w.shape} does not match carrier size {size}")
+        if not np.isfinite(w).all():
+            raise ValueError("measure weights must be finite")
         object.__setattr__(self, "weights", w)
         w.setflags(write=False)
 

@@ -1,6 +1,7 @@
 """Averaging (Markov) operators built from a group measure.
 
-Conventions, fixed once and tested:
+Every operator is a dense complex128 ``np.ndarray``.  Conventions, fixed
+once and tested:
 
 * functions on G are column vectors; the averaging matrix acts by
   ``(M h)(g) = sum_t h(g t) mu(t)``, i.e. ``M[g, x] = mu(g^{-1} x)``, so
@@ -26,50 +27,7 @@ from .errors import CapacityError, ConstructionError
 from .groups import FiniteGroup, Subgroup, orbit_labels, same_group
 from .measures import FiniteMeasure, convolve
 
-STOCHASTIC_TOL = 1e-12
 CONJUGATION_ORDER_CAP = 24
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense complex square matrix with an optional row-stochastic flag."""
-
-    entries: np.ndarray
-    stochastic: bool = False
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.complex128)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"operator must be square, got shape {e.shape}")
-        if not np.all(np.isfinite(e.view(np.float64))):
-            raise ValueError("operator entries must be finite")
-        object.__setattr__(self, "entries", e)
-        e.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def check_stochastic(self) -> bool:
-        e = self.entries
-        return bool(
-            np.all(np.abs(e.imag) <= STOCHASTIC_TOL)
-            and np.all(e.real >= -STOCHASTIC_TOL)
-            and np.all(np.abs(e.real.sum(axis=1) - 1.0) <= STOCHASTIC_TOL)
-        )
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return OperatorMatrix(self.entries @ other.entries,
-                                  stochastic=self.stochastic and other.stochastic)
-        return self.entries @ other
-
-    def __repr__(self):
-        return f"OperatorMatrix(dim={self.dim}, stochastic={self.stochastic})"
-
-
-def as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
-    return np.asarray(getattr(op, "entries", op), dtype=np.complex128)
 
 
 # ------------------------------------------------------- regular representations
@@ -99,14 +57,14 @@ def left_regular(g: FiniteGroup) -> np.ndarray:
 # ------------------------------------------------------------ averaging matrices
 
 @operation
-def right_markov_matrix(g: FiniteGroup, mu: FiniteMeasure) -> OperatorMatrix:
+def right_markov_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     """Averaging matrix of the measure: M[g, x] = mu(g^{-1} x)."""
     if not (mu.on_group and same_group(mu.carrier, g)):
         raise ValueError("measure does not live on the given group")
     n = g.order
     m = np.zeros((n, n), dtype=np.complex128)
     m[np.arange(n)[:, None], g.cayley] = mu.weights[None, :]
-    return OperatorMatrix(m, stochastic=mu.is_probability())
+    return m
 
 
 @operation
@@ -125,11 +83,11 @@ def predual_action(x: np.ndarray, mu: FiniteMeasure) -> np.ndarray:
 
 def predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     """Matrix of x -> x * mu; equals right_markov_matrix(g, mu).T."""
-    return right_markov_matrix(g, mu).entries.T.copy()
+    return right_markov_matrix(g, mu).T.copy()
 
 
 @operation
-def conjugation_operator(g: FiniteGroup, mu: FiniteMeasure) -> OperatorMatrix:
+def conjugation_operator(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     """The averaged conjugation A -> sum_g mu(g) rho(g) A rho(g)^{-1}.
 
     Materialized as an order^2 x order^2 matrix acting on row-major vec(A);
@@ -146,7 +104,7 @@ def conjugation_operator(g: FiniteGroup, mu: FiniteMeasure) -> OperatorMatrix:
     out = np.zeros((n * n, n * n), dtype=np.complex128)
     for a in np.nonzero(mu.weights)[0]:
         out += mu.weights[a] * np.kron(rho[a], rho[a])
-    return OperatorMatrix(out, stochastic=False)
+    return out
 
 
 def _conjugate_sum(t: np.ndarray, tabs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -225,7 +183,7 @@ def trivial_action(g: FiniteGroup, points: int) -> GSpaceAction:
 
 
 @operation
-def gspace_markov_matrix(action: GSpaceAction, mu: FiniteMeasure) -> OperatorMatrix:
+def gspace_markov_matrix(action: GSpaceAction, mu: FiniteMeasure) -> np.ndarray:
     """Transition matrix P[x, y] = mu({g : g.x = y}) of the induced chain."""
     if not (mu.on_group and same_group(mu.carrier, action.group)):
         raise ValueError("measure does not live on the acting group")
@@ -233,4 +191,4 @@ def gspace_markov_matrix(action: GSpaceAction, mu: FiniteMeasure) -> OperatorMat
     p = np.zeros((m, m), dtype=np.complex128)
     for g in np.nonzero(mu.weights)[0]:
         np.add.at(p, (np.arange(m), action.table[g]), mu.weights[g])
-    return OperatorMatrix(p, stochastic=mu.is_probability())
+    return p

@@ -21,6 +21,7 @@ the cylinder frequency, the martingale check and the averaged square.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -66,16 +67,19 @@ def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
         raise ValueError("law must be a measure on the carrier group")
     if not mu.is_probability():
         raise ValueError("walk law must be a probability measure")
+    if isinstance(start, bool):
+        raise TypeError(f"start must be an element index, got {start!r}")
+    start = operator.index(start)
     if not 0 <= start < carrier.order:
         raise ValueError(f"start {start} outside 0..{carrier.order - 1}")
     rng = np.random.default_rng(seed)
     weights = np.maximum(mu.weights.real, 0.0)
     weights = weights / weights.sum()
     incs = rng.choice(carrier.order, size=n, p=weights)
-    pos = [int(start)]
+    pos = [start]
     for y in incs:
         pos.append(carrier.mul(pos[-1], int(y)))
-    return WalkPath(carrier, int(start), tuple(int(y) for y in incs), tuple(pos), seed)
+    return WalkPath(carrier, start, tuple(int(y) for y in incs), tuple(pos), seed)
 
 
 # ------------------------------------------------- exact boundary quantities
@@ -407,7 +411,7 @@ def stationary_measure(
     fixed space both are returned and must agree; otherwise the
     power-iteration limit is returned and the fixed dimension reported.
     """
-    p = gspace_markov_matrix(action, mu).entries.real
+    p = gspace_markov_matrix(action, mu).real
     m = action.points
     carrier = ZWindow(0, m - 1)
 
@@ -471,5 +475,5 @@ def subharmonic_check(h: np.ndarray, g: FiniteGroup, mu: FiniteMeasure) -> Subha
     from .operators import right_markov_matrix
 
     h = np.asarray(h, dtype=float)
-    averaged = (right_markov_matrix(g, mu).entries.real @ h).real
+    averaged = (right_markov_matrix(g, mu).real @ h).real
     return SubharmonicReport(float((h - averaged).max()), g.order)

@@ -71,8 +71,11 @@ def test_measure_spec_forms():
     z6 = catalog_entry("Z6_delta2").group
     assert _measure_from_spec(z6, {"point": 2}).support() == [2]
     assert _measure_from_spec(z6, {"uniform_on": [1, 3]}).is_probability()
-    m = _measure_from_spec(z6, {"entries": [[0, 0.5], [1, 0.25, 0.1]]})
-    assert m.weights[1] == complex(0.25, 0.1)
+    m = _measure_from_spec(z6, {"entries": [[0, 0.5], [1, 0.5]]})
+    assert m.weights[1] == 0.5
+    # the [index, re, im] form is gone: resolve_pairs refuses every complex weight
+    with pytest.raises(ConfigError, match=r"^measure.entries: expected \[index, weight\], got "):
+        _measure_from_spec(z6, {"entries": [[0, 0.5], [1, 0.5, 0.0]]})
     with pytest.raises(ConfigError):
         _measure_from_spec(z6, {"weird": 1})
 
@@ -234,6 +237,15 @@ def test_cli_capacity_exit_code(tmp_path):
     # the group-order cap still ends the scenario with exit 3
     cfg.write_text(json.dumps({"group": {"kind": "cyclic", "n": 121}, "measure": {"point": 1}}))
     assert cli_main(["ncconv", "--config", str(cfg), "--trials", "1"]) == 3
+
+
+def test_cli_order_far_above_the_cap_exits_3(tmp_path, capsys):
+    # the cap is checked from n, before the n x n Cayley table is allocated
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"group": {"kind": "cyclic", "n": 100_000_000},
+                               "measure": {"point": 1}}))
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 3
+    assert "group order 100000000 exceeds the cap of 120" in capsys.readouterr().err
 
 
 def _s5_spec() -> dict:
@@ -399,6 +411,23 @@ def test_cli_bad_measure_exits_2_with_field_path(tmp_path, capsys, measure, fiel
     assert f"config error: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-above-float-max"])
+def test_measure_spec_refuses_a_non_finite_weight(raw):
+    z6 = catalog_entry("Z6_delta2").group
+    with pytest.raises(ConfigError, match=r"^measure.entries: expected a finite number, got "):
+        _measure_from_spec(z6, {"entries": [[0, raw], [1, 1.0]]})
+
+
+def test_cli_nan_weight_exits_2_naming_the_field(tmp_path, capsys):
+    # Python's json reads NaN
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"group": {"kind": "cyclic", "n": 3}, '
+                   '"measure": {"entries": [[0, NaN], [1, 1.0]]}}')
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 2
+    assert "config error: measure.entries: " in capsys.readouterr().err
+
+
 def test_measure_spec_rejects_malformed_items():
     z6 = catalog_entry("Z6_delta2").group
     for spec, field in (
@@ -409,6 +438,7 @@ def test_measure_spec_rejects_malformed_items():
         ({"uniform_on": [2, 2]}, "measure.uniform_on"),
         ({"entries": [[1]]}, "measure.entries"),
         ({"entries": [[1, "half"]]}, "measure.entries"),
+        ({"entries": [[1, 0.5, 0.5]]}, "measure.entries"),
     ):
         with pytest.raises(ConfigError, match=f"^{field}: "):
             _measure_from_spec(z6, spec)

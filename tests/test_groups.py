@@ -106,6 +106,16 @@ def test_order_cap():
         cyclic_group(121)
 
 
+@pytest.mark.parametrize("build, n, order", [
+    (cyclic_group, 10**8, 10**8),  # an n x n table would take 80 PB
+    (dihedral_group, 61, 122),
+    (dihedral_group, 10**6, 2 * 10**6),  # its table is filled by a Python double loop
+], ids=["cyclic-1e8", "dihedral-61", "dihedral-1e6"])
+def test_order_cap_is_checked_before_the_table_is_built(build, n, order):
+    with pytest.raises(CapacityError, match=f"^group order {order} exceeds the cap of 120$"):
+        build(n)
+
+
 def test_generated_subgroup_examples():
     z6 = cyclic_group(6)
     assert generated_subgroup(z6, [2]).members == (0, 2, 4)

@@ -331,7 +331,7 @@ def test_trace_predual_is_transpose_of_conjugation():
     from muharmonic import conjugation_operator
 
     p = trace_predual_matrix(S3, S3_MU)
-    forward = conjugation_operator(S3, S3_MU).entries
+    forward = conjugation_operator(S3, S3_MU)
     assert np.abs(p - forward.T).max() < 1e-14
 
 

@@ -172,6 +172,14 @@ def test_haar_examples():
     assert np.allclose(haar_on_subgroup(Z6, whole).weights, 1 / 6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_measure_refuses_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="^measure weights must be finite$"):
+        FiniteMeasure(Z4, np.array([bad, 0.5, 0, 0]))
+    with pytest.raises(ValueError, match="^measure weights must be finite$"):
+        z_from_pairs([(0, 0.5), (1, bad)])
+
+
 def test_carrier_mismatch_errors():
     with pytest.raises(ValueError):
         convolve(point_mass(Z4, 0), point_mass(Z6, 0))

@@ -39,18 +39,24 @@ def _random_probability(rng, g):
     return FiniteMeasure(g, (w / w.sum()).astype(np.complex128))
 
 
+def _assert_stochastic(m):
+    assert isinstance(m, np.ndarray) and m.dtype == np.complex128
+    assert np.all(m.imag == 0) and np.all(m.real >= 0)
+    assert np.allclose(m.sum(axis=1), 1.0)
+
+
 def test_markov_examples():
     swap = right_markov_matrix(Z2, point_mass(Z2, 1))
-    assert np.allclose(swap.entries.real, [[0, 1], [1, 0]])
-    assert swap.stochastic
+    assert np.allclose(swap.real, [[0, 1], [1, 0]])
+    _assert_stochastic(swap)
     ident = right_markov_matrix(Z4, point_mass(Z4, 0))
-    assert np.allclose(ident.entries, np.eye(4))
+    assert np.allclose(ident, np.eye(4))
     circ = right_markov_matrix(Z4, from_pairs(Z4, [(1, 0.5), (3, 0.5)]))
     expected = np.zeros((4, 4))
     for g in range(4):
         expected[g, (g + 1) % 4] = 0.5
         expected[g, (g - 1) % 4] = 0.5
-    assert np.allclose(circ.entries.real, expected)
+    assert np.allclose(circ.real, expected)
 
 
 def test_markov_is_homomorphism():
@@ -60,8 +66,8 @@ def test_markov_is_homomorphism():
         for _ in range(20):
             mu = _random_probability(rng, g)
             nu = _random_probability(rng, g)
-            lhs = right_markov_matrix(g, convolve(mu, nu)).entries
-            rhs = right_markov_matrix(g, mu).entries @ right_markov_matrix(g, nu).entries
+            lhs = right_markov_matrix(g, convolve(mu, nu))
+            rhs = right_markov_matrix(g, mu) @ right_markov_matrix(g, nu)
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -69,7 +75,7 @@ def test_markov_equals_averaged_right_regular():
     rng = np.random.default_rng(12)
     rho = right_regular(S3)
     mu = _random_probability(rng, S3)
-    direct = right_markov_matrix(S3, mu).entries
+    direct = right_markov_matrix(S3, mu)
     averaged = sum(mu.weights[g] * rho[g] for g in range(6))
     assert np.abs(direct - averaged).max() < 1e-15
 
@@ -97,17 +103,18 @@ def test_predual_pairing_identity():
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         lhs = np.dot(predual_action(x, mu), h)
-        rhs = np.dot(x, right_markov_matrix(S3, mu).entries @ h)
+        rhs = np.dot(x, right_markov_matrix(S3, mu) @ h)
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_conjugation_examples():
     conj = conjugation_operator(Z2, point_mass(Z2, 1))
     a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    out = (conj.entries @ a.reshape(-1)).reshape(2, 2)
+    assert isinstance(conj, np.ndarray) and conj.dtype == np.complex128
+    out = (conj @ a.reshape(-1)).reshape(2, 2)
     assert np.allclose(out, [[4, 3], [2, 1]])
     ident = conjugation_operator(Z2, point_mass(Z2, 0))
-    assert np.allclose(ident.entries, np.eye(4))
+    assert np.allclose(ident, np.eye(4))
 
 
 def test_conjugation_preserves_trace():
@@ -124,15 +131,15 @@ def test_conjugation_composition_convention():
     for _ in range(10):
         mu = _random_probability(rng, S3)
         nu = _random_probability(rng, S3)
-        lhs = conjugation_operator(S3, mu).entries @ conjugation_operator(S3, nu).entries
-        rhs = conjugation_operator(S3, convolve(mu, nu)).entries
+        lhs = conjugation_operator(S3, mu) @ conjugation_operator(S3, nu)
+        rhs = conjugation_operator(S3, convolve(mu, nu))
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_conjugation_matches_direct_application():
     rng = np.random.default_rng(16)
     mu = _random_probability(rng, Z6)
-    conj = conjugation_operator(Z6, mu).entries
+    conj = conjugation_operator(Z6, mu)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     via_vec = (conj @ a.reshape(-1)).reshape(6, 6)
     assert np.abs(via_vec - apply_conjugation(Z6, mu, a)).max() < 1e-13
@@ -145,7 +152,7 @@ def test_apply_conjugation_matches_the_vec_operator_for_complex_measures():
         n = g.order
         nu = FiniteMeasure(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        via_vec = conjugation_operator(g, nu).entries @ a.reshape(-1)
+        via_vec = conjugation_operator(g, nu) @ a.reshape(-1)
         assert np.abs(via_vec - apply_conjugation(g, nu, a).reshape(-1)).max() < 1e-12
 
 
@@ -162,17 +169,17 @@ def test_gspace_examples():
     action = GSpaceAction(S3, 3, np.array([list(p) for p in perms]))
     mu = uniform_on(S3, [S3.labels.index("(1 2)"), S3.labels.index("(1 3)")])
     p = gspace_markov_matrix(action, mu)
-    assert p.stochastic
-    assert np.allclose(p.entries.real[0], [0, 0.5, 0.5])
+    _assert_stochastic(p)
+    assert np.allclose(p.real[0], [0, 0.5, 0.5])
 
     triv = trivial_action(S3, 4)
-    assert np.allclose(gspace_markov_matrix(triv, mu).entries, np.eye(4))
+    assert np.allclose(gspace_markov_matrix(triv, mu), np.eye(4))
 
     shift = gspace_markov_matrix(GSpaceAction(Z3, 3, Z3.cayley.copy()), point_mass(Z3, 1))
     expected = np.zeros((3, 3))
     for x in range(3):
         expected[x, (1 + x) % 3] = 1.0  # left translation by the generator
-    assert np.allclose(shift.entries.real, expected)
+    assert np.allclose(shift.real, expected)
 
 
 def test_gspace_doubly_stochastic():
@@ -180,7 +187,7 @@ def test_gspace_doubly_stochastic():
     h = generated_subgroup(S3, [S3.labels.index("(1 2)")])
     action = coset_action(S3, h)
     mu = _random_probability(rng, S3)
-    p = gspace_markov_matrix(action, mu).entries.real
+    p = gspace_markov_matrix(action, mu).real
     assert np.allclose(p.sum(axis=0), 1.0)
     assert np.allclose(p.sum(axis=1), 1.0)
 
@@ -237,5 +244,4 @@ def test_action_validation_names_the_first_failing_pair():
 
 def test_stochastic_flag_semantics():
     m = right_markov_matrix(Z4, FiniteMeasure(Z4, np.array([0.5, 0.5, 0.5, 0.5])))
-    assert not m.stochastic  # mass 2, flagged off rather than rejected
-    assert not m.check_stochastic()
+    assert np.allclose(m.sum(axis=1), 2.0)  # mass 2: built, not refused

@@ -101,7 +101,7 @@ def test_reflection_reverses_convolution(case):
 def test_predual_pairing(case):
     # <x * mu, h> = <x, M h> with the bilinear pairing sum_g x(g) h(g)
     g, (mu, x, h) = case
-    m = right_markov_matrix(g, mu).entries
+    m = right_markov_matrix(g, mu)
     lhs = np.dot(predual_action(x.weights, mu), h.weights)
     rhs = np.dot(x.weights, m @ h.weights)
     assert abs(lhs - rhs) < TOL
@@ -153,4 +153,4 @@ def test_cesaro_limit_is_the_haar_projection(spec, data):
     k = cesaro_limit(right_markov_matrix(g, mu))
     assert np.linalg.norm(k @ k - k) < 1e-9
     assert abs(np.abs(k).sum(axis=1).max() - 1.0) < 1e-9
-    assert np.linalg.norm(k - right_markov_matrix(g, haar_on_subgroup(g, h)).entries) < 1e-9
+    assert np.linalg.norm(k - right_markov_matrix(g, haar_on_subgroup(g, h))) < 1e-9

@@ -88,7 +88,7 @@ def test_project_onto_complex_span_not_its_conjugate():
 
 
 def _shifted(e) -> np.ndarray:
-    return np.eye(e.group.order) - right_markov_matrix(e.group, e.measure).entries
+    return np.eye(e.group.order) - right_markov_matrix(e.group, e.measure)
 
 
 def _complex_matrix(seed: int = 3) -> np.ndarray:

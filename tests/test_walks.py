@@ -57,6 +57,15 @@ def test_sample_path_refuses_a_start_outside_the_group(start):
         sample_path(z4, point_mass(z4, 1), start, 3, seed=1)
 
 
+@pytest.mark.parametrize("start", [1.5, True, 1.0, "1"])
+def test_sample_path_refuses_a_start_that_is_not_an_integer(start):
+    # int() would truncate 1.5 and True to 1 and walk from there
+    z4 = cyclic_group(4)
+    with pytest.raises(TypeError):
+        sample_path(z4, point_mass(z4, 1), start, 3, seed=1)
+    assert sample_path(z4, point_mass(z4, 1), np.int64(1), 3, seed=1).positions == (1, 2, 3, 0)
+
+
 def test_sample_path_seed_reproducibility():
     s3 = symmetric_group(3)
     mu = uniform_on(s3, [1, 2, 3])
