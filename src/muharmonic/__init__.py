@@ -17,7 +17,6 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     generated_subgroup,
-    group_from_json,
     group_from_table,
     left_cosets,
     orbit_labels,

@@ -25,16 +25,10 @@ from functools import lru_cache
 import numpy as np
 
 from ._ops import MARKED, collecting, operation
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError, ConstructionError
 from .freegroup import (FreeWord, _packed_ball, _packed_neighbors, free_ball, free_inverse,
                         free_mul, word)
-from .groups import (
-    FiniteGroup,
-    build_group,
-    generated_subgroup,
-    group_from_json,
-    symmetric_group,
-)
+from .groups import FiniteGroup, _check_order, build_group, generated_subgroup, symmetric_group
 from .harmonic import (
     cesaro_mean,
     cesaro_projection,
@@ -219,6 +213,12 @@ class _Kind:
     expected: str
     least: int | None = None
 
+    def check(self, val, path: str) -> None:
+        """Refuse, naming the path, a value that is not of this kind."""
+        if (not isinstance(val, self.type) or isinstance(val, bool)
+                or (self.least is not None and val < self.least)):
+            raise ConfigError(f"{path}: expected {self.expected}, got {val!r}")
+
 
 _OBJECT = _Kind(dict, "a JSON object")
 _TEXT = _Kind(str, "a string")
@@ -266,11 +266,8 @@ class ExperimentConfig:
             val, kind = getattr(self, f.name), f.metadata["kind"]
             if f.name not in reads and val != f.default:
                 raise ConfigError(f"{f.name}: not read by {self.scenario}")
-            if val is None and f.default is None:
-                continue
-            if (not isinstance(val, kind.type) or isinstance(val, bool)
-                    or (kind.least is not None and val < kind.least)):
-                raise ConfigError(f"{f.name}: expected {kind.expected}, got {val!r}")
+            if val is not None or f.default is not None:
+                kind.check(val, f.name)
         if (self.group is None) != (self.measure is None):
             raise ConfigError("measure: a group and a measure must be given together")
 
@@ -296,12 +293,7 @@ class ExperimentConfig:
     def resolve_pairs(self) -> list[CatalogEntry]:
         """Catalog entries to run over: explicit pair > named entry > all."""
         if self.group is not None:
-            try:
-                g = group_from_json(self.group)
-            except CapacityError:
-                raise
-            except Exception as exc:
-                raise ConfigError(f"group: {exc}") from exc
+            g = _group_from_spec(self.group, "group")
             mu = _measure_from_spec(g, self.measure)
             if not mu.is_probability():
                 raise ConfigError(f"measure.{next(iter(self.measure))}: weights must be "
@@ -313,12 +305,12 @@ class ExperimentConfig:
         return catalog()
 
 
-def _element(g: FiniteGroup, raw, path: str) -> int:
+def _element(order: int, raw, path: str) -> int:
     """Group element index from a config value, checked against the order."""
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ConfigError(f"{path}: expected an element index, got {raw!r}")
-    if not 0 <= raw < g.order:
-        raise ConfigError(f"{path}: element index {raw} outside 0..{g.order - 1}")
+    if not 0 <= raw < order:
+        raise ConfigError(f"{path}: element index {raw} outside 0..{order - 1}")
     return raw
 
 
@@ -330,6 +322,55 @@ def _weight(raw, path: str) -> float:
     return float(raw)
 
 
+# each group kind and its keys besides "kind"; the first is required
+_GROUP_KEYS = {"cyclic": ("n",), "dihedral": ("n",), "symmetric": ("n",),
+               "product": ("factors",), "from_table": ("cayley", "labels")}
+
+
+def _group_from_spec(spec, path: str) -> FiniteGroup:
+    """Group from a spec of the README's forms, each field checked and named by its
+    path; the factors of a product are specs at <path>.factors[i]."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {spec!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _GROUP_KEYS:
+        raise ConfigError(f"{path}.kind: expected one of {' / '.join(_GROUP_KEYS)}, "
+                          f"got {kind!r}")
+    for key in spec:
+        if key != "kind" and key not in _GROUP_KEYS[kind]:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    if _GROUP_KEYS[kind][0] not in spec:
+        raise ConfigError(f"{path}.{_GROUP_KEYS[kind][0]}: missing")
+    if kind == "product":
+        factors = spec["factors"]
+        if not isinstance(factors, list) or len(factors) < 2:
+            raise ConfigError(f"{path}.factors: expected a list of two or more group specs, "
+                              f"got {factors!r}")
+        return build_group(kind, factors=[_group_from_spec(f, f"{path}.factors[{i}]")
+                                          for i, f in enumerate(factors)])
+    if kind == "from_table":
+        table, labels = spec["cayley"], spec.get("labels")
+        n = len(table) if isinstance(table, list) else 0
+        _check_order(n)  # before the entries are read
+        if n == 0 or any(not isinstance(row, list) or len(row) != n for row in table):
+            raise ConfigError(f"{path}.cayley: expected a square list of rows of element indices")
+        for row in table:
+            for x in row:
+                _element(n, x, f"{path}.cayley")
+        if labels is not None and (not isinstance(labels, list) or len(labels) != n
+                                   or not all(isinstance(t, str) for t in labels)):
+            raise ConfigError(f"{path}.labels: expected {n} strings, one per element, "
+                              f"got {labels!r}")
+        field_path, params = f"{path}.cayley", {"cayley": table, "labels": labels}
+    else:
+        field_path, params = f"{path}.n", {"n": spec["n"]}
+        _SIZE.check(spec["n"], field_path)
+    try:
+        return build_group(kind, **params)
+    except ConstructionError as exc:  # a table that is not a group, or S_n past n = 5
+        raise ConfigError(f"{field_path}: {exc}") from exc
+
+
 def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
     for key in spec:
         if key not in _MEASURE_FORMS:
@@ -338,13 +379,13 @@ def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
         raise ConfigError(f"measure: expected one of point / uniform_on / entries, "
                           f"got {sorted(spec)}")
     if "point" in spec:
-        return point_mass(g, _element(g, spec["point"], "measure.point"))
+        return point_mass(g, _element(g.order, spec["point"], "measure.point"))
     if "uniform_on" in spec:
         subset = spec["uniform_on"]
         if not isinstance(subset, list) or not subset:
             raise ConfigError("measure.uniform_on: expected a nonempty list of element indices")
         try:
-            return uniform_on(g, [_element(g, x, "measure.uniform_on") for x in subset])
+            return uniform_on(g, [_element(g.order, x, "measure.uniform_on") for x in subset])
         except ValueError as exc:
             raise ConfigError(f"measure.uniform_on: {exc}") from exc
     path = "measure.entries"
@@ -354,7 +395,7 @@ def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
     for item in spec["entries"]:
         if not isinstance(item, list) or len(item) != 2:
             raise ConfigError(f"{path}: expected [index, weight], got {item!r}")
-        pairs.append((_element(g, item[0], path), _weight(item[1], path)))
+        pairs.append((_element(g.order, item[0], path), _weight(item[1], path)))
     return from_pairs(g, pairs)
 
 

@@ -10,7 +10,6 @@ composition).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,24 +250,6 @@ def build_group(kind: str, **params) -> FiniteGroup:
     if kind == "from_table":
         return group_from_table(params["cayley"], labels=params.get("labels"))
     raise ConstructionError(f"unknown group kind {kind!r}")
-
-
-def group_from_json(obj) -> FiniteGroup:
-    """Build a group from the JSON description documented in the README.
-
-    {"kind": "cyclic", "n": 6}
-    {"kind": "dihedral", "n": 4}
-    {"kind": "symmetric", "n": 3}
-    {"kind": "product", "factors": [<spec>, <spec>, ...]}
-    {"kind": "from_table", "cayley": [[...], ...], "labels": [...]}
-    """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    kind = obj.get("kind")
-    if kind == "product":
-        return build_group("product", factors=[group_from_json(f) for f in obj["factors"]])
-    params = {k: v for k, v in obj.items() if k != "kind"}
-    return build_group(kind, **params)
 
 
 @operation

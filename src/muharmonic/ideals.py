@@ -159,7 +159,10 @@ def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
 def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
     """Predual-norm distance from x to the ideal.
 
-    l1 ambient: exact, via the in-package simplex (real data); the oracle
+    l1 ambient: exact, via the in-package simplex on the dual LP (real data):
+    the max of <x, h> over the vectors h orthogonal to the ideal with
+    ||h||_inf <= 1, the bounded harmonic side.  The complement is taken by SVD
+    from the ideal's basis, not from H-orbit labels, so this stays the oracle
     that quotient_norm is checked against.
     trace ambient: the closed form of quotient_norm, for an ideal with H-orbit labels.
     """
@@ -174,8 +177,7 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
         return quotient_norm(x, ideal)
     from .lp import l1_distance_to_span
 
-    dist, _ = l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
-    return dist
+    return l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
 
 
 # -------------------------------------------------------- averaged norm trace

@@ -1,13 +1,18 @@
-"""Dense tableau simplex for l^1 projection distances.
+"""Dense tableau simplex for l^1 distances to a subspace, by duality.
 
-Problem sizes here stay below ~100 variables, so a plain tableau with
-Bland's rule is plenty: deterministic, dependency-free, and guaranteed to
-terminate.
+The dual of l^1 modulo a subspace J is its annihilator J^perp, so
+dist_1(x, J) = max{<x, h> : h in J^perp, ||h||_inf <= 1}, attained by
+Hahn-Banach.  With C an orthonormal basis of J^perp (one SVD) this is a
+small LP over the coordinates z of h = C z, whose slack basis is feasible
+from the start.  A plain tableau with Bland's rule is plenty:
+deterministic, dependency-free, and guaranteed to terminate.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .subspaces import kernel
 
 _PIVOT_TOL = 1e-9
 _MAX_PIVOTS = 50_000
@@ -49,12 +54,12 @@ def _simplex(tableau: np.ndarray, basis: list[int], n_vars: int) -> None:
     raise RuntimeError("simplex did not terminate within the pivot budget")
 
 
-def l1_distance_to_span(x: np.ndarray, basis_cols: np.ndarray) -> tuple[float, np.ndarray]:
-    """min_t ||x - B t||_1 for real x (d,) and real B (d, r).
+def l1_distance_to_span(x: np.ndarray, basis_cols: np.ndarray) -> float:
+    """min_t ||x - B t||_1 for real x (d,) and real B (d, r), as its dual LP.
 
-    Solved as an LP: split t = tp - tm and the residual into u - v with
-    u, v >= 0, minimize sum(u + v) subject to B tp - B tm + u - v = x.
-    Returns (distance, t).
+    With C (d, s) an orthonormal basis of the complement of span(B), taken
+    from the SVD of B^T: maximize <C^T x, z> subject to -1 <= C z <= 1, with
+    z = zp - zm and one slack per inequality.
     """
     x = np.asarray(x)
     basis_cols = np.asarray(basis_cols)
@@ -65,37 +70,14 @@ def l1_distance_to_span(x: np.ndarray, basis_cols: np.ndarray) -> tuple[float, n
             raise ValueError("l1_distance_to_span handles real data only")
         x = np.real(x)
         basis_cols = np.real(basis_cols)
-    x = x.astype(float)
     d = x.shape[0]
-    b_mat = basis_cols.astype(float).reshape(d, -1)
-    r = b_mat.shape[1]
-    if r == 0:
-        return float(np.abs(x).sum()), np.zeros(0)
-
-    n_vars = 2 * r + 2 * d
-    a = np.hstack([b_mat, -b_mat, np.eye(d), -np.eye(d)])
-    c = np.concatenate([np.zeros(2 * r), np.ones(2 * d)])
-
-    # start from the feasible basis u_i (x_i >= 0) or v_i (x_i < 0)
-    tableau = np.zeros((d + 1, n_vars + 1))
-    tableau[:d, :n_vars] = a
-    tableau[:d, -1] = x
-    basis = []
-    for i in range(d):
-        if x[i] >= 0:
-            basis.append(2 * r + i)
-        else:
-            tableau[i] *= -1.0
-            basis.append(2 * r + d + i)
-    tableau[-1, :n_vars] = c
-    for i, var in enumerate(basis):  # eliminate basic costs from the cost row
-        tableau[-1] -= c[var] * tableau[i]
-
-    _simplex(tableau, basis, n_vars)
-
-    z = np.zeros(n_vars)
-    for i, var in enumerate(basis):
-        z[var] = tableau[i, -1]
-    t = z[:r] - z[r : 2 * r]
-    distance = float(np.abs(x - b_mat @ t).sum())
-    return distance, t
+    comp = kernel(basis_cols.T).basis.real.T  # (d, s)
+    signed = np.vstack([comp, -comp])  # the rows C z <= 1, then -C z <= 1
+    cost = x @ comp
+    tableau = np.vstack([
+        np.hstack([signed, -signed, np.eye(2 * d), np.ones((2 * d, 1))]),
+        np.concatenate([-cost, cost, np.zeros(2 * d + 1)]),
+    ])
+    n_vars = tableau.shape[1] - 1
+    _simplex(tableau, list(range(2 * cost.size, n_vars)), n_vars)  # from the slack basis
+    return float(tableau[-1, -1])

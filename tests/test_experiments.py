@@ -1,11 +1,14 @@
 import json
 import os
 import re
+import tempfile
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muharmonic
 from muharmonic import (
@@ -19,13 +22,16 @@ from muharmonic import (
 )
 from muharmonic.cli import main as cli_main
 from muharmonic.experiments import (
+    _SIZE,
     ACCEPTANCE,
     MASTER_SEED,
     OPERATION_NAMES,
     SCENARIOS,
     _measure_from_spec,
     run_criterion,
+    scenario_fields,
 )
+from muharmonic.groups import MAX_ORDER
 from muharmonic import generated_subgroup, symmetric_group
 
 
@@ -411,6 +417,43 @@ def test_cli_bad_measure_exits_2_with_field_path(tmp_path, capsys, measure, fiel
     assert f"config error: {field}: " in capsys.readouterr().err
 
 
+_Z2, _Z0 = {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 0}
+
+
+@pytest.mark.parametrize("group, message", [
+    # each ran, or ended with an error that named no field
+    ({"kind": "cyclic", "n": 4.7}, "group.n: expected a positive integer, got 4.7"),
+    ({"kind": "cyclic", "n": "4"}, "group.n: expected a positive integer, got '4'"),
+    ({"kind": "symmetric", "n": True}, "group.n: expected a positive integer, got True"),
+    ({"kind": "cyclic", "n": 3, "extra": 1}, "group.extra: unknown key"),
+    ({"kind": "from_table"}, "group.cayley: missing"),
+    ({"kind": "product", "factors": 3},
+     "group.factors: expected a list of two or more group specs, got 3"),
+    ({"kind": "product", "factors": [_Z2, _Z0]},
+     "group.factors[1].n: expected a positive integer, got 0"),
+    ({"kind": "product", "factors": [_Z2, {"kind": "product", "factors": [_Z2, [2]]}]},
+     "group.factors[1].factors[1]: expected a JSON object, got [2]"),
+    ({"n": 4}, "group.kind: expected one of cyclic / dihedral / symmetric / product / "
+               "from_table, got None"),
+    ({"kind": "symmetric", "n": 6}, "group.n: symmetric groups are supported for 1 <= n <= 5"),
+    ({"kind": "from_table", "cayley": [[0, 1.5], [1, 0]]},
+     "group.cayley: expected an element index, got 1.5"),
+    ({"kind": "from_table", "cayley": [[0, 1], [1, 2]]},
+     "group.cayley: element index 2 outside 0..1"),
+    ({"kind": "from_table", "cayley": [[0, 1], [1]]},
+     "group.cayley: expected a square list of rows of element indices"),
+    ({"kind": "from_table", "cayley": [[0, 1], [1, 1]]},
+     "group.cayley: element 1 has no right inverse"),
+    ({"kind": "from_table", "cayley": [[0, 1], [1, 0]], "labels": "es"},
+     "group.labels: expected 2 strings, one per element, got 'es'"),
+])
+def test_cli_bad_group_spec_exits_2_with_field_path(tmp_path, capsys, group, message):
+    cfg = tmp_path / "bad_group.json"
+    cfg.write_text(json.dumps({"group": group, "measure": {"point": 0}}))
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("raw", [float("nan"), float("inf"), -float("inf"), 10**400],
                          ids=["nan", "inf", "-inf", "int-above-float-max"])
 def test_measure_spec_refuses_a_non_finite_weight(raw):
@@ -489,7 +532,7 @@ def test_cli_explicit_zero_size_exits_2_with_field_path(argv, field, tmp_path, c
 @pytest.mark.parametrize("spec, field", [
     ({"entry": "Z2_delta1", "measure": {"point": 1}}, "measure"),  # no group
     ({"group": {"kind": "from_table", "cayley": [[0, 1], [1, 0]], "labels": ["e"]},
-      "measure": {"point": 1}}, "group"),  # one label for two elements
+      "measure": {"point": 1}}, "group.labels"),  # one label for two elements
 ])
 def test_cli_ignored_spec_exits_2_with_field_path(spec, field, tmp_path, capsys):
     cfg = tmp_path / "ignored.json"
@@ -575,3 +618,93 @@ def test_readme_flag_table_lists_each_parser_flags(capsys):
                   for flag, text in entries]
         documented = re.findall(r"`(--\w+) [A-Z]+`(?: \(default (\S+)\))?", rows[scenario])
         assert documented == listed, scenario
+
+
+# ---------------------------------------------------------- CLI property
+# Configs drawn from the field table and the group and measure spec forms,
+# valid and malformed.  Valid groups have order <= 24; an order past the cap
+# (a cyclic n or a product) is refused before its table is allocated.
+
+_MALFORMED = st.sampled_from([True, -1, 0, 2.5, "3", [2], {"n": 2}])
+_SMALL_GROUPS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("cyclic"), "n": st.integers(1, 4)}),
+    st.fixed_dictionaries({"kind": st.just("dihedral"), "n": st.integers(1, 3)}),
+)
+_GROUP_SPECS = st.one_of(
+    _SMALL_GROUPS,
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["cyclic", "dihedral", "symmetric", "free"]),
+         "n": st.one_of(st.integers(1, 4), st.just(MAX_ORDER + 1), _MALFORMED)},
+        optional={"extra": st.just(1)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("product"),
+         "factors": st.one_of(st.lists(_SMALL_GROUPS, max_size=2),
+                              st.just([{"kind": "cyclic", "n": MAX_ORDER + 1}, _Z2]),
+                              st.lists(_MALFORMED, min_size=2, max_size=2), _MALFORMED)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("from_table"),
+         "cayley": st.sampled_from([[[0, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 1], [1]],
+                                    [[0]], [], [[0, 1.5], [1, 0]], "table"])},
+        optional={"labels": st.sampled_from([["e", "s"], ["e"], "es", None])}),
+    _MALFORMED,
+)
+_WEIGHTS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-1, 2), _MALFORMED)
+_MEASURE_SPECS = st.one_of(
+    st.fixed_dictionaries({"point": st.one_of(st.integers(-1, 5), _MALFORMED)}),
+    st.fixed_dictionaries({"uniform_on": st.one_of(st.lists(st.integers(-1, 5), max_size=3),
+                                                   _MALFORMED)}),
+    st.fixed_dictionaries({"entries": st.one_of(
+        st.just([[0, 1.0]]), st.just([[0, 0.5], [1, 0.5]]),
+        st.lists(st.lists(st.one_of(st.integers(0, 3), _WEIGHTS), max_size=3), max_size=3),
+        _MALFORMED)}),
+    st.fixed_dictionaries({"point": st.just(0), "weird": st.just(1)}),
+    _MALFORMED,
+)
+_TEXTS = {"word": st.sampled_from(["a", "ab", "a'b", "aa'", "", "x"]),
+          "entry": st.sampled_from([e.name for e in catalog()] + ["Z7_delta1"])}
+# small sizes, so that no drawn run takes long
+_VALID = {"group": _GROUP_SPECS, "measure": _MEASURE_SPECS, "seed": st.integers(0, 3),
+          "paths": st.integers(1, 40), "n": st.integers(1, 8), "trials": st.integers(1, 3),
+          **_TEXTS}
+
+
+@st.composite
+def _cli_configs(draw):
+    """(scenario, config object): half of them set only fields the scenario reads;
+    the others set, leave unset or spoil each field at random."""
+    # suite is left out: it runs the 15 criteria at their pinned sizes
+    scenario = draw(st.sampled_from([s for s in SCENARIOS if s != "suite"]))
+    reads = scenario_fields(scenario)
+    clean = draw(st.booleans())
+    pair = draw(st.booleans())  # in a clean config: a custom pair, or entry or catalog
+    raw = {}
+    for f in fields(ExperimentConfig)[1:]:
+        # an unset size or entry would take the scenario's default size or the
+        # whole catalog, so a size or entry the scenario reads is set
+        if (f.metadata["kind"] is _SIZE or f.name == "entry") and f.name in reads:
+            choice = draw(st.sampled_from(["valid"] if clean else ["valid", "bad"]))
+        elif not clean:
+            choice = draw(st.sampled_from(["unset", "valid", "bad"]))
+        elif f.name not in reads or (f.name in ("group", "measure") and not pair):
+            choice = "unset"
+        elif f.name in ("group", "measure"):
+            choice = "valid"
+        else:
+            choice = draw(st.sampled_from(["unset", "valid"]))
+        if choice == "valid":
+            raw[f.name] = "OUT" if f.name == "out" else draw(_VALID[f.name])
+        elif choice == "bad":
+            raw[f.name] = draw(_MALFORMED)
+    return scenario, raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cli_configs())
+def test_cli_ends_every_config_with_an_exit_code(case):
+    scenario, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if raw.get("out") == "OUT":
+            raw["out"] = os.path.join(tmp, "out")
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli_main([scenario, "--config", str(cfg)]) in (0, 1, 2, 3)

@@ -10,12 +10,12 @@ from muharmonic import (
     cyclic_group,
     dihedral_group,
     generated_subgroup,
-    group_from_json,
     group_from_table,
     left_cosets,
     product_group,
     symmetric_group,
 )
+from muharmonic.experiments import _group_from_spec
 
 
 def _check_cayley_invariants(g):
@@ -164,11 +164,13 @@ def test_left_cosets_partition_properties():
 
 
 def test_json_round_trip():
+    # the config's group specs, read by the experiment runner
     g = build_group("dihedral", n=3)
-    again = group_from_json({"kind": "from_table", "cayley": g.cayley.tolist(),
-                             "labels": list(g.labels)})
+    again = _group_from_spec({"kind": "from_table", "cayley": g.cayley.tolist(),
+                              "labels": list(g.labels)}, "group")
     assert np.array_equal(g.cayley, again.cayley)
-    nested = group_from_json(
-        {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]}
-    )
+    assert again.labels == g.labels
+    nested = _group_from_spec(
+        {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]},
+        "group")
     assert nested.order == 6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muharmonic import lp
 from muharmonic.experiments import MASTER_SEED, catalog
@@ -7,22 +9,63 @@ from muharmonic.ideals import coboundary_ideal
 from muharmonic.lp import l1_distance_to_span
 
 
+def primal_l1_distance(x, b):
+    """(min_t ||x - B t||_1, an optimal t) for real x (d,) and B (d, r), by the
+    primal LP: the reference oracle of the dual that l1_distance_to_span solves.
+
+    Split t = tp - tm and the residual into u - v with u, v >= 0, and minimize
+    sum(u + v) subject to B tp - B tm + u - v = x, from the feasible basis u_i
+    (x_i >= 0) or v_i (x_i < 0).
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[0]
+    b = np.asarray(b, dtype=float).reshape(d, -1)
+    r = b.shape[1]
+    if r == 0:
+        return float(np.abs(x).sum()), np.zeros(0)
+    n_vars = 2 * r + 2 * d
+    c = np.concatenate([np.zeros(2 * r), np.ones(2 * d)])
+    tableau = np.zeros((d + 1, n_vars + 1))
+    tableau[:d, :n_vars] = np.hstack([b, -b, np.eye(d), -np.eye(d)])
+    tableau[:d, -1] = x
+    basis = []
+    for i in range(d):
+        if x[i] >= 0:
+            basis.append(2 * r + i)
+        else:
+            tableau[i] *= -1.0
+            basis.append(2 * r + d + i)
+    tableau[-1, :n_vars] = c
+    for i, var in enumerate(basis):  # eliminate basic costs from the cost row
+        tableau[-1] -= c[var] * tableau[i]
+    lp._simplex(tableau, basis, n_vars)
+    z = np.zeros(n_vars)
+    z[basis] = tableau[:d, -1]
+    t = z[:r] - z[r:2 * r]
+    return float(np.abs(x - b @ t).sum()), t
+
+
 def test_hand_case_distance_one():
-    d, t = l1_distance_to_span(np.array([1.0, 0.0]), np.array([[1.0], [-1.0]]))
+    x, b = np.array([1.0, 0.0]), np.array([[1.0], [-1.0]])
+    d = l1_distance_to_span(x, b)
     assert abs(d - 1.0) < 1e-12
-    # any t in [0, 1] is optimal; the reported t must achieve the distance
-    assert abs(np.abs(np.array([1.0, 0.0]) - np.array([[1.0], [-1.0]]) @ t).sum() - d) < 1e-12
+    # any t in [0, 1] is optimal; the oracle's t must achieve the distance
+    d_ref, t = primal_l1_distance(x, b)
+    assert abs(d_ref - 1.0) < 1e-12
+    assert abs(np.abs(x - b @ t).sum() - d) < 1e-12
 
 
 def test_member_has_distance_zero():
     b = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, 2.0]])
     x = b @ np.array([0.7, -1.3])
-    d, _ = l1_distance_to_span(x, b)
-    assert d < 1e-12
+    assert l1_distance_to_span(x, b) < 1e-12
+    assert primal_l1_distance(x, b)[0] < 1e-12
 
 
 def test_empty_span():
-    d, t = l1_distance_to_span(np.array([1.0, -2.0, 3.0]), np.zeros((3, 0)))
+    x, b = np.array([1.0, -2.0, 3.0]), np.zeros((3, 0))
+    assert l1_distance_to_span(x, b) == 6.0
+    d, t = primal_l1_distance(x, b)
     assert d == 6.0
     assert t.size == 0
 
@@ -33,7 +76,8 @@ def test_upper_bound_validity_random():
         dim, r = int(rng.integers(2, 9)), int(rng.integers(1, 4))
         b = rng.standard_normal((dim, r))
         x = rng.standard_normal(dim)
-        d, t_opt = l1_distance_to_span(x, b)
+        d = l1_distance_to_span(x, b)
+        _, t_opt = primal_l1_distance(x, b)
         assert abs(np.abs(x - b @ t_opt).sum() - d) < 1e-9
         for _ in range(50):
             t = rng.standard_normal(r)
@@ -46,7 +90,7 @@ def test_against_grid_refinement_small():
         dim = int(rng.integers(2, 6))
         b = rng.standard_normal((dim, 1))
         x = rng.standard_normal(dim)
-        d, _ = l1_distance_to_span(x, b)
+        d = l1_distance_to_span(x, b)
         # independent 1-d oracle: nested grid scan with halving window
         best, width = 0.0, 10.0
         value = np.inf
@@ -62,6 +106,20 @@ def test_against_grid_refinement_small():
 def test_rejects_complex():
     with pytest.raises(ValueError):
         l1_distance_to_span(np.array([1.0 + 1j, 0.0]), np.array([[1.0], [1.0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.data())
+def test_dual_equals_the_primal_on_random_lps(dim, data):
+    r = data.draw(st.integers(0, dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b, x = rng.standard_normal((dim, r)), rng.standard_normal(dim)
+    if data.draw(st.booleans()):  # ties, degenerate pivots and rank-deficient spans
+        b, x = np.round(b * 2), np.round(x * 3)
+    d_ref, t = primal_l1_distance(x, b)
+    d = l1_distance_to_span(x, b)
+    assert abs(d - d_ref) <= 1e-12 * max(1.0, np.abs(x).sum())
+    assert abs(np.abs(x - b @ t).sum() - d) <= 1e-12 * max(1.0, np.abs(x).sum())
 
 
 def _scalar_simplex(tableau, basis, n_vars):
@@ -100,9 +158,18 @@ def _scalar_simplex(tableau, basis, n_vars):
     raise RuntimeError("simplex did not terminate within the pivot budget")
 
 
-def _both_simplexes(monkeypatch, problems):
-    """(distance, t, final tableau, basis) of every problem by lp._simplex,
-    then by the reference."""
+def _dual_bytes(x, b):
+    return (np.float64(l1_distance_to_span(x, b)).tobytes(),)
+
+
+def _primal_bytes(x, b):
+    d, t = primal_l1_distance(x, b)
+    return np.float64(d).tobytes(), t.tobytes()
+
+
+def _both_simplexes(monkeypatch, solve, problems):
+    """(solve's results as bytes, final tableau, basis) of every problem by
+    lp._simplex, then by the reference."""
     results = []
     for simplex in (lp._simplex, _scalar_simplex):
         finals = []
@@ -112,19 +179,18 @@ def _both_simplexes(monkeypatch, problems):
             finals.append((tableau.tobytes(), list(basis)))
 
         monkeypatch.setattr(lp, "_simplex", recording)
-        runs = [l1_distance_to_span(x, b) for x, b in problems]
+        runs = [solve(x, b) for x, b in problems]
         results.append([run + final for run, final in zip(runs, finals)])
     return results
 
 
-def _assert_bitwise(array_runs, scalar_runs):
-    assert len(array_runs) == len(scalar_runs)
-    for (d, t, tableau, basis), (d_ref, t_ref, tableau_ref, basis_ref) in zip(
-            array_runs, scalar_runs):
-        assert np.float64(d).tobytes() == np.float64(d_ref).tobytes()
-        assert t.tobytes() == t_ref.tobytes()
-        assert tableau == tableau_ref  # the signs of zeros included
-        assert basis == basis_ref
+def _assert_bitwise(monkeypatch, problems):
+    """Both simplexes agree bit for bit, on the dual LPs and on the primal
+    oracle's: distances, t, final tableaux (the signs of zeros included), bases."""
+    for solve in (_dual_bytes, _primal_bytes):
+        array_runs, scalar_runs = _both_simplexes(monkeypatch, solve, problems)
+        assert len(array_runs) == len(scalar_runs) == len(problems)
+        assert array_runs == scalar_runs
 
 
 def test_array_pivots_match_the_scalar_simplex_on_criterion_6(monkeypatch):
@@ -134,9 +200,11 @@ def test_array_pivots_match_the_scalar_simplex_on_criterion_6(monkeypatch):
         basis = coboundary_ideal(e.group, e.measure).space.basis.T
         xs = np.random.default_rng(MASTER_SEED + 3000 + idx).standard_normal((e.group.order, 20))
         xs /= np.abs(xs).sum(axis=0, keepdims=True)
-        problems += [(x, basis) for x in xs.T]
+        problems += [(x, basis.real) for x in xs.T]
     assert len(problems) == 140
-    _assert_bitwise(*_both_simplexes(monkeypatch, problems))
+    _assert_bitwise(monkeypatch, problems)
+    for x, b in problems:
+        assert abs(l1_distance_to_span(x, b) - primal_l1_distance(x, b)[0]) < 1e-12
 
 
 def test_array_pivots_match_the_scalar_simplex_on_random_lps(monkeypatch):
@@ -148,4 +216,4 @@ def test_array_pivots_match_the_scalar_simplex_on_random_lps(monkeypatch):
         if rng.random() < 0.5:  # ties and degenerate pivots: small integer data
             b, x = np.round(b * 2), np.round(x * 3)
         problems.append((x, b))
-    _assert_bitwise(*_both_simplexes(monkeypatch, problems))
+    _assert_bitwise(monkeypatch, problems)

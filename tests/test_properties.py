@@ -1,5 +1,6 @@
 """Property tests: convolution-algebra identities on generated groups and measures."""
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -17,12 +18,15 @@ from muharmonic import (
     haar_on_subgroup,
     harmonic_space,
     l1_distance,
+    mutual_residual,
     predual_action,
     quotient_norm,
     reflect,
     right_markov_matrix,
 )
 from muharmonic.groups import MAX_ORDER
+from muharmonic.subspaces import span_of_rows
+from test_lp import primal_l1_distance
 
 TOL = 1e-10
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -118,7 +122,11 @@ def test_quotient_norm_equals_the_lp(spec, data):
     w[rng.permutation(g.order)[data.draw(st.integers(1, g.order)):]] = 0.0
     ideal = coboundary_ideal(g, FiniteMeasure(g, (w / w.sum()).astype(np.complex128)))
     x = rng.standard_normal(g.order)
-    assert abs(quotient_norm(x, ideal) - l1_distance(x, ideal)) < 1e-9
+    dual = l1_distance(x, ideal)
+    assert abs(quotient_norm(x, ideal) - dual) < 1e-9
+    # the dual LP of l1_distance against the primal one
+    primal, _ = primal_l1_distance(x, ideal.space.basis.T.real)
+    assert abs(dual - primal) < 1e-12
 
 
 def _sparse_probability(g, data):
@@ -154,3 +162,55 @@ def test_cesaro_limit_is_the_haar_projection(spec, data):
     assert np.linalg.norm(k @ k - k) < 1e-9
     assert abs(np.abs(k).sum(axis=1).max() - 1.0) < 1e-9
     assert np.linalg.norm(k - right_markov_matrix(g, haar_on_subgroup(g, h))) < 1e-9
+
+
+def _character(spec, data):
+    """The values of a one-dimensional character of _group(spec), drawn with data."""
+    if spec[0] == "product":  # element (x, y) has index x * |second factor| + y
+        return np.outer(_character(spec[1], data), _character(spec[2], data)).ravel()
+    kind, n = spec
+    if kind == "cyclic":
+        k = data.draw(st.integers(0, n - 1))
+        return np.exp(2j * np.pi * k * np.arange(n) / n)
+    if kind == "dihedral":  # r^i s^j has index j * n + i; r -> -1 needs an even n
+        r = data.draw(st.sampled_from([1, -1] if n % 2 == 0 else [1]))
+        s = data.draw(st.sampled_from([1, -1]))
+        j, i = np.divmod(np.arange(2 * n), n)
+        return (r ** i * s ** j).astype(np.complex128)
+    # symmetric: the trivial character or the sign, over the lexicographic permutations
+    signs = [(-1) ** sum(p[a] > p[b] for a, b in itertools.combinations(range(n), 2))
+             for p in itertools.permutations(range(n))]
+    return np.array(signs if data.draw(st.booleans()) else [1] * len(signs), dtype=np.complex128)
+
+
+def _twisted(spec, data):
+    """(g, mu, H = <supp mu>, chi, mu_chi = chi * mu) for a sparse probability mu."""
+    g = _group(spec)
+    mu, h = _sparse_probability(g, data)
+    chi = _character(spec, data)
+    assert np.allclose(chi[g.cayley], np.outer(chi, chi))  # a homomorphism into U(1)
+    return g, mu, h, chi, FiniteMeasure(g, chi * mu.weights)
+
+
+# M_{mu_chi} = D_chi_bar M_mu D_chi, so the complex operator is the real one
+# conjugated by a unitary diagonal: its fixed space is chi_bar times mu's
+_CYCLIC_AND_PRODUCT = GROUP_SPECS.filter(lambda spec: spec[0] in ("cyclic", "product"))
+
+
+@PROPERTY_SETTINGS
+@given(_CYCLIC_AND_PRODUCT, st.data())
+def test_twisting_by_a_character_conjugates_the_harmonic_space(spec, data):
+    g, mu, _, chi, mu_chi = _twisted(spec, data)
+    fixed = harmonic_space(right_markov_matrix(g, mu))
+    twisted = harmonic_space(right_markov_matrix(g, mu_chi))
+    assert twisted.rank == fixed.rank
+    assert mutual_residual(twisted, span_of_rows(fixed.basis * chi.conj())) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(_CYCLIC_AND_PRODUCT, st.data())
+def test_twisting_by_a_character_conjugates_the_cesaro_limit(spec, data):
+    g, _, h, chi, mu_chi = _twisted(spec, data)
+    k = cesaro_limit(right_markov_matrix(g, mu_chi))
+    haar = right_markov_matrix(g, haar_on_subgroup(g, h))
+    assert np.linalg.norm(k - chi.conj()[:, None] * haar * chi[None, :]) < 1e-9
