@@ -12,13 +12,19 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 
 from .errors import CapacityError, ConfigError
 from .experiments import SCENARIOS, ExperimentConfig, run, scenario_fields
 
 
+@cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each scenario's subcommand parser."""
+    """The top-level parser and each scenario's subcommand parser.
+
+    Built on the first main() call and reused by later ones in the process:
+    parsing leaves no state in the parsers, and import pays nothing for it.
+    """
     parser = argparse.ArgumentParser(
         prog="muharmonic",
         description="run harmonic-analysis experiments on groups, lattices and free groups",

@@ -9,7 +9,6 @@ asserts that the run called every public operation (each function marked
 
 from __future__ import annotations
 
-import csv
 import inspect
 import itertools
 import json
@@ -41,6 +40,7 @@ from .harmonic import (
 )
 from .ideals import (
     _trial_blocks,
+    _write_series_csv,
     approximate_identity,
     coboundary_ideal,
     diagonal_measure,
@@ -553,11 +553,7 @@ def _decay_checks(extra: dict, n: int = 200, out: str | None = None) -> list[Che
         increasing_violation = max(increasing_violation, vals[2 * m + 1] - vals[2 * m - 1])
     extra["final_value"] = vals[-1]
     if out:
-        with open(os.path.join(out, "decay_srw.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "value"])
-            for i, v in enumerate(vals, start=1):
-                writer.writerow([i, f"{v:.17g}"])
+        _write_series_csv(os.path.join(out, "decay_srw.csv"), vals)
     return [
         _check(f"binomial match over 2m <= {n}", worst, 1e-12),
         _check("P(S_100 = 0)", abs(at_zero - 0.07958923738717877), 1e-7),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -372,6 +373,28 @@ def test_unread_flag_is_reported_with_the_subcommand_usage(capsys):
     assert err.startswith("usage: muharmonic freewalk ")
     assert err.endswith("muharmonic freewalk: error: unrecognized arguments: "
                         "--entry Z2_delta1 --trials 3\n")
+
+
+def test_cli_builds_its_parser_once_and_keeps_no_flag_between_calls(monkeypatch, capsys):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    assert cli_main(["decay", "--n", "10"]) == 0
+    assert "binomial match over 2m <= 10:" in capsys.readouterr().out
+    # a refused flag after a good call still exits 2 with the subcommand's usage
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["freewalk", "--entry", "Z2_delta1", "--paths", "500"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: muharmonic freewalk ")
+    # --n of the first call does not carry over: decay runs at its default
+    assert cli_main(["decay"]) == 0
+    assert "binomial match over 2m <= 200:" in capsys.readouterr().out
+    assert builds in ([], ["muharmonic"])  # none when an earlier call built it
 
 
 @pytest.mark.parametrize("scenario, meaning, others", [

@@ -35,7 +35,7 @@ from muharmonic import (
     uniform_on,
 )
 from muharmonic.experiments import ExperimentConfig, run
-from muharmonic.ideals import _GATHER_ENTRIES, _TRACE_BLOCK, _haar_labels
+from muharmonic.ideals import _GATHER_ENTRIES, _TRACE_BLOCK, _haar_labels, _row_gather
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -517,14 +517,34 @@ def _norms_by_steps(x, p, n_max, norm):
     return norms
 
 
-@pytest.mark.parametrize("n_max", [1, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1, 4096])
-@pytest.mark.parametrize("ambient", ["l1", "trace"])
-def test_quotient_norm_trace_is_bitwise_the_per_step_loop(ambient, n_max):
+S4 = symmetric_group(4)
+S5 = symmetric_group(5)
+S4_GENS = [S4.labels.index("(1 2)"), S4.labels.index("(1 2 3 4)")]
+S5_GENS = [S5.labels.index("(1 2)"), S5.labels.index("(1 2 3 4 5)")]
+
+
+def _l1_norm(v):
+    return float(np.abs(v).sum())
+
+
+# S3 (d = 6 and 36) steps by the dense product; S5 in l1 (d = 120) and S4 in
+# the trace ambient (d = 576) step by the row gather
+_STEP_CASES = {
+    "l1": lambda: (coboundary_ideal(S3, S3_MU), _l1_norm),
+    "trace": lambda: (trace_class_ideal(S3, S3_MU), _trace_norm),
+    "S5-l1": lambda: (coboundary_ideal(S5, uniform_on(S5, S5_GENS)), _l1_norm),
+    "S4-trace": lambda: (trace_class_ideal(S4, uniform_on(S4, S4_GENS)), _trace_norm),
+}
+
+
+@pytest.mark.parametrize("case, n_max", [
+    *((case, n_max) for case in ("l1", "trace", "S5-l1")
+      for n_max in (1, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1, 4096)),
+    ("S4-trace", 1), ("S4-trace", _TRACE_BLOCK + 1),
+])
+def test_quotient_norm_trace_is_bitwise_the_per_step_loop(case, n_max):
     rng = np.random.default_rng(n_max)
-    if ambient == "l1":
-        ideal, norm = coboundary_ideal(S3, S3_MU), lambda v: float(np.abs(v).sum())
-    else:
-        ideal, norm = trace_class_ideal(S3, S3_MU), _trace_norm
+    ideal, norm = _STEP_CASES[case]()
     p = ideal.predual_op
     x = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
     got = quotient_norm_trace(x, ideal, n_max).norms
@@ -532,13 +552,35 @@ def test_quotient_norm_trace_is_bitwise_the_per_step_loop(ambient, n_max):
     assert np.array(got).tobytes() == np.array(_norms_by_steps(x, p, n_max, norm)).tobytes()
 
 
-def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
-    s4 = symmetric_group(4)
-    mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
-    ideal = coboundary_ideal(s4, mu)
-    x = np.random.default_rng(5).standard_normal(s4.order)
+def test_quotient_norm_trace_gather_matches_the_dense_loop_for_non_dyadic_weights():
+    # 0.7 and 0.3 round in each product, and BLAS may fuse the product into
+    # its sum, so the two steps can part in the last bits
+    ideal = coboundary_ideal(S5, from_pairs(S5, zip(S5_GENS, (0.7, 0.3))))
+    assert _row_gather(ideal.predual_op) is not None
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(S5.order) + 1j * rng.standard_normal(S5.order)
+    n_max = _TRACE_BLOCK + 1
+    got = np.array(quotient_norm_trace(x, ideal, n_max).norms)
+    want = np.array(_norms_by_steps(x, ideal.predual_op, n_max, _l1_norm))
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
-    def transient_peak(n_max):
+
+def test_row_gather_is_taken_only_for_large_sparse_operators():
+    for e in catalog():  # d <= 24: the dense product
+        assert _row_gather(coboundary_ideal(e.group, e.measure).predual_op) is None
+    cols, vals = _row_gather(coboundary_ideal(S5, uniform_on(S5, S5_GENS)).predual_op)
+    assert cols.shape == vals.shape == (2, S5.order)
+    cols, vals = _row_gather(trace_class_ideal(S4, uniform_on(S4, S4_GENS)).predual_op)
+    assert cols.shape == (2, S4.order**2)
+    # full support on S5: k = 120 > d / 16, so the dense product
+    assert _row_gather(coboundary_ideal(S5, uniform_on(S5, range(S5.order))).predual_op) is None
+    # k = 7 still gathers on S5 (120 >= 16 * 7), k = 8 does not
+    assert _row_gather(coboundary_ideal(S5, uniform_on(S5, range(7))).predual_op) is not None
+    assert _row_gather(coboundary_ideal(S5, uniform_on(S5, range(8))).predual_op) is None
+
+
+def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
+    def transient_peak(x, ideal, n_max):
         # peak bytes above what the call leaves behind (its result included)
         tracemalloc.start()
         try:
@@ -549,7 +591,10 @@ def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
         assert len(result.norms) == n_max
         return peak - current
 
-    small, large = transient_peak(512), transient_peak(8192)
-    # keeping every average would add 16 * |G| = 384 bytes per extra step;
-    # only the float64 norms, on their way into the result tuple, may grow
-    assert large - small <= 16 * (8192 - 512)
+    for g, gens in ((S4, S4_GENS), (S5, S5_GENS)):  # the dense step, then the gather
+        ideal = coboundary_ideal(g, uniform_on(g, gens))
+        x = np.random.default_rng(5).standard_normal(g.order)
+        small, large = transient_peak(x, ideal, 512), transient_peak(x, ideal, 8192)
+        # keeping every average would add 16 * |G| (384 or 1920) bytes per extra
+        # step; only the float64 norms, on their way into the result tuple, may grow
+        assert large - small <= 16 * (8192 - 512)

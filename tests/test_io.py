@@ -12,6 +12,7 @@ from muharmonic import (
     quotient_norm_trace,
     right_markov_matrix,
 )
+from muharmonic.ideals import _write_series_csv
 
 Z6 = cyclic_group(6)
 MU = point_mass(Z6, 2)
@@ -29,6 +30,20 @@ def test_verdict_json():
     payload = verdict.to_json()
     assert payload["consistent"] is True
     json.dumps(payload)
+
+
+def test_series_csv_is_byte_for_byte_the_csv_writer(tmp_path):
+    values = [0.5, 1 / 3, -2.5e-300, 1e20, 0.0, -0.0, float("nan"), float("inf"), 7.0]
+    for series in (values, values[:1], []):
+        reference = tmp_path / "reference.csv"
+        with reference.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "value"])
+            for n, v in enumerate(series, start=1):
+                writer.writerow([n, f"{v:.17g}"])
+        path = tmp_path / "series.csv"
+        _write_series_csv(path, series)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 def test_quotient_trace_csv_and_summary(tmp_path):
