@@ -1,10 +1,12 @@
-"""Stationary measures of group-induced chains, found two ways.
+"""Stationary measures of group-induced chains, in closed form.
 
-A group acting on a finite point set turns a walk law into a Markov chain
-on the points.  A stationary probability is a fixed vector of the transpose
-transition matrix; it can also be reached by pushing the uniform start
-forward.  Both routes run here on the natural S3 action and on coset
-actions, and they agree whenever the fixed space is one-dimensional.
+A group acting on a finite point set turns a walk law mu into a Markov
+chain on the points.  Each group element permutes the points, so the
+transition matrix P is doubly stochastic and the chain's classes are the
+orbits of H = <supp mu>: the stationary probabilities are the mixtures of
+the uniform measures on the H-orbits.  Here that closed form is set
+against the generic kernel of P^T - I, on the natural S3 action and on
+coset actions of S4.
 """
 
 import itertools
@@ -13,44 +15,45 @@ import numpy as np
 
 from muharmonic import (
     GSpaceAction,
-    catalog_entry,
     coset_action,
     generated_subgroup,
     gspace_markov_matrix,
+    kernel,
+    mutual_residual,
+    point_mass,
+    span_of_rows,
     stationary_measure,
     symmetric_group,
     trivial_action,
     uniform_on,
 )
 
+
+def show(title, action, mu):
+    report = stationary_measure(action, mu)
+    p = gspace_markov_matrix(action, mu).real
+    oracle = kernel(p.T - np.eye(action.points))
+    gap = mutual_residual(oracle, span_of_rows(np.array([m.weights for m in report.measures])))
+    print(f"{title}: {action.points} points")
+    print(f"  H-orbit of each point: {report.labels.tolist()}")
+    print(f"  extreme stationary probabilities: {report.fixed_dim}; rank ker(P^T - I) = "
+          f"{oracle.rank}, residual to their span {gap:.1e}")
+    return report
+
+
 s3 = symmetric_group(3)
-perms = list(itertools.permutations(range(3)))
-action = GSpaceAction(s3, 3, np.array([list(p) for p in perms]))
+action = GSpaceAction(s3, 3, np.array(list(itertools.permutations(range(3)))))
 mu = uniform_on(s3, [s3.labels.index("(1 2)"), s3.labels.index("(1 3)")])
+print("transition matrix of S3 on three points, law uniform on (1 2) and (1 3):")
+print(gspace_markov_matrix(action, mu).real)
+report = show("S3 on its points", action, mu)
+print(f"  the one stationary probability: {report.measures[0].weights.real.round(12).tolist()}")
 
-p = gspace_markov_matrix(action, mu)
-print("S3 acting on three points, law uniform on (1 2) and (1 3):")
-print("transition matrix:")
-print(p.real)
+s4 = symmetric_group(4)
+k = generated_subgroup(s4, [s4.labels.index("(1 2)")])
+cosets = coset_action(s4, k)
+print("\nS4 on the 12 cosets of <(1 2)>:")
+for label in ("(1 2 3)", "(3 4)", "(1 2 3 4)"):
+    show(f"law the point mass at {label}", cosets, point_mass(s4, s4.labels.index(label)))
 
-report = stationary_measure(action, mu)
-print(f"power-iteration limit: {report.measure.weights.real.round(12).tolist()}")
-print(f"eigen-solve result:    {report.eigen_measure.weights.real.round(12).tolist()}")
-print(f"routes agree to {report.agreement:.2e}; fixed space dim {report.fixed_dim}")
-
-print("\ncoset action of S4 on the cosets of a point stabilizer:")
-s4 = catalog_entry("S4_two_gens").group
-h = generated_subgroup(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3)")])
-act = coset_action(s4, h)
-rng = np.random.default_rng(3)
-weights = rng.random(24) + 0.05
-from muharmonic import FiniteMeasure
-
-law = FiniteMeasure(s4, (weights / weights.sum()).astype(complex))
-rep = stationary_measure(act, law)
-print(f"points: {act.points}, stationary: {rep.measure.weights.real.round(6).tolist()}")
-print("(group actions give doubly stochastic chains, so uniform is always stationary)")
-
-triv = stationary_measure(trivial_action(s3, 5), mu)
-print(f"\ntrivial action on 5 points: every measure is stationary, "
-      f"fixed space dim = {triv.fixed_dim}")
+show("\ntrivial action on 5 points (every measure is stationary)", trivial_action(s3, 5), mu)

@@ -29,6 +29,7 @@ from .freegroup import (FreeWord, _packed_ball, _packed_neighbors, free_ball, fr
                         free_mul, word)
 from .groups import FiniteGroup, _check_order, build_group, generated_subgroup, symmetric_group
 from .harmonic import (
+    _indicator_space,
     cesaro_mean,
     cesaro_projection,
     commutant,
@@ -71,12 +72,13 @@ from .operators import (
     GSpaceAction,
     conjugation_operator,
     coset_action,
+    gspace_markov_matrix,
     left_regular,
     predual_action,
     right_markov_matrix,
     right_regular,
 )
-from .subspaces import mutual_residual
+from .subspaces import kernel, mutual_residual
 from .walks import (
     CylinderEstimate,
     DiamondReport,
@@ -496,42 +498,51 @@ def _ncconv_checks(extra: dict, pairs: list[CatalogEntry], trials: int = 100,
 
 
 def _random_coset_action(seed: int) -> tuple[GSpaceAction, FiniteMeasure]:
-    """A transitive coset action with a strictly positive, lazy walk law."""
+    """G acting on G/K, K trivial or cyclic, with a walk law on one or two elements.
+
+    So H = <supp mu> is often a proper subgroup with several orbits on the
+    points, and the stationary probabilities form a simplex of dimension > 0.
+    """
     rng = np.random.default_rng(seed)
-    entry = catalog()[int(rng.integers(0, len(catalog())))]
-    g = entry.group
-    gens = rng.choice(g.order, size=max(1, g.order // 6), replace=False)
-    h = generated_subgroup(g, [int(x) for x in gens])
-    action = coset_action(g, h)
-    weights = rng.random(g.order) + 0.05
-    weights[g.identity] += 0.5  # laziness keeps the chain aperiodic
-    weights /= weights.sum()
-    return action, FiniteMeasure(g, weights.astype(np.complex128))
+    g = catalog()[int(rng.integers(0, len(catalog())))].group
+    k = generated_subgroup(g, [g.identity if rng.random() < 0.5 else int(rng.integers(g.order))])
+    support = rng.choice(g.order, size=min(int(rng.integers(1, 3)), g.order), replace=False)
+    weights = rng.random(support.size) + 0.05
+    return coset_action(g, k), from_pairs(g, zip(support.tolist(), weights / weights.sum()))
 
 
 def _stationary_checks(extra: dict, trials: int = 20,
                        seed: int = MASTER_SEED) -> list[CheckResult]:
-    """S3 on its three points, then `trials` random coset actions."""
+    """S3 on its three points, then the orbit form on `trials` random coset actions
+    against the generic kernel of P^T - I."""
     s3 = symmetric_group(3)
     action = GSpaceAction(s3, 3, np.array(list(itertools.permutations(range(3))), dtype=np.int64))
     mu = uniform_on(s3, [s3.labels.index("(1 2)"), s3.labels.index("(1 3)")])
     report = stationary_measure(action, mu)
-    uniform = np.full(3, 1.0 / 3.0)
-    checks = [
-        _check("S3 power route uniform",
-               float(np.abs(report.measure.weights.real - uniform).max()), 1e-12),
-        _check("S3 eigen route uniform",
-               float(np.abs(report.eigen_measure.weights.real - uniform).max()), 1e-12),
-    ]
     extra["s3_on_points"] = report.to_json()
-    worst = 0.0
+    # one orbit, so the uniform measure is the only stationary probability
+    weights = np.array([sigma.weights for sigma in report.measures])
+    checks = [_check("S3 on points: uniform", float(np.abs(weights - 1 / 3).max()), 1e-12)]
+    rank_gaps = 0
+    worst_res = worst_fixed = 0.0
+    dims = []
     for i in range(trials):
         action_i, mu_i = _random_coset_action(seed + i)
-        rep = stationary_measure(action_i, mu_i, tol=1e-13)
-        ok = rep.fixed_dim == 1 and rep.agreement is not None
-        worst = max(worst, rep.agreement if ok else 1.0)
-    checks.append(_check("random actions: route agreement", worst, 1e-9))
-    return checks
+        rep = stationary_measure(action_i, mu_i)
+        p = gspace_markov_matrix(action_i, mu_i).real
+        oracle = kernel(p.T - np.eye(action_i.points))
+        orbits = _indicator_space(rep.labels)
+        rank_gaps += oracle.rank != orbits.rank
+        worst_res = max(worst_res, mutual_residual(oracle, orbits))
+        sigmas = np.array([sigma.weights.real for sigma in rep.measures])
+        worst_fixed = max(worst_fixed, float(np.abs(sigmas @ p - sigmas).sum(axis=1).max()))
+        dims.append(rep.fixed_dim)
+    extra["fixed_dims"] = dims
+    return checks + [
+        _check("random actions: draws with rank(kernel) != orbit count", rank_gaps, 0, "eq"),
+        _check("random actions: kernel vs orbit-indicator residual", worst_res, 1e-9),
+        _check("random actions: max ||sigma P - sigma||_1", worst_fixed, 1e-12),
+    ]
 
 
 def _decay_checks(extra: dict, n: int = 200, out: str | None = None) -> list[CheckResult]:

@@ -10,6 +10,8 @@ composition).
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,19 +144,33 @@ def _check_order(n: int) -> None:
         raise CapacityError(f"group order {n} exceeds the cap of {MAX_ORDER}")
 
 
+def _parameter_n(n) -> int:
+    """The integer n of a group constructor; a bool or a non-integer is refused."""
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise TypeError(f"n: expected an integer, got {n!r}")
+    return operator.index(n)
+
+
 def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGroup:
-    """Validate an explicit Cayley table and wrap it as a FiniteGroup."""
+    """Validate an explicit Cayley table and wrap it as a FiniteGroup.
+
+    labels, if given, is a sequence of strings, one per element.
+    """
     cayley = np.asarray(cayley, dtype=np.int64)
     n = cayley.shape[0]
     _check_order(n)
+    if labels is not None:
+        if (isinstance(labels, str) or not isinstance(labels, Sequence) or len(labels) != n
+                or not all(isinstance(t, str) for t in labels)):
+            raise ConstructionError(f"labels: expected {n} strings, one per element, "
+                                    f"got {labels!r}")
+        labels = tuple(labels)
     identity, inverses = _validate_table(cayley, check_associativity=n <= EXHAUSTIVE_CHECK_ORDER)
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != n:
-        raise ConstructionError(f"labels: expected one per element ({n}), got {len(lab)}")
-    return FiniteGroup(n, cayley, identity, inverses, lab, name)
+    return FiniteGroup(n, cayley, identity, inverses, labels, name)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    n = _parameter_n(n)
     if n < 1:
         raise ConstructionError("cyclic order must be >= 1")
     _check_order(n)  # before the n x n table is allocated
@@ -165,6 +181,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: index j*n + i encodes r^i s^j."""
+    n = _parameter_n(n)
     if n < 1:
         raise ConstructionError("dihedral parameter must be >= 1")
     _check_order(2 * n)  # before the Python double loop fills the table
@@ -205,6 +222,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     The product convention is composition with the right factor applied
     first, so the natural action table[g][x] = perm_g(x) is a homomorphism.
     """
+    n = _parameter_n(n)
     if not 1 <= n <= 5:
         raise ConstructionError("symmetric groups are supported for 1 <= n <= 5")
     perms = list(itertools.permutations(range(n)))
@@ -234,11 +252,11 @@ def product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 def build_group(kind: str, **params) -> FiniteGroup:
     """Dispatch constructor: cyclic, dihedral, symmetric, product, from_table."""
     if kind == "cyclic":
-        return cyclic_group(int(params["n"]))
+        return cyclic_group(params["n"])
     if kind == "dihedral":
-        return dihedral_group(int(params["n"]))
+        return dihedral_group(params["n"])
     if kind == "symmetric":
-        return symmetric_group(int(params["n"]))
+        return symmetric_group(params["n"])
     if kind == "product":
         factors = params["factors"]
         if len(factors) < 2:

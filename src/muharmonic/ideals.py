@@ -47,10 +47,10 @@ class IdealBasis:
     """Range of (I - predual_op): the displacement ideal of the measure.
 
     labels numbers the H-orbits of the coordinates (see `orbit_labels`) when
-    the ideal comes from a probability measure; it is None otherwise, and
-    then only the LP measures distances to the ideal.  The SVD basis `space`
-    is taken on first use: the closed forms that the labels allow never
-    read it.
+    the ideal comes from a probability measure, as a trace ideal always does;
+    it is None otherwise, and then only the LP measures distances to the
+    ideal.  The SVD basis `space` is taken on first use: the closed forms
+    that the labels allow never read it.
     """
 
     ambient: str  # "l1" or "trace"
@@ -96,9 +96,14 @@ def trace_class_ideal(g: FiniteGroup, mu: FiniteMeasure) -> IdealBasis:
     """The ideal {X - P X} of trace-class matrices, by an SVD of I - P.
 
     This is the generic side: the Haar average answers its questions without
-    the order^2 x order^2 matrix.
+    the order^2 x order^2 matrix.  Only a probability measure is taken: the
+    trace-norm distance to the ideal is computed by the Haar average alone.
     """
-    return IdealBasis("trace", trace_predual_matrix(g, mu), _haar_labels(g, mu, "operators"))
+    labels = _haar_labels(g, mu, "operators")
+    if labels is None:
+        raise ValueError("trace_class_ideal needs a probability measure: only then is "
+                         "the trace-norm distance to its ideal known, in closed form")
+    return IdealBasis("trace", trace_predual_matrix(g, mu), labels)
 
 
 def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -163,16 +168,13 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
     ||h||_inf <= 1, the bounded harmonic side.  The complement is taken by SVD
     from the ideal's basis, not from H-orbit labels, so this stays the oracle
     that quotient_norm is checked against.
-    trace ambient: the closed form of quotient_norm, for an ideal with H-orbit labels.
+    trace ambient: the closed form of quotient_norm (trace_class_ideal records
+    the H-orbit labels).
     """
     x = np.asarray(x, dtype=np.complex128)
     if ideal.rank == 0:
         return ambient_norm(x, ideal.ambient)
     if ideal.ambient != "l1":
-        if ideal.labels is None:
-            raise ValueError("no trace-norm distance to an ideal without H-orbit labels: "
-                             "trace_class_ideal records them only for a probability measure, "
-                             "and the distance to a signed measure's ideal is not computed")
         return quotient_norm(x, ideal)
     from .lp import l1_distance_to_span
 

@@ -17,6 +17,10 @@ paths.  Records made before this stream (which drew r with
 `Generator.integers` in chunks of 10,000) have other Monte Carlo values.
 One pass feeds all three boundary reports of every cylinder asked for:
 the cylinder frequency, the martingale check and the averaged square.
+
+Stationary measures of a chain that a group induces on a finite point set
+are read off in closed form, the G-space side of Choquet-Deny: they are
+the mixtures of the uniform measures on the orbits of H = <supp mu>.
 """
 
 from __future__ import annotations
@@ -28,18 +32,15 @@ from typing import NamedTuple
 import numpy as np
 
 from ._ops import operation
-from .groups import FiniteGroup, same_group
+from .groups import FiniteGroup, generated_subgroup, same_group
 from .measures import FiniteMeasure, ZWindow
-from .operators import GSpaceAction, gspace_markov_matrix
+from .operators import GSpaceAction
 from .freegroup import FreeWord, empty_word
-from .subspaces import kernel
 
 CHUNK_SIZE = 25_000
 DEFAULT_MARGIN = 10
 # a martingale path agrees when |h(X_n) - 1_{limit in [w]}| is below this
 THRESHOLD = 1e-3
-# power-iteration steps of stationary_measure
-MAX_ITER = 100_000
 
 
 # ------------------------------------------------------------------ walk paths
@@ -373,92 +374,46 @@ def boundary_reports(
 
 # ------------------------------------------------------------ stationary measures
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StationaryReport:
-    """A fixed probability of the induced chain, found by two independent routes."""
+    """The extreme stationary probabilities of the induced chain, one per H-orbit.
 
-    measure: FiniteMeasure
-    eigen_measure: FiniteMeasure | None
-    residual_power: float
-    residual_eigen: float | None
-    fixed_dim: int
-    agreement: float | None
-    converged: bool
-    n_iterations: int
+    labels[x] numbers the H-orbit of point x, by the order of the orbits'
+    least points; measures[k] is the uniform probability on orbit k.
+    """
+
+    labels: np.ndarray
+    measures: tuple[FiniteMeasure, ...]
+
+    @property
+    def fixed_dim(self) -> int:
+        return len(self.measures)
 
     def to_json(self) -> dict:
-        return {
-            "weights": [float(x.real) for x in self.measure.weights],
-            "residual_power": self.residual_power,
-            "residual_eigen": self.residual_eigen,
-            "fixed_dim": self.fixed_dim,
-            "agreement": self.agreement,
-            "converged": self.converged,
-            "n_iterations": self.n_iterations,
-        }
+        return {"orbit_labels": self.labels.tolist(), "fixed_dim": self.fixed_dim}
 
 
 @operation
-def stationary_measure(
-    action: GSpaceAction,
-    mu: FiniteMeasure,
-    tol: float = 1e-12,
-) -> StationaryReport:
-    """Probability sigma with sigma P = sigma for the induced chain on the points.
+def stationary_measure(action: GSpaceAction, mu: FiniteMeasure) -> StationaryReport:
+    """The probabilities sigma with sigma P = sigma for the induced chain on the points.
 
-    Two routes: the eigen-solve of P^T at eigenvalue 1, and push-forward
-    power iteration from the uniform distribution.  With a one-dimensional
-    fixed space both are returned and must agree; otherwise the
-    power-iteration limit is returned and the fixed dimension reported.
+    Closed form: each g permutes the points, so P is doubly stochastic and
+    every state is recurrent; the chain's classes are the orbits of
+    H = <supp mu>.  The stationary probabilities are the mixtures of the
+    uniform measures on the H-orbits, and the fixed space of P^T is spanned
+    by the orbit indicators.
     """
-    p = gspace_markov_matrix(action, mu).real
-    m = action.points
-    carrier = ZWindow(0, m - 1)
-
-    fixed = kernel(p.T - np.eye(m))
-    fixed_dim = fixed.rank
-
-    sigma = np.full(m, 1.0 / m)
-    converged = False
-    n_used = 0
-    for n in range(1, MAX_ITER + 1):
-        nxt = sigma @ p
-        n_used = n
-        if float(np.abs(nxt - sigma).sum()) < tol:
-            sigma = nxt
-            converged = True
-            break
-        sigma = nxt
-    sigma = np.maximum(sigma, 0.0)
-    sigma = sigma / sigma.sum()
-    residual_power = float(np.abs(sigma @ p - sigma).sum())
-    power_measure = FiniteMeasure(carrier, sigma.astype(np.complex128))
-
-    eigen_measure = None
-    residual_eigen = None
-    agreement = None
-    if fixed_dim == 1:
-        v = fixed.basis[0]
-        # rotate the phase away, then clip roundoff negatives
-        pivot = v[np.argmax(np.abs(v))]
-        v = (v / (pivot / abs(pivot))).real
-        if v.sum() < 0:
-            v = -v
-        v = np.maximum(v, 0.0)
-        v = v / v.sum()
-        residual_eigen = float(np.abs(v @ p - v).sum())
-        eigen_measure = FiniteMeasure(carrier, v.astype(np.complex128))
-        agreement = float(np.abs(v - sigma).sum())
-    return StationaryReport(
-        measure=power_measure,
-        eigen_measure=eigen_measure,
-        residual_power=residual_power,
-        residual_eigen=residual_eigen,
-        fixed_dim=fixed_dim,
-        agreement=agreement,
-        converged=converged,
-        n_iterations=n_used,
-    )
+    if not (mu.on_group and same_group(mu.carrier, action.group)):
+        raise ValueError("measure does not live on the acting group")
+    if not mu.is_probability():
+        raise ValueError("walk law must be a probability measure")
+    h = generated_subgroup(action.group, mu.support())
+    # the least point of each point's orbit {s.x : s in H}, numbered as orbit_labels does
+    _, labels = np.unique(action.table[list(h.members)].min(axis=0), return_inverse=True)
+    sizes = np.bincount(labels)
+    uniform = (labels == np.arange(sizes.size)[:, None]) / sizes[:, None]
+    carrier = ZWindow(0, action.points - 1)
+    return StationaryReport(labels, tuple(FiniteMeasure(carrier, w) for w in uniform))
 
 
 # ------------------------------------------------------------- subharmonicity

@@ -15,7 +15,10 @@ import muharmonic
 from muharmonic import (
     ConfigError,
     ExperimentConfig,
+    FiniteMeasure,
     FreeWord,
+    StationaryReport,
+    ZWindow,
     catalog,
     catalog_entry,
     parse_word,
@@ -121,6 +124,31 @@ def test_scenario_at_pinned_sizes_reproduces_its_criterion(number, config, crite
     # names, values, bounds and verdicts, in order
     expected = [c for c in run_criterion(number) if c.name not in criterion_only]
     assert run(ExperimentConfig.from_dict(config)).checks == expected
+
+
+def test_criterion_12_draws_reach_fixed_spaces_of_dimension_above_one():
+    record = run(ExperimentConfig(scenario="stationary", seed=MASTER_SEED + 500))
+    dims = record.extra["fixed_dims"]
+    assert len(dims) == 20 and sum(d > 1 for d in dims) >= 3, dims
+    assert record.extra["s3_on_points"] == {"orbit_labels": [0, 0, 0], "fixed_dim": 1}
+    assert record.passed
+
+
+def test_a_stationary_measure_of_one_orbit_fails_criterion_12(monkeypatch, capsys):
+    # the uniform measure on all the points is stationary, but on a draw with
+    # several H-orbits it is not the whole fixed space
+    def one_orbit(action, mu):
+        m = action.points
+        return StationaryReport(np.zeros(m, dtype=np.int64),
+                                (FiniteMeasure(ZWindow(0, m - 1), np.full(m, 1 / m)),))
+
+    monkeypatch.setattr("muharmonic.experiments.stationary_measure", one_orbit)
+    failed = [c.name for c in run_criterion(12) if not c.passed]
+    assert failed == ["random actions: draws with rank(kernel) != orbit count",
+                      "random actions: kernel vs orbit-indicator residual"]
+    suite = run(ExperimentConfig(scenario="suite"))
+    assert suite.extra["criterion_12_stationary_measures"] == "fail"
+    assert not suite.passed
 
 
 def test_freewalk_at_the_criteria_seed_is_their_word_a_checks():

@@ -116,6 +116,40 @@ def test_order_cap_is_checked_before_the_table_is_built(build, n, order):
         build(n)
 
 
+@pytest.mark.parametrize("build, n", [
+    (cyclic_group, True),  # was Z1
+    (symmetric_group, True),  # was S1
+    (dihedral_group, "3"),  # ended in a bare '<' comparison error
+    (cyclic_group, 4.7),
+    (dihedral_group, 2.0),
+], ids=["cyclic-True", "symmetric-True", "dihedral-str", "cyclic-float", "dihedral-float"])
+def test_constructors_refuse_an_n_that_is_not_an_integer(build, n):
+    with pytest.raises(TypeError, match=f"^n: expected an integer, got {n!r}$"):
+        build(n)
+
+
+def test_constructors_take_any_integer_type():
+    assert cyclic_group(np.int64(5)).order == 5
+    assert dihedral_group(np.int32(3)).order == 6
+
+
+def test_build_group_does_not_round_its_size():
+    # int() once made n = 4.7 the group Z4
+    with pytest.raises(TypeError, match="^n: expected an integer, got 4.7$"):
+        build_group("cyclic", n=4.7)
+    assert build_group("cyclic", n=4).order == 4
+
+
+@pytest.mark.parametrize("labels", ["es", ["e", 1], ("e",), 7],
+                         ids=["string", "non-string-label", "too-few", "not-a-sequence"])
+def test_group_from_table_refuses_labels_that_are_not_one_string_per_element(labels):
+    # a string was split into its characters: "es" gave the labels ('e', 's')
+    with pytest.raises(ConstructionError,
+                       match=r"^labels: expected 2 strings, one per element, got "):
+        group_from_table([[0, 1], [1, 0]], labels=labels)
+    assert group_from_table([[0, 1], [1, 0]], labels=["e", "s"]).labels == ("e", "s")
+
+
 def test_generated_subgroup_examples():
     z6 = cyclic_group(6)
     assert generated_subgroup(z6, [2]).members == (0, 2, 4)

@@ -14,17 +14,22 @@ from muharmonic import (
     cesaro_limit,
     coboundary_ideal,
     convolve,
+    coset_action,
     generated_subgroup,
+    gspace_markov_matrix,
     haar_on_subgroup,
     harmonic_space,
+    kernel,
     l1_distance,
     mutual_residual,
     predual_action,
     quotient_norm,
     reflect,
     right_markov_matrix,
+    stationary_measure,
 )
 from muharmonic.groups import MAX_ORDER
+from muharmonic.harmonic import _indicator_space
 from muharmonic.subspaces import span_of_rows
 from test_lp import primal_l1_distance
 
@@ -162,6 +167,23 @@ def test_cesaro_limit_is_the_haar_projection(spec, data):
     assert np.linalg.norm(k @ k - k) < 1e-9
     assert abs(np.abs(k).sum(axis=1).max() - 1.0) < 1e-9
     assert np.linalg.norm(k - right_markov_matrix(g, haar_on_subgroup(g, h))) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(GROUP_SPECS, st.data())
+def test_stationary_orbit_form_is_the_kernel_of_the_transposed_chain(spec, data):
+    # G on G/K, K drawn: P is doubly stochastic and its classes are the orbits
+    # of H = <supp mu>, so the fixed space of P^T is spanned by the orbit indicators
+    g = _group(spec)
+    mu, _ = _sparse_probability(g, data)
+    k = generated_subgroup(g, data.draw(st.lists(st.integers(0, g.order - 1), min_size=1,
+                                                 max_size=2)))
+    action = coset_action(g, k)
+    report = stationary_measure(action, mu)
+    p = gspace_markov_matrix(action, mu).real
+    oracle = kernel(p.T - np.eye(action.points))
+    assert oracle.rank == report.fixed_dim
+    assert mutual_residual(oracle, _indicator_space(report.labels)) <= 1e-9
 
 
 def _character(spec, data):

@@ -4,10 +4,15 @@ import pytest
 from muharmonic import (
     GSpaceAction,
     boundary_reports,
+    coset_action,
     cyclic_group,
     empty_word,
     free_ball,
+    from_pairs,
+    generated_subgroup,
+    gspace_markov_matrix,
     harmonic_measure_cylinder,
+    kernel,
     neighbors,
     point_mass,
     poisson_extension,
@@ -435,18 +440,46 @@ def test_stationary_examples():
     mu = uniform_on(s3, [s3.labels.index("(1 2)"), s3.labels.index("(1 3)")])
     report = stationary_measure(action, mu)
     assert report.fixed_dim == 1
-    assert np.abs(report.measure.weights.real - 1 / 3).max() < 1e-12
-    assert np.abs(report.eigen_measure.weights.real - 1 / 3).max() < 1e-12
-    assert report.residual_power < 1e-12
+    assert report.labels.tolist() == [0, 0, 0]
+    assert np.abs(report.measures[0].weights - 1 / 3).max() < 1e-15
+    assert report.to_json() == {"orbit_labels": [0, 0, 0], "fixed_dim": 1}
 
-    triv = trivial_action(s3, 4)
-    rep_triv = stationary_measure(triv, mu)
+    # every point is its own orbit: the point masses are the extreme measures
+    rep_triv = stationary_measure(trivial_action(s3, 4), mu)
     assert rep_triv.fixed_dim == 4
-    assert np.abs(rep_triv.measure.weights.real - 0.25).max() < 1e-15
+    assert np.array_equal(np.array([m.weights for m in rep_triv.measures]), np.eye(4))
 
     z3 = cyclic_group(3)
     rep_z3 = stationary_measure(GSpaceAction(z3, 3, z3.cayley.copy()), point_mass(z3, 1))
-    assert np.abs(rep_z3.measure.weights.real - 1 / 3).max() < 1e-15
+    assert rep_z3.fixed_dim == 1
+    assert np.abs(rep_z3.measures[0].weights - 1 / 3).max() < 1e-15
+
+
+@pytest.mark.parametrize("support, fixed_dim", [("(1 2 3)", 4), ("(3 4)", 7)])
+def test_stationary_s4_on_the_cosets_of_a_transposition(support, fixed_dim):
+    # S4 on the 12 cosets of K = <(1 2)>: the H-orbits are the double cosets
+    # K x H, and the kernel of P^T - I has one dimension per orbit
+    s4 = symmetric_group(4)
+    action = coset_action(s4, generated_subgroup(s4, [s4.labels.index("(1 2)")]))
+    mu = point_mass(s4, s4.labels.index(support))
+    report = stationary_measure(action, mu)
+    assert action.points == 12 and report.fixed_dim == fixed_dim
+    p = gspace_markov_matrix(action, mu).real
+    assert kernel(p.T - np.eye(12)).rank == fixed_dim
+    for sigma in report.measures:
+        w = sigma.weights.real
+        assert abs(w.sum() - 1.0) < 1e-15 and np.abs(w @ p - w).sum() < 1e-15
+        on_orbit = report.labels[w > 0]
+        assert np.all(on_orbit == on_orbit[0])
+
+
+def test_stationary_measure_refuses_a_law_it_cannot_take():
+    s3, z3 = symmetric_group(3), cyclic_group(3)
+    action = trivial_action(s3, 2)
+    with pytest.raises(ValueError, match="acting group"):
+        stationary_measure(action, point_mass(z3, 1))
+    with pytest.raises(ValueError, match="probability"):
+        stationary_measure(action, from_pairs(s3, [(1, 1.5), (2, -0.5)]))
 
 
 def test_subharmonic_free_max():
