@@ -658,7 +658,7 @@ def _crit_quotient_norms() -> list[CheckResult]:
         xs = rng.standard_normal((d, 20))
         xs /= np.abs(xs).sum(axis=0, keepdims=True)  # signed, unit l1 mass
         a_final = np.abs(cesaro_mean(ideal.predual_op, n_avg) @ xs).sum(axis=0)
-        lp = np.array([l1_distance(x, ideal) for x in xs.T])
+        lp = l1_distance(xs, ideal)  # one complement for the 20 points
         closed = np.array([quotient_norm(x, ideal) for x in xs.T])
         checks.append(_check(f"{e.name}: |a_4096 - lp distance|",
                              np.abs(a_final - lp).max(), 5e-3))

@@ -160,25 +160,30 @@ def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
 
 
 @operation
-def l1_distance(x: np.ndarray, ideal: IdealBasis) -> float:
+def l1_distance(x: np.ndarray, ideal: IdealBasis):
     """Predual-norm distance from x to the ideal.
 
+    x is one vector (d,), which gives a float, or a batch (d, k) of columns,
+    which gives k floats.
     l1 ambient: exact, via the in-package simplex on the dual LP (real data):
     the max of <x, h> over the vectors h orthogonal to the ideal with
     ||h||_inf <= 1, the bounded harmonic side.  The complement is taken by SVD
     from the ideal's basis, not from H-orbit labels, so this stays the oracle
-    that quotient_norm is checked against.
+    that quotient_norm is checked against; a batch shares one complement.
     trace ambient: the closed form of quotient_norm (trace_class_ideal records
     the H-orbit labels).
     """
     x = np.asarray(x, dtype=np.complex128)
-    if ideal.rank == 0:
-        return ambient_norm(x, ideal.ambient)
-    if ideal.ambient != "l1":
-        return quotient_norm(x, ideal)
-    from .lp import l1_distance_to_span
+    if ideal.rank and ideal.ambient == "l1":
+        from .lp import l1_distance_to_span
 
-    return l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
+        return l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
+    cols = x.reshape(x.shape[0], -1).T
+    if ideal.rank:
+        dists = [quotient_norm(v, ideal) for v in cols]
+    else:
+        dists = [ambient_norm(v, ideal.ambient) for v in cols]
+    return dists[0] if x.ndim == 1 else np.array(dists)
 
 
 # -------------------------------------------------------- averaged norm trace

@@ -54,12 +54,15 @@ def _simplex(tableau: np.ndarray, basis: list[int], n_vars: int) -> None:
     raise RuntimeError("simplex did not terminate within the pivot budget")
 
 
-def l1_distance_to_span(x: np.ndarray, basis_cols: np.ndarray) -> float:
-    """min_t ||x - B t||_1 for real x (d,) and real B (d, r), as its dual LP.
+def l1_distance_to_span(x: np.ndarray, basis_cols: np.ndarray):
+    """min_t ||x - B t||_1 for real B (d, r), as its dual LP.
 
+    x is one real vector (d,), which gives a float, or a batch (d, k) of
+    columns, which gives k floats, each bit for bit the call on its column.
     With C (d, s) an orthonormal basis of the complement of span(B), taken
-    from the SVD of B^T: maximize <C^T x, z> subject to -1 <= C z <= 1, with
-    z = zp - zm and one slack per inequality.
+    once from the SVD of B^T: maximize <C^T x, z> subject to -1 <= C z <= 1,
+    with z = zp - zm and one slack per inequality.  The constraint block is
+    built once; each column gets its own cost row and simplex run.
     """
     x = np.asarray(x)
     basis_cols = np.asarray(basis_cols)
@@ -73,11 +76,13 @@ def l1_distance_to_span(x: np.ndarray, basis_cols: np.ndarray) -> float:
     d = x.shape[0]
     comp = kernel(basis_cols.T).basis.real.T  # (d, s)
     signed = np.vstack([comp, -comp])  # the rows C z <= 1, then -C z <= 1
-    cost = x @ comp
-    tableau = np.vstack([
-        np.hstack([signed, -signed, np.eye(2 * d), np.ones((2 * d, 1))]),
-        np.concatenate([-cost, cost, np.zeros(2 * d + 1)]),
-    ])
-    n_vars = tableau.shape[1] - 1
-    _simplex(tableau, list(range(2 * cost.size, n_vars)), n_vars)  # from the slack basis
-    return float(tableau[-1, -1])
+    block = np.hstack([signed, -signed, np.eye(2 * d), np.ones((2 * d, 1))])
+    n_vars = block.shape[1] - 1
+    slack = range(2 * comp.shape[1], n_vars)
+    dists = []
+    for col in x.reshape(d, -1).T:
+        cost = col @ comp
+        tableau = np.vstack([block, np.concatenate([-cost, cost, np.zeros(2 * d + 1)])])
+        _simplex(tableau, list(slack), n_vars)  # from the slack basis
+        dists.append(float(tableau[-1, -1]))
+    return dists[0] if x.ndim == 1 else np.array(dists)

@@ -89,7 +89,9 @@ def _blocks(a: np.ndarray):
     smallest column of its block: the labels pass to the rows and back, as
     minima over the nonzero entries, with pointer jumping, until they hold
     still.  Blocks come in the order of their smallest column, and list
-    their rows and columns in increasing order.
+    their rows and columns in increasing order.  A pass that labels every
+    column 0, with no zero row, ends the search: that is one block of all
+    the rows and columns, which further passes would only confirm.
     """
     m, n = a.shape
     r, c = np.divmod(np.flatnonzero(a != 0), n)
@@ -101,6 +103,9 @@ def _blocks(a: np.ndarray):
         nxt = col.copy()
         np.minimum.at(nxt, c, row[r])
         nxt = nxt[nxt]
+        if n and not nxt.any() and (row < n).all():
+            yield np.arange(m), np.arange(n)
+            return
         if (nxt == col).all():
             break
         col = nxt

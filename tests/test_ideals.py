@@ -592,3 +592,16 @@ def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
         # keeping every average would add 16 * |G| (384 or 1920) bytes per extra
         # step; only the float64 norms, on their way into the result tuple, may grow
         assert large - small <= 16 * (8192 - 512)
+
+
+def test_l1_distance_takes_a_batch_in_every_ambient():
+    # rank 0, the l1 LP and the trace closed form: a (d, k) batch gives the
+    # k distances of its columns
+    rng = np.random.default_rng(37)
+    for ideal in (coboundary_ideal(Z2, point_mass(Z2, 0)), coboundary_ideal(S3, S3_MU),
+                  trace_class_ideal(Z2, point_mass(Z2, 1))):
+        d = ideal.space.ambient_dim
+        xs = rng.standard_normal((d, 3))
+        batch = l1_distance(xs, ideal)
+        assert batch.shape == (3,)
+        assert batch.tobytes() == np.array([l1_distance(x, ideal) for x in xs.T]).tobytes()

@@ -217,3 +217,21 @@ def test_array_pivots_match_the_scalar_simplex_on_random_lps(monkeypatch):
             b, x = np.round(b * 2), np.round(x * 3)
         problems.append((x, b))
     _assert_bitwise(monkeypatch, problems)
+
+
+def test_a_batch_is_bitwise_the_calls_on_its_columns():
+    # criterion 6's 20 points per catalog entry, through lp and through the
+    # ideal (whose complex128 input reaches the LP as a strided real view)
+    from muharmonic.ideals import l1_distance
+
+    for idx, e in enumerate(catalog()):
+        ideal = coboundary_ideal(e.group, e.measure)
+        basis = ideal.space.basis.T
+        xs = np.random.default_rng(MASTER_SEED + 3000 + idx).standard_normal((e.group.order, 20))
+        xs /= np.abs(xs).sum(axis=0, keepdims=True)
+        for solve, b in ((l1_distance_to_span, basis.real), (l1_distance, ideal)):
+            batch = solve(xs, b)
+            singles = [solve(x, b) for x in xs.T]
+            assert isinstance(batch, np.ndarray) and batch.shape == (20,)
+            assert all(type(d) is float for d in singles)
+            assert batch.tobytes() == np.array(singles).tobytes()

@@ -8,6 +8,7 @@ from muharmonic import (
     catalog,
     catalog_entry,
     column_space,
+    conjugation_operator,
     kernel,
     kernel_and_range,
     mutual_residual,
@@ -235,3 +236,48 @@ def test_operator_criterion_factorizes_nothing_above_24(monkeypatch):
     assert shapes
     assert max(cols for _, cols in shapes) <= 24
     assert max(rows * cols for rows, cols in shapes) <= 24 * 24
+
+
+def _blocks_by_full_passes(a):
+    """Oracle: the label passes of `_blocks` run until they hold still."""
+    m, n = a.shape
+    r, c = np.divmod(np.flatnonzero(a != 0), n)
+    col = np.arange(n)
+    row = np.full(m, n)
+    while True:
+        np.minimum.at(row, r, col[c])
+        nxt = col.copy()
+        np.minimum.at(nxt, c, row[r])
+        nxt = nxt[nxt]
+        if (nxt == col).all():
+            break
+        col = nxt
+    labels = np.flatnonzero(col == np.arange(n))
+    return [(np.flatnonzero(row == label), np.flatnonzero(col == label)) for label in labels]
+
+
+def _catalog_block_inputs():
+    for e in catalog():
+        shifted = right_markov_matrix(e.group, e.measure) - np.eye(e.group.order)
+        yield e.name + ":I-M", shifted
+        conj = conjugation_operator(e.group, e.measure)
+        yield e.name + ":conj-I", conj - np.eye(conj.shape[0])
+    a = np.zeros((7, 6))
+    a[np.ix_([4, 0], [2, 5])] = [[1.0, 2.0], [0.0, 3.0]]
+    a[np.ix_([1, 6], [0, 3])] = [[4.0, 0.0], [5.0, 6.0]]
+    yield "two blocks, zero rows and zero columns", a
+    yield "one block and a zero row", np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
+
+
+_BLOCK_INPUTS = dict(_catalog_block_inputs())
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_INPUTS))
+def test_blocks_are_those_of_the_full_passes(name):
+    a = _BLOCK_INPUTS[name]
+    got = list(subspaces._blocks(a))
+    expected = _blocks_by_full_passes(a)
+    assert len(got) == len(expected)
+    for (rows, cols), (rows_ref, cols_ref) in zip(got, expected):
+        assert rows.dtype == rows_ref.dtype and cols.dtype == cols_ref.dtype
+        assert np.array_equal(rows, rows_ref) and np.array_equal(cols, cols_ref)

@@ -26,6 +26,8 @@ from muharmonic import (
 )
 from muharmonic.freegroup import FreeWord, _packed_ball, _packed_neighbors
 from muharmonic.walks import (
+    DEFAULT_MARGIN,
+    _check_rank,
     _chunk_seeds,
     _draw_steps,
     _gens_array,
@@ -249,6 +251,96 @@ def test_sampler_full_words_are_reduced():
             letters = tuple(int(s) for s in words_arr[i, : lengths[i]])
             FreeWord(k, letters)  # raises unless every letter is valid and reduced
             assert len(word(k, letters)) == lengths[i]
+
+
+def _reference_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depths=None,
+                     snapshot=None):
+    """Oracle: the sampler step by step, with a per-depth flag pair and a
+    letter gather on every path below `keep`, on the same draws."""
+    _check_rank(k)
+    two_k = 2 * k
+    bitgen = rng.bit_generator
+    gens = _gens_array(k)
+    depths = (keep,) if depths is None else depths
+    prefix = np.zeros((n_paths, keep), dtype=np.int16)
+    lengths = np.zeros(n_paths, dtype=np.int32)
+    flags = [(d, np.zeros(n_paths, dtype=bool), np.zeros(n_paths, dtype=bool)) for d in depths]
+    snap = None
+    for step in range(n_steps):
+        if step == snapshot:
+            snap = (gens[prefix], lengths.copy())
+        r = _draw_steps(bitgen, two_k, n_paths)
+        low = np.flatnonzero(lengths < keep)
+        if low.size:
+            depth = lengths[low]
+            r_low = r[low]
+            push = (r_low != 0) | (depth == 0)
+            low, depth, r_low = low[push], depth[push], r_low[push]
+            top = prefix[low, np.maximum(depth - 1, 0)]
+            prefix[low, depth] = np.where(depth == 0, r_low, (top + k + r_low) % two_k)
+        cancel = (r == 0) & (lengths > 0)
+        lengths += 1
+        lengths -= cancel
+        lengths -= cancel
+        for d, hit, fell in flags:
+            hit |= lengths >= d + margin
+            fell |= hit & (lengths <= d)
+    if snapshot == n_steps:
+        snap = (gens[prefix], lengths.copy())
+    stable = np.array([hit & ~fell for _, hit, fell in flags])
+    return gens[prefix], lengths, stable, snap
+
+
+def _same_arrays(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+# (k, n_steps, n_paths, keep, margin, depths, snapshot): both step forms, ranks
+# up to 128, snapshots at the start, the middle and the end, and no step at all
+_CHUNK_CASES = [
+    (2, 100, 25_000, 2, 10, (1, 2), 60),
+    (2, 100, 25_000, 2, 10, None, 0),
+    (1, 40, 77, 1, 10, None, 40),
+    (3, 60, 999, 3, 10, (1, 3), 30),
+    (5, 50, 999, 4, 10, (2, 4), 50),
+    (128, 30, 999, 6, 10, None, 15),
+    (2, 80, 999, 30, 10, (1, 3, 30), 40),
+    (3, 40, 77, 40, 3, None, None),
+    (2, 0, 77, 2, 10, (1, 2), 0),
+    (2, 120, 999, 8, 3, (8,), 60),
+    (2, 50, 1, 2, 10, (1, 2), 25),
+]
+
+
+@pytest.mark.parametrize("case", _CHUNK_CASES, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("seed", [50, 51, 52])
+def test_sampler_is_bitwise_the_reference_chunk(case, seed):
+    k, n_steps, n_paths, keep, margin, depths, snapshot = case
+    got = _simulate_chunk(k, n_steps, n_paths, np.random.default_rng(seed), keep, margin,
+                          depths, snapshot)
+    expected = _reference_chunk(k, n_steps, n_paths, np.random.default_rng(seed), keep,
+                                margin, depths, snapshot)
+    for a, b in zip(got[:3], expected[:3]):
+        _same_arrays(a, b)
+    if snapshot is None:
+        assert got[3] is None and expected[3] is None
+    else:
+        for a, b in zip(got[3], expected[3]):
+            _same_arrays(a, b)
+
+
+def test_sampler_keeps_long_runs_bitwise():
+    # from 2^15 steps on the sampler steps in int32: at k = 128 the drift is
+    # 254/256, and every length ends past the int16 range
+    n_steps = 2**15 + 500
+    got = _simulate_chunk(128, n_steps, 3, np.random.default_rng(53), 1, depths=(1,),
+                          snapshot=n_steps - 1)
+    expected = _reference_chunk(128, n_steps, 3, np.random.default_rng(53), 1, depths=(1,),
+                                snapshot=n_steps - 1)
+    assert got[1].min() > np.iinfo(np.int16).max
+    for a, b in zip((*got[:3], *got[3]), (*expected[:3], *expected[3])):
+        _same_arrays(a, b)
 
 
 def test_sampler_stable_matches_its_definition():
