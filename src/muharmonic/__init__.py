@@ -13,7 +13,6 @@ from .groups import (
     CosetPartition,
     FiniteGroup,
     Subgroup,
-    build_group,
     cyclic_group,
     dihedral_group,
     generated_subgroup,
@@ -41,8 +40,6 @@ from .measures import (
     convolve,
     from_pairs,
     haar_on_subgroup,
-    measure_from_json,
-    measure_to_json,
     point_mass,
     reflect,
     simple_random_walk_z,

@@ -14,12 +14,11 @@ import itertools
 import json
 import math
 import os
-import sys
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,7 +26,8 @@ from ._ops import MARKED, collecting, operation
 from .errors import ConfigError, ConstructionError
 from .freegroup import (FreeWord, _packed_ball, _packed_neighbors, free_ball, free_inverse,
                         free_mul, word)
-from .groups import FiniteGroup, _check_order, build_group, generated_subgroup, symmetric_group
+from .groups import (FiniteGroup, cyclic_group, dihedral_group, generated_subgroup,
+                     group_from_table, product_group, symmetric_group)
 from .harmonic import (
     _indicator_space,
     cesaro_mean,
@@ -108,13 +108,9 @@ class CatalogEntry:
 
 @lru_cache(maxsize=1)
 def _catalog_tuple() -> tuple[CatalogEntry, ...]:
-    z2 = build_group("cyclic", n=2)
-    z4 = build_group("cyclic", n=4)
-    z5 = build_group("cyclic", n=5)
-    z6 = build_group("cyclic", n=6)
-    v4 = build_group("product", factors=[build_group("cyclic", n=2), build_group("cyclic", n=2)])
-    s3 = build_group("symmetric", n=3)
-    s4 = build_group("symmetric", n=4)
+    z2, z4, z5, z6 = (cyclic_group(n) for n in (2, 4, 5, 6))
+    v4 = product_group(z2, z2)
+    s3, s4 = symmetric_group(3), symmetric_group(4)
     return (
         CatalogEntry("Z2_delta1", z2, point_mass(z2, 1)),
         CatalogEntry("Z4_delta1", z4, point_mass(z4, 1)),
@@ -307,98 +303,67 @@ class ExperimentConfig:
         return catalog()
 
 
-def _element(order: int, raw, path: str) -> int:
-    """Group element index from a config value, checked against the order."""
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}: expected an element index, got {raw!r}")
-    if not 0 <= raw < order:
-        raise ConfigError(f"{path}: element index {raw} outside 0..{order - 1}")
-    return raw
-
-
-def _weight(raw, path: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {raw!r}")
-    if not abs(raw) <= sys.float_info.max:  # refuses nan, inf and ints too large for a float
-        raise ConfigError(f"{path}: expected a finite number, got {raw!r}")
-    return float(raw)
-
-
-# each group kind and its keys besides "kind"; the first is required
-_GROUP_KEYS = {"cyclic": ("n",), "dihedral": ("n",), "symmetric": ("n",),
-               "product": ("factors",), "from_table": ("cayley", "labels")}
-
-
 def _group_from_spec(spec, path: str) -> FiniteGroup:
-    """Group from a spec of the README's forms, each field checked and named by its
-    path; the factors of a product are specs at <path>.factors[i]."""
+    """Group from a spec of the README's forms; the factors of a product are specs at
+    <path>.factors[i].  The constructor checks its parameters, and each of its messages
+    starts with the parameter's name, so prefixing the path names the field."""
+    # each kind: its constructor and the spec's keys besides "kind", which are the
+    # constructor's parameters, the first one required.  The table is made per call
+    # from the names as bound now, so a wrapper bound to a name sees the call.
+    kinds = {"cyclic": (cyclic_group, "n"), "dihedral": (dihedral_group, "n"),
+             "symmetric": (symmetric_group, "n"),
+             "product": (lambda factors: reduce(product_group, factors), "factors"),
+             "from_table": (group_from_table, "cayley", "labels")}
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {spec!r}")
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _GROUP_KEYS:
-        raise ConfigError(f"{path}.kind: expected one of {' / '.join(_GROUP_KEYS)}, "
-                          f"got {kind!r}")
-    for key in spec:
-        if key != "kind" and key not in _GROUP_KEYS[kind]:
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: expected one of {' / '.join(kinds)}, got {kind!r}")
+    build, *keys = kinds[kind]
+    params = {key: val for key, val in spec.items() if key != "kind"}
+    for key in params:
+        if key not in keys:
             raise ConfigError(f"{path}.{key}: unknown key")
-    if _GROUP_KEYS[kind][0] not in spec:
-        raise ConfigError(f"{path}.{_GROUP_KEYS[kind][0]}: missing")
+    if keys[0] not in params:
+        raise ConfigError(f"{path}.{keys[0]}: missing")
     if kind == "product":
-        factors = spec["factors"]
+        factors = params["factors"]
         if not isinstance(factors, list) or len(factors) < 2:
             raise ConfigError(f"{path}.factors: expected a list of two or more group specs, "
                               f"got {factors!r}")
-        return build_group(kind, factors=[_group_from_spec(f, f"{path}.factors[{i}]")
-                                          for i, f in enumerate(factors)])
-    if kind == "from_table":
-        table, labels = spec["cayley"], spec.get("labels")
-        n = len(table) if isinstance(table, list) else 0
-        _check_order(n)  # before the entries are read
-        if n == 0 or any(not isinstance(row, list) or len(row) != n for row in table):
-            raise ConfigError(f"{path}.cayley: expected a square list of rows of element indices")
-        for row in table:
-            for x in row:
-                _element(n, x, f"{path}.cayley")
-        if labels is not None and (not isinstance(labels, list) or len(labels) != n
-                                   or not all(isinstance(t, str) for t in labels)):
-            raise ConfigError(f"{path}.labels: expected {n} strings, one per element, "
-                              f"got {labels!r}")
-        field_path, params = f"{path}.cayley", {"cayley": table, "labels": labels}
-    else:
-        field_path, params = f"{path}.n", {"n": spec["n"]}
-        _SIZE.check(spec["n"], field_path)
+        params["factors"] = [_group_from_spec(f, f"{path}.factors[{i}]")
+                             for i, f in enumerate(factors)]
     try:
-        return build_group(kind, **params)
-    except ConstructionError as exc:  # a table that is not a group, or S_n past n = 5
-        raise ConfigError(f"{field_path}: {exc}") from exc
+        return build(**params)
+    except (TypeError, ConstructionError) as exc:  # a CapacityError ends the run with exit 3
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def _measure_from_spec(g: FiniteGroup, spec: dict) -> FiniteMeasure:
+    """Measure from a spec of one form.  The constructor checks the value, and the
+    form's path takes the place of the parameter's name in its messages."""
     for key in spec:
         if key not in _MEASURE_FORMS:
             raise ConfigError(f"measure.{key}: unknown measure form")
     if len(spec) != 1:
         raise ConfigError(f"measure: expected one of point / uniform_on / entries, "
                           f"got {sorted(spec)}")
-    if "point" in spec:
-        return point_mass(g, _element(g.order, spec["point"], "measure.point"))
-    if "uniform_on" in spec:
-        subset = spec["uniform_on"]
-        if not isinstance(subset, list) or not subset:
-            raise ConfigError("measure.uniform_on: expected a nonempty list of element indices")
-        try:
-            return uniform_on(g, [_element(g.order, x, "measure.uniform_on") for x in subset])
-        except ValueError as exc:
-            raise ConfigError(f"measure.uniform_on: {exc}") from exc
-    path = "measure.entries"
-    if not isinstance(spec["entries"], list):
-        raise ConfigError(f"{path}: expected a list of [index, weight] items")
-    pairs = []
-    for item in spec["entries"]:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"{path}: expected [index, weight], got {item!r}")
-        pairs.append((_element(g.order, item[0], path), _weight(item[1], path)))
-    return from_pairs(g, pairs)
+    (form, value), = spec.items()
+    if form == "uniform_on" and not isinstance(value, list):
+        raise ConfigError("measure.uniform_on: expected a nonempty list of element indices")
+    if form == "entries":
+        if not isinstance(value, list):
+            raise ConfigError("measure.entries: expected a list of [index, weight] items")
+        for item in value:
+            if not isinstance(item, list) or len(item) != 2:
+                raise ConfigError(f"measure.entries: expected [index, weight], got {item!r}")
+    # each form's constructor and the name of the parameter the form fills
+    build, param = {"point": (point_mass, "x"), "uniform_on": (uniform_on, "subset"),
+                    "entries": (from_pairs, "pairs")}[form]
+    try:
+        return build(g, value)
+    except (TypeError, ConstructionError) as exc:
+        raise ConfigError(f"measure.{form}: {str(exc).removeprefix(param + ': ')}") from exc
 
 
 def parse_word(k: int, spec: str) -> FreeWord:

@@ -99,11 +99,6 @@ def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 def _validate_table(cayley: np.ndarray, check_associativity: bool) -> tuple[int, np.ndarray]:
     n = cayley.shape[0]
-    if cayley.shape != (n, n):
-        raise ConstructionError(f"cayley table must be square, got shape {cayley.shape}")
-    if cayley.min() < 0 or cayley.max() >= n:
-        raise ConstructionError("cayley table entries must be element indices")
-
     identity = None
     rng = np.arange(n)
     for e in range(n):
@@ -111,16 +106,16 @@ def _validate_table(cayley: np.ndarray, check_associativity: bool) -> tuple[int,
             identity = e
             break
     if identity is None:
-        raise ConstructionError("table has no two-sided identity element")
+        raise ConstructionError("cayley: table has no two-sided identity element")
 
     inverses = np.full(n, -1, dtype=np.int64)
     for x in range(n):
         hits = np.nonzero(cayley[x] == identity)[0]
         if len(hits) == 0:
-            raise ConstructionError(f"element {x} has no right inverse")
+            raise ConstructionError(f"cayley: element {x} has no right inverse")
         y = int(hits[0])
         if cayley[y, x] != identity:
-            raise ConstructionError(f"element {x}: right inverse {y} is not a left inverse")
+            raise ConstructionError(f"cayley: element {x}: right inverse {y} is not a left inverse")
         inverses[x] = y
 
     if check_associativity:
@@ -132,7 +127,7 @@ def _validate_table(cayley: np.ndarray, check_associativity: bool) -> tuple[int,
             if not np.array_equal(lhs, rhs):
                 y, z = (int(i) for i in np.argwhere(lhs != rhs)[0])
                 raise ConstructionError(
-                    f"associativity fails at triple (x={x}, y={y}, z={z}): "
+                    f"cayley: associativity fails at triple (x={x}, y={y}, z={z}): "
                     f"(xy)z={int(lhs[y, z])} but x(yz)={int(rhs[y, z])}"
                 )
 
@@ -145,20 +140,57 @@ def _check_order(n: int) -> None:
 
 
 def _parameter_n(n) -> int:
-    """The integer n of a group constructor; a bool or a non-integer is refused."""
+    """The n of a group constructor, a positive integer; a bool is refused."""
     if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise TypeError(f"n: expected an integer, got {n!r}")
+        raise TypeError(f"n: expected a positive integer, got {n!r}")
+    if operator.index(n) < 1:
+        raise ConstructionError(f"n: expected a positive integer, got {n!r}")
     return operator.index(n)
+
+
+def _element_index(order: int, x, param: str) -> int:
+    """x as an element index of a group of `order` elements.
+
+    A bool, a non-integer and an index outside 0..order-1 are refused, and the
+    message starts with the name of the parameter that x came in.
+    """
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise TypeError(f"{param}: expected an element index, got {x!r}")
+    x = operator.index(x)
+    if not 0 <= x < order:
+        raise ConstructionError(f"{param}: element index {x} outside 0..{order - 1}")
+    return x
+
+
+_NOT_SQUARE = "cayley: expected a square list of rows of element indices"
 
 
 def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGroup:
     """Validate an explicit Cayley table and wrap it as a FiniteGroup.
 
-    labels, if given, is a sequence of strings, one per element.
+    cayley is a square integer array, as the builders make, or a square list of
+    rows of element indices.  The row count is checked against the order cap
+    before any entry is read.  labels, if given, is a sequence of strings, one per
+    element.
     """
-    cayley = np.asarray(cayley, dtype=np.int64)
-    n = cayley.shape[0]
+    if not isinstance(cayley, (np.ndarray, list, tuple)):
+        raise ConstructionError(_NOT_SQUARE)
+    n = len(cayley)
     _check_order(n)
+    if isinstance(cayley, np.ndarray):
+        # the builders' tables: one vectorized dtype and range check
+        if cayley.shape != (n, n) or cayley.dtype.kind not in "iu":
+            raise ConstructionError(_NOT_SQUARE)
+        outside = (cayley < 0) | (cayley >= n)
+        if outside.any():
+            raise ConstructionError(f"cayley: element index {cayley[outside][0]} "
+                                    f"outside 0..{n - 1}")
+        cayley = cayley.astype(np.int64, copy=False)
+    else:
+        if n == 0 or any(not isinstance(row, (list, tuple)) or len(row) != n for row in cayley):
+            raise ConstructionError(_NOT_SQUARE)
+        cayley = np.array([[_element_index(n, x, "cayley") for x in row] for row in cayley],
+                          dtype=np.int64)
     if labels is not None:
         if (isinstance(labels, str) or not isinstance(labels, Sequence) or len(labels) != n
                 or not all(isinstance(t, str) for t in labels)):
@@ -171,8 +203,6 @@ def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGro
 
 def cyclic_group(n: int) -> FiniteGroup:
     n = _parameter_n(n)
-    if n < 1:
-        raise ConstructionError("cyclic order must be >= 1")
     _check_order(n)  # before the n x n table is allocated
     i = np.arange(n)
     cayley = (i[:, None] + i[None, :]) % n
@@ -182,8 +212,6 @@ def cyclic_group(n: int) -> FiniteGroup:
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: index j*n + i encodes r^i s^j."""
     n = _parameter_n(n)
-    if n < 1:
-        raise ConstructionError("dihedral parameter must be >= 1")
     _check_order(2 * n)  # before the Python double loop fills the table
 
     def mul(a, b):
@@ -223,8 +251,8 @@ def symmetric_group(n: int) -> FiniteGroup:
     first, so the natural action table[g][x] = perm_g(x) is a homomorphism.
     """
     n = _parameter_n(n)
-    if not 1 <= n <= 5:
-        raise ConstructionError("symmetric groups are supported for 1 <= n <= 5")
+    if n > 5:
+        raise ConstructionError("n: symmetric groups are supported for 1 <= n <= 5")
     perms = list(itertools.permutations(range(n)))
     arr = np.array(perms, dtype=np.int64)
     # base-n codes increase with the lexicographic order, so searchsorted
@@ -249,36 +277,11 @@ def product_group(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 @operation
-def build_group(kind: str, **params) -> FiniteGroup:
-    """Dispatch constructor: cyclic, dihedral, symmetric, product, from_table."""
-    if kind == "cyclic":
-        return cyclic_group(params["n"])
-    if kind == "dihedral":
-        return dihedral_group(params["n"])
-    if kind == "symmetric":
-        return symmetric_group(params["n"])
-    if kind == "product":
-        factors = params["factors"]
-        if len(factors) < 2:
-            raise ConstructionError("product needs at least two factors")
-        g = factors[0]
-        for f in factors[1:]:
-            g = product_group(g, f)
-        return g
-    if kind == "from_table":
-        return group_from_table(params["cayley"], labels=params.get("labels"))
-    raise ConstructionError(f"unknown group kind {kind!r}")
-
-
-@operation
 def generated_subgroup(g: FiniteGroup, support) -> Subgroup:
     """Smallest subgroup containing ``support`` (closure under products and inverses)."""
-    support = sorted(set(int(s) for s in support))
+    support = sorted({_element_index(g.order, s, "support") for s in support})
     if not support:
-        raise ConstructionError("generated_subgroup needs a nonempty support")
-    for s in support:
-        if not 0 <= s < g.order:
-            raise ConstructionError(f"element index {s} out of range for order {g.order}")
+        raise ConstructionError("support: expected at least one element index")
     members = {g.identity}
     frontier = [g.identity]
     gens = set(support) | {g.inv(s) for s in support}

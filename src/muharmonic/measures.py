@@ -8,14 +8,15 @@ element index) or on an integer window [lo, hi] (dense vector indexed by
 
 from __future__ import annotations
 
-import json
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._ops import operation
-from .groups import FiniteGroup, Subgroup, same_group
+from .errors import ConstructionError
+from .groups import FiniteGroup, Subgroup, _element_index, same_group
 
 PROBABILITY_TOL = 1e-12
 
@@ -56,9 +57,10 @@ class FiniteMeasure:
         w = np.asarray(self.weights, dtype=np.complex128)
         size = self.carrier.order if isinstance(self.carrier, FiniteGroup) else self.carrier.size
         if w.shape != (size,):
-            raise ValueError(f"weight vector of length {w.shape} does not match carrier size {size}")
+            raise ConstructionError(f"weight vector of length {w.shape} does not match carrier "
+                                    f"size {size}")
         if not np.isfinite(w).all():
-            raise ValueError("measure weights must be finite")
+            raise ConstructionError("measure weights must be finite")
         object.__setattr__(self, "weights", w)
         w.setflags(write=False)
 
@@ -99,26 +101,32 @@ class FiniteMeasure:
 
 def point_mass(g: FiniteGroup, x: int) -> FiniteMeasure:
     w = np.zeros(g.order, dtype=np.complex128)
-    w[x] = 1.0
+    w[_element_index(g.order, x, "x")] = 1.0
     return FiniteMeasure(g, w)
 
 
 def from_pairs(g: FiniteGroup, pairs) -> FiniteMeasure:
+    """The sum of c delta_x over the (x, c) pairs; each c is a finite number."""
     w = np.zeros(g.order, dtype=np.complex128)
     for x, c in pairs:
-        w[int(x)] += c
+        x = _element_index(g.order, x, "pairs")
+        if isinstance(c, bool) or not isinstance(c, (int, float, complex, np.number)):
+            raise TypeError(f"pairs: expected a number, got {c!r}")
+        if not abs(c) <= sys.float_info.max:  # refuses nan, inf and ints too large for a float
+            raise ConstructionError(f"pairs: expected a finite number, got {c!r}")
+        w[x] += c
     return FiniteMeasure(g, w)
 
 
 def uniform_on(g: FiniteGroup, subset) -> FiniteMeasure:
     """Uniform probability on a nonempty set of distinct elements."""
-    subset = list(subset)
+    subset = [_element_index(g.order, x, "subset") for x in subset]
     if not subset:
-        raise ValueError("subset must be nonempty")
+        raise ConstructionError("subset: expected a nonempty list of element indices")
     if len(set(subset)) != len(subset):
-        raise ValueError(f"subset has a repeated element index: {subset}")
+        raise ConstructionError(f"subset: repeated element index in {subset}")
     w = np.zeros(g.order, dtype=np.complex128)
-    w[np.array(subset, dtype=np.int64)] = 1.0 / len(subset)
+    w[subset] = 1.0 / len(subset)
     return FiniteMeasure(g, w)
 
 
@@ -295,27 +303,3 @@ def weak_star_decay(mu: FiniteMeasure, f_pairs, n_max: int) -> DecayReport:
         power = convolve(power, mu)
     return DecayReport(tuple(values), degenerate)
 
-
-# ---------------------------------------------------------------- serialization
-
-def measure_to_json(mu: FiniteMeasure) -> dict:
-    if mu.on_group:
-        carrier = {"type": "group", "order": mu.carrier.order, "name": mu.carrier.name}
-    else:
-        carrier = {"type": "z_window", "lo": mu.carrier.lo, "hi": mu.carrier.hi}
-    return {
-        "carrier": carrier,
-        "weights": [[float(w.real), float(w.imag)] for w in mu.weights],
-    }
-
-
-def measure_from_json(obj, group: FiniteGroup | None = None) -> FiniteMeasure:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    carrier = obj["carrier"]
-    weights = np.array([complex(re, im) for re, im in obj["weights"]])
-    if carrier["type"] == "group":
-        if group is None or group.order != carrier["order"]:
-            raise ValueError("group-carried measure needs the matching FiniteGroup")
-        return FiniteMeasure(group, weights)
-    return FiniteMeasure(ZWindow(int(carrier["lo"]), int(carrier["hi"])), weights)

@@ -33,14 +33,13 @@ the mixtures of the uniform measures on the orbits of H = <supp mu>.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._ops import operation
-from .groups import FiniteGroup, generated_subgroup, same_group
+from .groups import FiniteGroup, _element_index, generated_subgroup, same_group
 from .measures import FiniteMeasure, ZWindow
 from .operators import GSpaceAction
 from .freegroup import FreeWord, empty_word
@@ -76,11 +75,7 @@ def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
         raise ValueError("law must be a measure on the carrier group")
     if not mu.is_probability():
         raise ValueError("walk law must be a probability measure")
-    if isinstance(start, bool):
-        raise TypeError(f"start must be an element index, got {start!r}")
-    start = operator.index(start)
-    if not 0 <= start < carrier.order:
-        raise ValueError(f"start {start} outside 0..{carrier.order - 1}")
+    start = _element_index(carrier.order, start, "start")
     rng = np.random.default_rng(seed)
     weights = np.maximum(mu.weights.real, 0.0)
     weights = weights / weights.sum()

@@ -9,7 +9,7 @@ same process does not count.
 
 import pytest
 
-from muharmonic import ACCEPTANCE, ExperimentConfig, boundary_reports, build_group, run
+from muharmonic import ACCEPTANCE, ExperimentConfig, boundary_reports, cyclic_group, run
 from muharmonic.experiments import run_criterion
 
 _NAMES = {number: name for number, name, _ in ACCEPTANCE}
@@ -91,15 +91,15 @@ def test_suite_scenario_and_op_coverage(monkeypatch):
     builds = []
     passes = []
 
-    def counting_build_group(*args, **kwargs):
-        builds.append(args[0])
-        return build_group(*args, **kwargs)
+    def counting_cyclic_group(n):
+        builds.append(n)
+        return cyclic_group(n)
 
     def counting_boundary_reports(*args, **kwargs):
         passes.append(args)
         return boundary_reports(*args, **kwargs)
 
-    monkeypatch.setattr("muharmonic.experiments.build_group", counting_build_group)
+    monkeypatch.setattr("muharmonic.experiments.cyclic_group", counting_cyclic_group)
     monkeypatch.setattr("muharmonic.experiments.boundary_reports", counting_boundary_reports)
     records = []
     for _ in range(2):

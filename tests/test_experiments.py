@@ -173,7 +173,7 @@ def test_scenario_sizes_reach_the_checks():
 
 def test_operation_names_are_the_marked_functions():
     assert OPERATION_NAMES == frozenset({
-        "build_group", "generated_subgroup", "left_cosets",
+        "generated_subgroup", "left_cosets",
         "free_mul", "free_inverse", "free_ball",
         "convolve", "reflect", "convolution_power", "cesaro_average",
         "tv_norm", "tv_distance", "haar_on_subgroup", "weak_star_decay",
@@ -281,6 +281,31 @@ def test_cli_order_far_above_the_cap_exits_3(tmp_path, capsys):
                                "measure": {"point": 1}}))
     assert cli_main(["harmonic", "--config", str(cfg)]) == 3
     assert "group order 100000000 exceeds the cap of 120" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, order", [
+    ({"kind": "from_table", "cayley": [[0] * 121] * 121}, "group order 121"),
+    ({"kind": "product", "factors": [{"kind": "symmetric", "n": 5}, {"kind": "cyclic", "n": 2}]},
+     "product order 240"),
+    # no entry to read: a squareness check before the cap would exit 2
+    ({"kind": "from_table", "cayley": [[]] * 10_000}, "group order 10000"),
+], ids=["table-121", "product-240", "table-10000-empty-rows"])
+def test_cli_group_spec_past_the_cap_exits_3(tmp_path, capsys, group, order):
+    # a CapacityError is a ValueError: a config reader that caught ValueError would exit 2
+    cfg = tmp_path / "over.json"
+    cfg.write_text(json.dumps({"group": group, "measure": {"point": 0}}))
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 3
+    assert capsys.readouterr().err == f"capacity error: {order} exceeds the cap of 120\n"
+
+
+def test_cli_weights_summing_past_the_float_range_exit_2(tmp_path, capsys):
+    # each weight is finite but their sum is not: the measure's refusal ended in a traceback
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({"group": {"kind": "cyclic", "n": 3},
+                               "measure": {"entries": [[0, 1e308], [0, 1e308]]}}))
+    assert cli_main(["harmonic", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("config error: measure.entries: "
+                                       "measure weights must be finite\n")
 
 
 def _s5_spec() -> dict:

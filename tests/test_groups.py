@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from muharmonic import (
     CapacityError,
     ConstructionError,
-    build_group,
     cyclic_group,
     dihedral_group,
     generated_subgroup,
@@ -54,7 +54,7 @@ def test_broken_associativity_names_triple():
     with pytest.raises(ConstructionError) as err:
         group_from_table(table)
     # the first failing triple in (x, y, z) order
-    assert str(err.value) == ("associativity fails at triple (x=1, y=1, z=2): "
+    assert str(err.value) == ("cayley: associativity fails at triple (x=1, y=1, z=2): "
                               "(xy)z=2 but x(yz)=1")
 
 
@@ -124,7 +124,7 @@ def test_order_cap_is_checked_before_the_table_is_built(build, n, order):
     (dihedral_group, 2.0),
 ], ids=["cyclic-True", "symmetric-True", "dihedral-str", "cyclic-float", "dihedral-float"])
 def test_constructors_refuse_an_n_that_is_not_an_integer(build, n):
-    with pytest.raises(TypeError, match=f"^n: expected an integer, got {n!r}$"):
+    with pytest.raises(TypeError, match=f"^n: expected a positive integer, got {n!r}$"):
         build(n)
 
 
@@ -133,11 +133,11 @@ def test_constructors_take_any_integer_type():
     assert dihedral_group(np.int32(3)).order == 6
 
 
-def test_build_group_does_not_round_its_size():
+def test_cyclic_group_does_not_round_its_size():
     # int() once made n = 4.7 the group Z4
-    with pytest.raises(TypeError, match="^n: expected an integer, got 4.7$"):
-        build_group("cyclic", n=4.7)
-    assert build_group("cyclic", n=4).order == 4
+    with pytest.raises(TypeError, match="^n: expected a positive integer, got 4.7$"):
+        cyclic_group(4.7)
+    assert cyclic_group(4).order == 4
 
 
 @pytest.mark.parametrize("labels", ["es", ["e", 1], ("e",), 7],
@@ -148,6 +148,30 @@ def test_group_from_table_refuses_labels_that_are_not_one_string_per_element(lab
                        match=r"^labels: expected 2 strings, one per element, got "):
         group_from_table([[0, 1], [1, 0]], labels=labels)
     assert group_from_table([[0, 1], [1, 0]], labels=["e", "s"]).labels == ("e", "s")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # each built a group: 1.5 and True were taken as the element 1
+    (lambda: generated_subgroup(cyclic_group(6), [1.5]), TypeError,
+     "support: expected an element index, got 1.5"),
+    (lambda: generated_subgroup(cyclic_group(6), [True]), TypeError,
+     "support: expected an element index, got True"),
+    (lambda: group_from_table([[0, 1.5], [1, 0]]), TypeError,
+     "cayley: expected an element index, got 1.5"),
+    (lambda: group_from_table([[0, True], [True, 0]]), TypeError,
+     "cayley: expected an element index, got True"),
+    (lambda: group_from_table(np.array([[0.0, 1.0], [1.0, 0.0]])), ConstructionError,
+     "cayley: expected a square list of rows of element indices"),
+    # numpy's "inhomogeneous shape" error, which named no parameter
+    (lambda: group_from_table([[0, 1], [1]]), ConstructionError,
+     "cayley: expected a square list of rows of element indices"),
+    (lambda: group_from_table(np.array([[0, 1], [1, 2]])), ConstructionError,
+     "cayley: element index 2 outside 0..1"),
+], ids=["subgroup-float", "subgroup-bool", "table-float", "table-bool", "table-float-array",
+        "table-ragged", "table-array-outside"])
+def test_group_constructors_refuse_what_is_not_an_element_index(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_generated_subgroup_examples():
@@ -199,7 +223,7 @@ def test_left_cosets_partition_properties():
 
 def test_json_round_trip():
     # the config's group specs, read by the experiment runner
-    g = build_group("dihedral", n=3)
+    g = dihedral_group(3)
     again = _group_from_spec({"kind": "from_table", "cayley": g.cayley.tolist(),
                               "labels": list(g.labels)}, "group")
     assert np.array_equal(g.cayley, again.cayley)

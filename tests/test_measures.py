@@ -1,10 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from muharmonic import (
+    ConstructionError,
     FiniteMeasure,
     catalog,
     cesaro_average,
@@ -14,8 +16,6 @@ from muharmonic import (
     from_pairs,
     generated_subgroup,
     haar_on_subgroup,
-    measure_from_json,
-    measure_to_json,
     point_mass,
     reflect,
     simple_random_walk_z,
@@ -161,6 +161,23 @@ def test_uniform_on_rejects_repeated_or_empty_subsets():
         uniform_on(Z4, [])
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: point_mass(Z6, True), TypeError, "x: expected an element index, got True"),  # was 6
+    # numpy indexing took -1 as the last element: delta_5, and {2, 5} for uniform_on
+    (lambda: point_mass(Z6, -1), ConstructionError, "x: element index -1 outside 0..5"),
+    (lambda: uniform_on(Z6, [-1, 2]), ConstructionError, "subset: element index -1 outside 0..5"),
+    (lambda: from_pairs(Z6, [(1.5, 1.0)]), TypeError,  # was delta_1
+     "pairs: expected an element index, got 1.5"),
+    (lambda: from_pairs(Z6, [(1, "half")]), TypeError, "pairs: expected a number, got 'half'"),
+    (lambda: from_pairs(Z6, [(1, math.inf)]), ConstructionError,
+     "pairs: expected a finite number, got inf"),
+], ids=["point-bool", "point-negative", "uniform-negative", "pairs-float-index",
+        "pairs-text-weight", "pairs-inf-weight"])
+def test_measure_constructors_refuse_a_bad_index_or_weight(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_haar_examples():
     h = generated_subgroup(Z6, [2])
     omega = haar_on_subgroup(Z6, h)
@@ -201,16 +218,6 @@ def test_weak_star_decay_degenerate():
     report = weak_star_decay(z_point_mass(0), [(0, 2.0)], 10)
     assert report.degenerate
     assert all(abs(v - 2.0) < 1e-15 for v in report.real_values())
-
-
-def test_measure_json_round_trip():
-    mu = from_pairs(Z6, [(1, 0.5), (5, complex(0.25, 0.1))])
-    again = measure_from_json(measure_to_json(mu), group=Z6)
-    assert np.allclose(again.weights, mu.weights)
-    z = z_from_pairs([(-2, 0.5), (7, 0.5)])
-    zz = measure_from_json(measure_to_json(z))
-    assert (zz.carrier.lo, zz.carrier.hi) == (-2, 7)
-    assert np.allclose(zz.weights, z.weights)
 
 
 def _cesaro_by_convolve(mu, n_values):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from muharmonic import (
     FiniteMeasure,
-    build_group,
     cesaro_limit,
     coboundary_ideal,
     convolve,
     coset_action,
+    cyclic_group,
+    dihedral_group,
+    from_pairs,
     generated_subgroup,
     gspace_markov_matrix,
     haar_on_subgroup,
@@ -22,11 +24,16 @@ from muharmonic import (
     kernel,
     l1_distance,
     mutual_residual,
+    point_mass,
     predual_action,
+    product_group,
     quotient_norm,
     reflect,
     right_markov_matrix,
+    sample_path,
     stationary_measure,
+    symmetric_group,
+    uniform_on,
 )
 from muharmonic.groups import MAX_ORDER
 from muharmonic.harmonic import _indicator_space
@@ -58,12 +65,15 @@ GROUP_SPECS = st.one_of(
 )
 
 
+_BUILDERS = {"cyclic": cyclic_group, "dihedral": dihedral_group, "symmetric": symmetric_group}
+
+
 @lru_cache(maxsize=None)
 def _group(spec):
     if spec[0] == "product":
-        return build_group("product", factors=[_group(spec[1]), _group(spec[2])])
+        return product_group(_group(spec[1]), _group(spec[2]))
     kind, n = spec
-    return build_group(kind, n=n)
+    return _BUILDERS[kind](n)
 
 
 @st.composite
@@ -236,3 +246,23 @@ def test_twisting_by_a_character_conjugates_the_cesaro_limit(spec, data):
     k = cesaro_limit(right_markov_matrix(g, mu_chi))
     haar = right_markov_matrix(g, haar_on_subgroup(g, h))
     assert np.linalg.norm(k - chi.conj()[:, None] * haar * chi[None, :]) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.integers(), st.floats(), st.booleans()))
+def test_every_constructor_takes_the_same_element_indices(x):
+    # one rule: an int in 0..order-1 is taken, any other value refused alike
+    g = _group(("cyclic", 6))
+    law = point_mass(g, 1)
+    calls = (lambda: point_mass(g, x), lambda: uniform_on(g, [x]),
+             lambda: from_pairs(g, [(x, 1.0)]), lambda: generated_subgroup(g, [x]),
+             lambda: sample_path(g, law, x, 2, seed=0))
+    outcomes = set()
+    for call in calls:
+        try:
+            call()
+            outcomes.add(None)
+        except (TypeError, ValueError) as exc:
+            outcomes.add(type(exc))
+    assert len(outcomes) == 1, (x, outcomes)
+    assert (outcomes == {None}) == (type(x) is int and 0 <= x < g.order)

@@ -60,7 +60,7 @@ def test_sample_path_deterministic_walk():
 def test_sample_path_refuses_a_start_outside_the_group(start):
     # numpy indexing would take -1 as the last element of the group
     z4 = cyclic_group(4)
-    with pytest.raises(ValueError, match=rf"start {start} outside 0\.\.3"):
+    with pytest.raises(ValueError, match=rf"^start: element index {start} outside 0\.\.3$"):
         sample_path(z4, point_mass(z4, 1), start, 3, seed=1)
 
 
