@@ -162,35 +162,43 @@ def _element_index(order: int, x, param: str) -> int:
     return x
 
 
-_NOT_SQUARE = "cayley: expected a square list of rows of element indices"
+def _index_table(table, shape: tuple[int, int], param: str, expected: str) -> np.ndarray:
+    """A new int64 array of the given shape whose entries index 0..shape[1]-1.
+
+    An integer array, as the builders make, gets one vectorized dtype and range
+    pass; a list of rows is read entry by entry through `_element_index`.  Any
+    other table is refused with the message "<param>: expected <expected>".
+    """
+    rows, cols = shape
+    if isinstance(table, np.ndarray):
+        if table.shape != shape or table.dtype.kind not in "iu":
+            raise ConstructionError(f"{param}: expected {expected}")
+        outside = (table < 0) | (table >= cols)
+        if outside.any():
+            raise ConstructionError(f"{param}: element index {table[outside][0]} "
+                                    f"outside 0..{cols - 1}")
+        return table.astype(np.int64)  # a copy, so the caller's array stays writeable
+    if (not isinstance(table, (list, tuple)) or len(table) != rows
+            or any(not isinstance(row, (list, tuple)) or len(row) != cols for row in table)):
+        raise ConstructionError(f"{param}: expected {expected}")
+    return np.array([[_element_index(cols, x, param) for x in row] for row in table],
+                    dtype=np.int64).reshape(shape)
 
 
 def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGroup:
     """Validate an explicit Cayley table and wrap it as a FiniteGroup.
 
     cayley is a square integer array, as the builders make, or a square list of
-    rows of element indices.  The row count is checked against the order cap
-    before any entry is read.  labels, if given, is a sequence of strings, one per
-    element.
+    rows of element indices; the group keeps its own copy.  The row count is
+    checked against the order cap before any entry is read.  labels, if given, is
+    a sequence of strings, one per element.
     """
-    if not isinstance(cayley, (np.ndarray, list, tuple)):
-        raise ConstructionError(_NOT_SQUARE)
+    square = "a square list of rows of element indices"
+    if not isinstance(cayley, (np.ndarray, list, tuple)) or len(cayley) == 0:
+        raise ConstructionError(f"cayley: expected {square}")
     n = len(cayley)
     _check_order(n)
-    if isinstance(cayley, np.ndarray):
-        # the builders' tables: one vectorized dtype and range check
-        if cayley.shape != (n, n) or cayley.dtype.kind not in "iu":
-            raise ConstructionError(_NOT_SQUARE)
-        outside = (cayley < 0) | (cayley >= n)
-        if outside.any():
-            raise ConstructionError(f"cayley: element index {cayley[outside][0]} "
-                                    f"outside 0..{n - 1}")
-        cayley = cayley.astype(np.int64, copy=False)
-    else:
-        if n == 0 or any(not isinstance(row, (list, tuple)) or len(row) != n for row in cayley):
-            raise ConstructionError(_NOT_SQUARE)
-        cayley = np.array([[_element_index(n, x, "cayley") for x in row] for row in cayley],
-                          dtype=np.int64)
+    cayley = _index_table(cayley, (n, n), "cayley", square)
     if labels is not None:
         if (isinstance(labels, str) or not isinstance(labels, Sequence) or len(labels) != n
                 or not all(isinstance(t, str) for t in labels)):

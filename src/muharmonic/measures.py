@@ -210,41 +210,20 @@ def convolution_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
 
 @operation
 def cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
-    """(1/n) sum_{i=1..n} mu^i; powers start at i = 1.
+    """(1/n) sum_{i=1..n} mu^i of a probability measure on a group; powers start at i = 1.
 
-    A_n is a probability measure whenever mu is.  On a group the powers are
-    stepped as mu * mu^k (equal to mu^k * mu): supp mu, its weights and its
-    gather table are taken once, and each step is the gather of `convolve`
-    on raw weight arrays.
+    Row e of the averaging matrix M(nu) is nu, and M(mu * nu) = M(mu) M(nu), so
+    A_n is row e of (1/n) sum_{i<=n} M(mu)^i.  M(mu) is stochastic, hence
+    power-bounded, and `cesaro_mean` gives that average in closed form.
     """
+    from .harmonic import cesaro_mean
+    from .operators import right_markov_matrix
+
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("Cesaro averages start at n = 1")
-    if not mu.on_group:
-        return _window_cesaro_average(mu, n)
+    if not (mu.on_group and mu.is_probability()):
+        raise ValueError("Cesaro averages are taken of a probability measure on a group")
     g: FiniteGroup = mu.carrier
-    s = np.nonzero(mu.weights)[0]
-    w_s, table = mu.weights[s], g.left_quotients(s)
-    acc = np.zeros_like(mu.weights)
-    power = mu.weights
-    for i in range(n):
-        if i:
-            power = w_s @ power[table]
-        acc += power
-    return FiniteMeasure(g, acc / n)
-
-
-def _window_cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
-    """Cesaro average on a window carrier, accumulated on the final window of mu^n."""
-    final = ZWindow(n * mu.carrier.lo, n * mu.carrier.hi)
-    acc = np.zeros(final.size, dtype=np.complex128)
-    power = mu
-    for i in range(n):
-        if i:
-            power = convolve(power, mu)
-        off = power.carrier.lo - final.lo
-        acc[off : off + power.carrier.size] += power.weights
-    return FiniteMeasure(final, acc / n)
+    return FiniteMeasure(g, cesaro_mean(right_markov_matrix(g, mu), n)[g.identity])
 
 
 @operation

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._ops import operation
 from .errors import CapacityError, ConstructionError
-from .groups import FiniteGroup, Subgroup, orbit_labels, same_group
+from .groups import FiniteGroup, Subgroup, _index_table, orbit_labels, same_group
 from .measures import FiniteMeasure, convolve
 
 CONJUGATION_ORDER_CAP = 24
@@ -146,14 +146,9 @@ class GSpaceAction:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.int64)
-        if t.shape != (self.group.order, self.points):
-            raise ConstructionError(
-                f"action table shape {t.shape} != (order, points) = "
-                f"({self.group.order}, {self.points})"
-            )
-        if t.min() < 0 or t.max() >= self.points:
-            raise ConstructionError("action table entries must be point indices")
+        shape = (self.group.order, self.points)
+        t = _index_table(self.table, shape, "table",
+                         f"{shape[0]} rows (one per group element) of {shape[1]} point indices")
         e = self.group.identity
         if not np.array_equal(t[e], np.arange(self.points)):
             raise ConstructionError("identity must act trivially")

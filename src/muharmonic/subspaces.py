@@ -189,10 +189,12 @@ def kernel_and_range(a: np.ndarray) -> tuple[Subspace, Subspace]:
 
 
 def mutual_residual(a: Subspace, b: Subspace) -> float:
-    """Max distance of either basis from the other span; 0 iff equal spaces."""
-    worst = 0.0
-    for v in a.basis:
-        worst = max(worst, b.residual(v))
-    for v in b.basis:
-        worst = max(worst, a.residual(v))
-    return worst
+    """Max distance of either basis from the other span; 0 iff equal spaces.
+
+    The row norms of X - (X Y^H) Y are the distances of X's rows from the span
+    of the orthonormal rows Y: two matrix products per side.
+    """
+    def worst(x: np.ndarray, y: np.ndarray) -> float:
+        return np.max(np.linalg.norm(x - (x @ y.conj().T) @ y, axis=1), initial=0.0)
+
+    return float(max(worst(a.basis, b.basis), worst(b.basis, a.basis)))

@@ -114,7 +114,7 @@ def test_run_record_determinism(tmp_path):
 
 @pytest.mark.parametrize("number, config, criterion_only", [
     (1, {"scenario": "harmonic"}, ()),
-    (2, {"scenario": "cesaro", "n": 1000, "trials": 10_000}, ()),
+    (2, {"scenario": "cesaro", "n": 1000}, ()),
     (5, {"scenario": "ncconv", "trials": 100, "seed": MASTER_SEED},
      ("Z2 worked example exact", "reflect is an involution")),
     (12, {"scenario": "stationary", "trials": 20, "seed": MASTER_SEED + 500}, ()),
@@ -166,9 +166,9 @@ def test_scenario_sizes_reach_the_checks():
     decay = run(ExperimentConfig(scenario="decay", n=30))
     assert decay.checks[0].name == "binomial match over 2m <= 30"
     assert run(ExperimentConfig(scenario="decay", n=4)).passed  # the least n decay takes
-    cesaro = run(ExperimentConfig(scenario="cesaro", entry="Z6_delta2", n=500, trials=7))
+    cesaro = run(ExperimentConfig(scenario="cesaro", entry="Z6_delta2", n=500))
     assert cesaro.checks[0].name == "Z6_delta2: tv(A_500, haar)"
-    assert cesaro.extra["Z6_delta2"]["n_iterations"] == 7
+    assert cesaro.extra["Z6_delta2"]["n_iterations"] == 500  # the gap is read at the same n
 
 
 def test_operation_names_are_the_marked_functions():
@@ -366,7 +366,7 @@ def test_suite_writes_only_its_record_under_env_out(tmp_path, monkeypatch, capsy
 # parameters change is caught
 _READS = {
     "harmonic": {"group", "measure", "entry", "seed", "out"},
-    "cesaro": {"group", "measure", "entry", "n", "trials", "seed", "out"},
+    "cesaro": {"group", "measure", "entry", "n", "seed", "out"},
     "derriennic": {"group", "measure", "entry", "n", "seed", "out"},
     "ncconv": {"group", "measure", "entry", "trials", "seed", "out"},
     "freewalk": {"word", "paths", "n", "seed", "out"},
@@ -382,7 +382,7 @@ def test_every_config_field_is_read_by_some_scenario():
     assert set(_READS) == set(SCENARIOS)
     names = {f.name for f in fields(ExperimentConfig)} - {"scenario"}
     assert set().union(*_READS.values()) == names
-    assert sum(map(len, _READS.values())) == 37
+    assert sum(map(len, _READS.values())) == 36
 
 
 @pytest.mark.parametrize("scenario", sorted(_READS))
@@ -453,8 +453,6 @@ def test_cli_builds_its_parser_once_and_keeps_no_flag_between_calls(monkeypatch,
 @pytest.mark.parametrize("scenario, meaning, others", [
     ("ncconv", "random trials per entry", ("coset actions", "n_max")),
     ("stationary", "random coset actions", ("trials per entry", "n_max")),
-    ("cesaro", "horizon n_max of the Cesaro gap diagnostic", ("trials per entry",
-                                                              "coset actions")),
 ])
 def test_trials_help_gives_its_scenarios_meaning_only(scenario, meaning, others, capsys):
     with pytest.raises(SystemExit):
@@ -590,7 +588,7 @@ def test_cli_rejects_removed_window_key(tmp_path, capsys):
     (["freewalk", "--paths", "0"], "paths"),
     (["freewalk", "--paths", "100", "--n", "0"], "n"),
     (["cesaro", "--entry", "Z4_delta1", "--n", "0"], "n"),
-    (["cesaro", "--entry", "Z4_delta1", "--trials", "0"], "trials"),
+    (["ncconv", "--entry", "S4_two_gens", "--trials", "0"], "trials"),
     (["stationary", "--trials", "0"], "trials"),
     (["decay", "--n", "0"], "n"),
     (["ncconv", "--trials", "0"], "trials"),

@@ -174,6 +174,15 @@ def test_group_constructors_refuse_what_is_not_an_element_index(call, error, mes
         call()
 
 
+def test_group_from_table_keeps_its_own_copy():
+    # the caller's array was frozen in place by the group
+    t = np.array([[0, 1], [1, 0]])
+    g = group_from_table(t)
+    assert t.flags.writeable
+    t[0, 0] = 1
+    assert g.cayley[0, 0] == 0 and not g.cayley.flags.writeable
+
+
 def test_generated_subgroup_examples():
     z6 = cyclic_group(6)
     assert generated_subgroup(z6, [2]).members == (0, 2, 4)

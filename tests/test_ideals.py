@@ -242,7 +242,7 @@ def test_quotient_norm_trace_subadditivity():
 def test_approximate_identity_examples():
     eta2, report2 = approximate_identity(Z2, point_mass(Z2, 1), 2)
     assert np.allclose(eta2.weights, [0.5, -0.5])
-    assert report2.max_residual == 0.0
+    assert report2.max_residual <= 1e-15  # criterion 7's bound for "Z2 exact at n=2"
 
     _, report1 = approximate_identity(Z2, point_mass(Z2, 1), 1)
     assert np.isfinite(report1.max_residual)
@@ -252,6 +252,27 @@ def test_approximate_identity_examples():
     eta, _ = approximate_identity(Z2, point_mass(Z2, 1), 4)
     moved = convolve(zero, eta)
     assert np.abs(moved.weights - zero.weights).max() == 0.0
+
+
+def _approximate_identity_residuals_by_h(g, mu, eta):
+    """The reference: ||phi_h * eta - phi_h||_1 for every h, phi_h = delta_h - delta_h * mu."""
+    out = []
+    for h in range(g.order):
+        delta_h = point_mass(g, h)
+        phi = delta_h.weights - convolve(delta_h, mu).weights
+        out.append(float(np.abs(convolve(FiniteMeasure(g, phi), eta).weights - phi).sum()))
+    return out
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_approximate_identity_residual_is_the_same_for_every_translate(entry):
+    # left translation is an l^1 isometry, so phi_e stands for every phi_h
+    g, mu = entry.group, entry.measure
+    for n in (1, 2, 256):
+        eta, report = approximate_identity(g, mu, n)
+        by_h = _approximate_identity_residuals_by_h(g, mu, eta)
+        assert max(by_h) - min(by_h) <= 1e-15
+        assert abs(report.max_residual - max(by_h)) <= 1e-15
 
 
 def test_diagonal_measure_examples():

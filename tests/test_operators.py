@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,23 @@ def test_action_validation():
     bad = np.zeros((2, 3), dtype=int)  # identity does not act trivially
     with pytest.raises(ConstructionError):
         GSpaceAction(Z2, 3, bad)
+
+
+@pytest.mark.parametrize("table, error, message", [
+    # both were taken as the swap action: 1.5 and True read as the point 1
+    ([[0, 1], [1.5, 0]], TypeError, "table: expected an element index, got 1.5"),
+    ([[0, True], [True, 0]], TypeError, "table: expected an element index, got True"),
+    # numpy's "inhomogeneous shape" error, which named no parameter
+    ([[0, 1], [1]], ConstructionError,
+     "table: expected 2 rows (one per group element) of 2 point indices"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), ConstructionError,
+     "table: expected 2 rows (one per group element) of 2 point indices"),
+    (np.array([[0, 1], [1, 2]]), ConstructionError, "table: element index 2 outside 0..1"),
+], ids=["float", "bool", "ragged", "float-array", "array-outside"])
+def test_action_table_is_read_by_the_group_table_rule(table, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        GSpaceAction(Z2, 2, table)
+    assert np.array_equal(GSpaceAction(Z2, 2, [[0, 1], [1, 0]]).table, [[0, 1], [1, 0]])
 
 
 def test_action_validation_names_the_first_failing_pair():

@@ -5,11 +5,13 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muharmonic import (
     FiniteMeasure,
+    cesaro_average,
     cesaro_limit,
     coboundary_ideal,
     convolve,
@@ -177,6 +179,25 @@ def test_cesaro_limit_is_the_haar_projection(spec, data):
     assert np.linalg.norm(k @ k - k) < 1e-9
     assert abs(np.abs(k).sum(axis=1).max() - 1.0) < 1e-9
     assert np.linalg.norm(k - right_markov_matrix(g, haar_on_subgroup(g, h))) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(groups_and_measures(1), st.data())
+def test_cesaro_average_is_the_average_of_the_convolution_powers(case, data):
+    # row e of the closed form against the loop over mu^1..mu^n; a random
+    # complex measure (or the zero measure) is not a probability and is refused
+    g, (sigma,) = case
+    mu, _ = _sparse_probability(g, data)
+    n = data.draw(st.integers(1, 40))
+    acc, power = mu.weights.copy(), mu
+    for _ in range(n - 1):
+        power = convolve(mu, power)
+        acc += power.weights
+    avg = cesaro_average(mu, n)
+    assert np.abs(avg.weights - acc / n).max() < 1e-12
+    assert avg.is_probability()
+    with pytest.raises(ValueError, match="probability measure on a group"):
+        cesaro_average(sigma, n)
 
 
 @PROPERTY_SETTINGS
