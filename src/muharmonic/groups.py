@@ -139,13 +139,14 @@ def _check_order(n: int) -> None:
         raise CapacityError(f"group order {n} exceeds the cap of {MAX_ORDER}")
 
 
-def _parameter_n(n) -> int:
-    """The n of a group constructor, a positive integer; a bool is refused."""
-    if isinstance(n, bool) or not hasattr(n, "__index__"):
-        raise TypeError(f"n: expected a positive integer, got {n!r}")
-    if operator.index(n) < 1:
-        raise ConstructionError(f"n: expected a positive integer, got {n!r}")
-    return operator.index(n)
+def _positive_integer(x, param: str) -> int:
+    """x as a positive integer; a bool is refused, and the message starts
+    with the name of the parameter that x came in."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise TypeError(f"{param}: expected a positive integer, got {x!r}")
+    if operator.index(x) < 1:
+        raise ConstructionError(f"{param}: expected a positive integer, got {x!r}")
+    return operator.index(x)
 
 
 def _element_index(order: int, x, param: str) -> int:
@@ -210,7 +211,7 @@ def group_from_table(cayley, labels=None, name: str = "from_table") -> FiniteGro
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    n = _parameter_n(n)
+    n = _positive_integer(n, "n")
     _check_order(n)  # before the n x n table is allocated
     i = np.arange(n)
     cayley = (i[:, None] + i[None, :]) % n
@@ -219,7 +220,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: index j*n + i encodes r^i s^j."""
-    n = _parameter_n(n)
+    n = _positive_integer(n, "n")
     _check_order(2 * n)  # before the Python double loop fills the table
 
     def mul(a, b):
@@ -258,7 +259,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     The product convention is composition with the right factor applied
     first, so the natural action table[g][x] = perm_g(x) is a homomorphism.
     """
-    n = _parameter_n(n)
+    n = _positive_integer(n, "n")
     if n > 5:
         raise ConstructionError("n: symmetric groups are supported for 1 <= n <= 5")
     perms = list(itertools.permutations(range(n)))

@@ -24,7 +24,8 @@ import numpy as np
 
 from ._ops import operation
 from .errors import CapacityError, ConstructionError
-from .groups import FiniteGroup, Subgroup, _index_table, orbit_labels, same_group
+from .groups import (FiniteGroup, Subgroup, _index_table, _positive_integer, orbit_labels,
+                     same_group)
 from .measures import FiniteMeasure, convolve
 
 CONJUGATION_ORDER_CAP = 24
@@ -146,6 +147,7 @@ class GSpaceAction:
     table: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "points", _positive_integer(self.points, "points"))
         shape = (self.group.order, self.points)
         t = _index_table(self.table, shape, "table",
                          f"{shape[0]} rows (one per group element) of {shape[1]} point indices")

@@ -18,6 +18,7 @@ from muharmonic import (
     FiniteMeasure,
     FreeWord,
     StationaryReport,
+    Subspace,
     ZWindow,
     catalog,
     catalog_entry,
@@ -224,6 +225,41 @@ def test_harmonic_scenario_factorizes_twice_per_entry(monkeypatch):
         "measure": {"uniform_on": support}}))
     assert record.passed
     assert shapes == [(120, 120)] * 2
+
+
+def test_cesaro_scenario_factorizes_twice_per_entry(monkeypatch):
+    # the projection report's K and A_n share one factorization of I - M;
+    # column_space(K), the independent rank, is the other
+    s5 = symmetric_group(5)
+    support = [s5.labels.index("(1 2)"), s5.labels.index("(1 2 3 4 5)")]
+    svd = np.linalg.svd
+    shapes = []
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr("numpy.linalg.svd", counting_svd)
+    record = run(ExperimentConfig.from_dict({
+        "scenario": "cesaro", "group": {"kind": "symmetric", "n": 5},
+        "measure": {"uniform_on": support}, "n": 4000}))
+    assert record.passed
+    assert shapes == [(120, 120)] * 2
+
+
+def test_triviality_disagreement_is_a_failing_check_not_a_traceback(monkeypatch, capsys):
+    # a coset-constant space cut to its first vector disagrees with ker(I - M)
+    # on every entry with two or more cosets; the verdict reports that
+    trivial = muharmonic.harmonic.trivial_solution_space
+
+    def first_vector_only(*args, **kwargs):
+        space = trivial(*args, **kwargs)
+        return Subspace(space.ambient_dim, space.basis[:1].copy())
+
+    monkeypatch.setattr("muharmonic.harmonic.trivial_solution_space", first_vector_only)
+    assert any(not c.passed for c in run_criterion(1))
+    assert cli_main(["suite"]) == 1
+    assert "criterion 01 finite_triviality: FAIL (" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("spec", ["aa'", ""])

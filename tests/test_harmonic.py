@@ -91,11 +91,10 @@ def test_cesaro_projection_examples():
 def test_projection_invariants():
     mu = uniform_on(S3, [S3.labels.index("(1 2)"), S3.labels.index("(1 3)")])
     m = right_markov_matrix(S3, mu)
-    lam = left_regular(S3)
-    rep = cesaro_projection(m, n_max=256, commute_with={f"L{i}": lam[i] for i in range(6)})
+    rep = cesaro_projection(m, n_max=256)
     assert rep.idempotency_residual < 1e-9
     assert abs(rep.norm_inf - 1.0) < 1e-12
-    assert max(rep.commutation_residuals.values()) < 1e-12
+    assert max(np.linalg.norm(rep.K @ t - t @ rep.K) for t in left_regular(S3)) < 1e-12
     assert rep.K.real.min() > -1e-12
     space = harmonic_space(m)
     assert rep.range_rank == space.rank

@@ -251,6 +251,18 @@ def test_action_table_is_read_by_the_group_table_rule(table, error, message):
     assert np.array_equal(GSpaceAction(Z2, 2, [[0, 1], [1, 0]]).table, [[0, 1], [1, 0]])
 
 
+@pytest.mark.parametrize("points, error", [
+    # True and 1.0 ended in numpy's TypeError, which named no parameter, and
+    # -1 in an error that named the table
+    (True, TypeError), (1.0, TypeError), (-1, ConstructionError), (0, ConstructionError),
+])
+def test_action_points_is_a_positive_integer(points, error):
+    message = f"points: expected a positive integer, got {points!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        GSpaceAction(Z2, points, [[0], [0]])
+    assert GSpaceAction(Z2, np.int64(1), [[0], [0]]).points == 1
+
+
 def test_action_validation_names_the_first_failing_pair():
     # Z4 on itself: the identity row is valid, but 3 acts as 1, so
     # (g=1, h=1) holds and (g=1, h=2) is the first pair that fails

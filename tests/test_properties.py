@@ -13,6 +13,7 @@ from muharmonic import (
     FiniteMeasure,
     cesaro_average,
     cesaro_limit,
+    cesaro_projection,
     coboundary_ideal,
     convolve,
     coset_action,
@@ -198,6 +199,18 @@ def test_cesaro_average_is_the_average_of_the_convolution_powers(case, data):
     assert avg.is_probability()
     with pytest.raises(ValueError, match="probability measure on a group"):
         cesaro_average(sigma, n)
+
+
+@PROPERTY_SETTINGS
+@given(GROUP_SPECS, st.data())
+def test_projection_average_row_e_is_the_cesaro_average(spec, data):
+    # the cesaro scenario reads A_n from the projection report; it is the
+    # same floating-point computation as cesaro_average, bit for bit
+    g = _group(spec)
+    mu, _ = _sparse_probability(g, data)
+    n = data.draw(st.integers(1, 5000))
+    report = cesaro_projection(right_markov_matrix(g, mu), n)
+    assert np.array_equal(report.average[g.identity], cesaro_average(mu, n).weights)
 
 
 @PROPERTY_SETTINGS
