@@ -824,12 +824,13 @@ def _suite_checks(extra: dict) -> list[CheckResult]:
     with collecting() as called:
         for number, name, fn in ACCEPTANCE:
             crit_checks = fn()
-            ok = all(c.passed for c in crit_checks)
-            worst = min((c for c in crit_checks if not c.passed), default=None,
-                        key=lambda c: c.name)
+            # the first failed check in the criterion's order, the record's order
+            first_failed = next((c for c in crit_checks if not c.passed), None)
+            ok = first_failed is None
             line = f"criterion {number:02d} {name}: {'PASS' if ok else 'FAIL'}"
-            if worst is not None:
-                line += f" ({worst.name}: value={worst.value:.3e}, bound={worst.bound:.3e})"
+            if not ok:
+                line += (f" ({first_failed.name}: value={first_failed.value:.3e}, "
+                         f"bound={first_failed.bound:.3e})")
             print(line)
             checks.extend(crit_checks)
             extra[f"criterion_{number:02d}_{name}"] = "pass" if ok else "fail"

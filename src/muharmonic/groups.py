@@ -304,6 +304,32 @@ def generated_subgroup(g: FiniteGroup, support) -> Subgroup:
     return Subgroup(g, tuple(sorted(members)))
 
 
+def _pair_images(images: np.ndarray) -> np.ndarray:
+    """The maps of images (K, n) on pairs: row k sends (x, y) to (images[k, x], images[k, y]),
+    with (x, y) indexed row-major as x n + y, the place of X[x, y] in vec(X)."""
+    k, n = images.shape
+    return (images[:, :, None] * n + images[:, None, :]).reshape(k, n * n)
+
+
+def _orbit_numbering(images: np.ndarray) -> np.ndarray:
+    """Orbit labels, numbered by the orbits' least points.  Row k of images is the
+    k-th element's map of the points, so the orbit of x is the column images[:, x]."""
+    _, labels = np.unique(images.min(axis=0), return_inverse=True)
+    return labels
+
+
+def _table_apply(v: np.ndarray, images: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[..., k] v[..., images[k]], that is P v for P[x, images[k, x]] += weights[k].
+
+    v has shape (..., d), images (K, d) and weights (K,) or (..., K); the leading
+    axes of v and weights are stack axes.  One take, and contiguous weights, keep
+    every product in the unit-stride layout of a single vector, so a stacked call
+    sums each product like a single one.
+    """
+    return np.matmul(np.ascontiguousarray(weights)[..., None, :],
+                     np.take(v, images, axis=-1))[..., 0, :]
+
+
 def orbit_labels(g: FiniteGroup, h: Subgroup, rep: str = "functions") -> np.ndarray:
     """Number the H-orbits of the coordinates, by their smallest coordinate.
 
@@ -314,15 +340,10 @@ def orbit_labels(g: FiniteGroup, h: Subgroup, rep: str = "functions") -> np.ndar
     """
     if not same_group(h.parent, g):
         raise ConstructionError("subgroup does not belong to the given group")
-    right = g.cayley[:, list(h.members)]  # right[x, k] = x s_k
-    if rep == "functions":
-        images = right
-    elif rep == "operators":
-        images = right[:, None, :] * g.order + right[None, :, :]
-    else:
+    if rep not in ("functions", "operators"):
         raise ValueError(f"rep must be 'functions' or 'operators', got {rep!r}")
-    _, labels = np.unique(images.min(axis=-1).ravel(), return_inverse=True)
-    return labels
+    right = g.cayley[:, list(h.members)].T  # right[k, x] = x s_k
+    return _orbit_numbering(right if rep == "functions" else _pair_images(right))
 
 
 @operation

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ops import operation
-from .groups import FiniteGroup, Subgroup, generated_subgroup, left_cosets, orbit_labels
+from .groups import (FiniteGroup, Subgroup, _positive_integer, generated_subgroup, left_cosets,
+                     orbit_labels)
 from .measures import FiniteMeasure
 from .operators import right_markov_matrix
 from .subspaces import (
@@ -118,8 +119,7 @@ def cesaro_mean(m: np.ndarray, n: int, k: np.ndarray | None = None) -> np.ndarra
     K + (1/n) N (I - N^n) (I - N)^{-1}; I - N is invertible because K
     removes the eigenvalue 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _positive_integer(n, "n")
     a = np.asarray(m, dtype=np.complex128)
     if k is None:
         k = cesaro_limit(a)
@@ -164,8 +164,7 @@ def cesaro_projection(m: np.ndarray, n_max: int) -> ProjectionReport:
     chains converge only along some n).  It also carries ||K^2 - K||_F, the
     max absolute row sum of K and the rank of its range.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    n_max = _positive_integer(n_max, "n_max")
     k = cesaro_limit(m)
     average = cesaro_mean(m, n_max, k)
     gap = float(np.linalg.norm(average - k))

@@ -24,7 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from ._ops import operation
-from .groups import FiniteGroup, generated_subgroup, orbit_labels
+from .groups import (FiniteGroup, _pair_images, _positive_integer, _table_apply,
+                     generated_subgroup, orbit_labels)
 from .measures import (
     FiniteMeasure,
     cesaro_average,
@@ -34,7 +35,6 @@ from .measures import (
     tv_norm,
 )
 from .operators import (
-    _conjugate_sum,
     apply_conjugation,
     conjugation_operator,
     predual_matrix,
@@ -275,8 +275,7 @@ def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> Quotien
     averages stay above it for every n; that bound is validated here, while
     the tightness |a_N - dist| is left to callers to assert at their chosen N.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _positive_integer(n_max, "n_max")
     p = ideal.predual_op
     gather = _row_gather(p)
     if gather is None:
@@ -334,8 +333,7 @@ def approximate_identity(
     and records max_h ||phi_h * eta_n - phi_h||_1.  phi_h = delta_h * phi_e and
     left translation is an l^1 isometry, so every h gives the value of phi_e.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _positive_integer(n, "n")
     delta_e = point_mass(g, g.identity)
     eta = FiniteMeasure(g, delta_e.weights - cesaro_average(mu, n).weights)
     phi = FiniteMeasure(g, delta_e.weights - convolve(delta_e, mu).weights)
@@ -373,7 +371,8 @@ def operator_convolve(s: np.ndarray, t: np.ndarray, g: FiniteGroup) -> np.ndarra
         raise ValueError("operators must match the group order")
     kappa = np.diagonal(s, axis1=-2, axis2=-1)
     h = np.nonzero(np.any(kappa != 0, axis=tuple(range(kappa.ndim - 1))))[0]
-    return _conjugate_sum(t, g.left_quotients(h), kappa[..., h])
+    vec = t.reshape(*t.shape[:-2], n * n)  # T[x, y] is vec[x n + y]
+    return _table_apply(vec, _pair_images(g.left_quotients(h)), kappa[..., h]).reshape(t.shape)
 
 
 # entries of T gathered by one stacked operator_convolve (4 MB complex): the

@@ -8,7 +8,6 @@ element index) or on an integer window [lo, hi] (dense vector indexed by
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from ._ops import operation
 from .errors import ConstructionError
-from .groups import FiniteGroup, Subgroup, _element_index, same_group
+from .groups import FiniteGroup, Subgroup, _element_index, _table_apply, same_group
 
 PROBABILITY_TOL = 1e-12
 
@@ -114,7 +113,8 @@ def from_pairs(g: FiniteGroup, pairs) -> FiniteMeasure:
             raise TypeError(f"pairs: expected a number, got {c!r}")
         if not abs(c) <= sys.float_info.max:  # refuses nan, inf and ints too large for a float
             raise ConstructionError(f"pairs: expected a finite number, got {c!r}")
-        w[x] += c
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, refused below
+            w[x] += c
     return FiniteMeasure(g, w)
 
 
@@ -161,13 +161,10 @@ def _group_convolve(g: FiniteGroup, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     x and y have shape (..., order); the leading axes are stack axes, one
     pair of measures per index.  One gather over the union of the supports
-    of x; the table and a contiguous layout give each pair the products and
-    sums of a single call.
+    of x, which gives each pair the products and sums of a single call.
     """
     s = np.nonzero(np.any(x != 0, axis=tuple(range(x.ndim - 1))))[0]
-    table = g.left_quotients(s)
-    return np.matmul(np.ascontiguousarray(x[..., s])[..., None, :],
-                     np.take(y, table, axis=-1))[..., 0, :]
+    return _table_apply(y, g.left_quotients(s), x[..., s])
 
 
 @operation
@@ -214,12 +211,11 @@ def cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
 
     Row e of the averaging matrix M(nu) is nu, and M(mu * nu) = M(mu) M(nu), so
     A_n is row e of (1/n) sum_{i<=n} M(mu)^i.  M(mu) is stochastic, hence
-    power-bounded, and `cesaro_mean` gives that average in closed form.
+    power-bounded, and `cesaro_mean` gives that average in closed form and checks n.
     """
     from .harmonic import cesaro_mean
     from .operators import right_markov_matrix
 
-    n = operator.index(n)
     if not (mu.on_group and mu.is_probability()):
         raise ValueError("Cesaro averages are taken of a probability measure on a group")
     g: FiniteGroup = mu.carrier

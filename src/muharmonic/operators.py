@@ -1,19 +1,23 @@
 """Averaging (Markov) operators built from a group measure.
 
-Every operator is a dense complex128 ``np.ndarray``.  Conventions, fixed
+Each operator is pi(mu) = sum_a mu(a) P_a, with P_a[x, images[a, x]] = 1 the
+permutation by which a moves a point set: the scatter of an image table
+(`_table_matrix`), which `groups._table_apply` applies without building it.
+Averaging operators are dense complex128 ``np.ndarray``.  Conventions, fixed
 once and tested:
 
 * functions on G are column vectors; the averaging matrix acts by
   ``(M h)(g) = sum_t h(g t) mu(t)``, i.e. ``M[g, x] = mu(g^{-1} x)``, so
-  ``M(mu * nu) = M(mu) @ M(nu)``;
+  ``M(mu * nu) = M(mu) @ M(nu)``; its images are x -> x a;
 * the right regular representation permutes basis vectors by
   ``rho(g) e_h = e_{h g^{-1}}`` (on functions: ``(rho(g) f)(x) = f(x g)``),
   and ``M(mu) = sum_g mu(g) rho(g)``;
 * the predual action on l^1 vectors is right convolution ``x -> x * mu``,
   whose matrix is ``M(mu).T``;
-* operators on matrices use row-major vec, so conjugation by ``rho(g)``
-  vectorizes to ``kron(rho(g), rho(g))`` (permutation matrices are
-  orthogonal, which collapses the transpose-inverse factor).
+* operators on matrices use row-major vec; conjugation by ``rho(a)`` has the
+  pair images (x, y) -> (x a, y a) and satisfies the convention
+  ``kron(rho(g), rho(g))`` (permutation matrices are orthogonal, which
+  collapses the transpose-inverse factor).
 """
 
 from __future__ import annotations
@@ -24,35 +28,39 @@ import numpy as np
 
 from ._ops import operation
 from .errors import CapacityError, ConstructionError
-from .groups import (FiniteGroup, Subgroup, _index_table, _positive_integer, orbit_labels,
-                     same_group)
+from .groups import (FiniteGroup, Subgroup, _index_table, _pair_images, _positive_integer,
+                     _table_apply, orbit_labels, same_group)
 from .measures import FiniteMeasure, convolve
 
 CONJUGATION_ORDER_CAP = 24
+
+
+def _table_matrix(images: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[..., k] P_k with P_k[x, images[..., k, x]] = 1, as one scatter.
+
+    images has shape (..., K, d) and weights (..., K); the leading axes are
+    stack axes, one d x d matrix per index.  Entries that several k hit are
+    summed in the order of k.  The result has the dtype of the weights.
+    """
+    *stack, _, d = images.shape
+    size = int(np.prod(stack)) * d * d
+    rows = np.arange(0, size, d).reshape(*stack, 1, d)
+    out = np.zeros(size, dtype=weights.dtype)
+    np.add.at(out, (images + rows).ravel(),
+              np.broadcast_to(weights[..., None], images.shape).ravel())
+    return out.reshape(*stack, d, d)
 
 
 # ------------------------------------------------------- regular representations
 
 def right_regular(g: FiniteGroup) -> np.ndarray:
     """Stack of right-regular permutation matrices, shape (order, order, order)."""
-    n = g.order
-    rho = np.zeros((n, n, n))
-    cols = np.arange(n)
-    for a in range(n):
-        rows = g.cayley[cols, g.inv(a)]  # h -> h a^{-1}
-        rho[a, rows, cols] = 1.0
-    return rho
+    return _table_matrix(g.cayley.T[:, None, :], np.ones((g.order, 1)))
 
 
 def left_regular(g: FiniteGroup) -> np.ndarray:
     """Stack of left-regular permutation matrices rho_l(g) e_h = e_{g h}."""
-    n = g.order
-    rho = np.zeros((n, n, n))
-    cols = np.arange(n)
-    for a in range(n):
-        rows = g.cayley[a, cols]
-        rho[a, rows, cols] = 1.0
-    return rho
+    return _table_matrix(g.left_quotients(g.elements())[:, None, :], np.ones((g.order, 1)))
 
 
 # ------------------------------------------------------------ averaging matrices
@@ -62,10 +70,8 @@ def right_markov_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     """Averaging matrix of the measure: M[g, x] = mu(g^{-1} x)."""
     if not (mu.on_group and same_group(mu.carrier, g)):
         raise ValueError("measure does not live on the given group")
-    n = g.order
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[np.arange(n)[:, None], g.cayley] = mu.weights[None, :]
-    return m
+    s = np.nonzero(mu.weights)[0]
+    return _table_matrix(g.cayley[:, s].T, mu.weights[s])
 
 
 @operation
@@ -100,28 +106,8 @@ def conjugation_operator(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
             f"conjugation operators are materialized only for order <= "
             f"{CONJUGATION_ORDER_CAP}; got order {g.order}"
         )
-    rho = right_regular(g)
-    n = g.order
-    out = np.zeros((n * n, n * n), dtype=np.complex128)
-    for a in np.nonzero(mu.weights)[0]:
-        out += mu.weights[a] * np.kron(rho[a], rho[a])
-    return out
-
-
-def _conjugate_sum(t: np.ndarray, tabs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights[..., k] T[..., tabs[k, x], tabs[k, y]] as one gather.
-
-    T has shape (..., n, n), tabs (K, n) and weights (K,) or (..., K); the
-    leading axes of T and weights are stack axes, one matrix per index.  Row
-    k of the gather holds T[tabs[k, x], tabs[k, y]] in row-major (x, y) order.
-    """
-    n = t.shape[-1]
-    flat = (tabs[:, :, None] * n + tabs[:, None, :]).reshape(len(tabs), n * n)
-    # take and a contiguous weight vector keep every product in the unit-stride
-    # layout of a single matrix, so a stacked call sums each product like it
-    gathered = np.take(t.reshape(*t.shape[:-2], n * n), flat, axis=-1)
-    weights = np.ascontiguousarray(weights)
-    return np.matmul(weights[..., None, :], gathered)[..., 0, :].reshape(t.shape)
+    s = np.nonzero(mu.weights)[0]
+    return _table_matrix(_pair_images(g.cayley[:, s].T), mu.weights[s])
 
 
 def apply_conjugation(g: FiniteGroup, mu: FiniteMeasure, a: np.ndarray) -> np.ndarray:
@@ -133,7 +119,8 @@ def apply_conjugation(g: FiniteGroup, mu: FiniteMeasure, a: np.ndarray) -> np.nd
     """
     a = np.asarray(a, dtype=np.complex128)
     s = np.nonzero(mu.weights)[0]
-    return _conjugate_sum(a, g.cayley[:, s].T, mu.weights[s])
+    vec = a.reshape(*a.shape[:-2], g.order ** 2)  # A[x, y] is vec[x n + y]
+    return _table_apply(vec, _pair_images(g.cayley[:, s].T), mu.weights[s]).reshape(a.shape)
 
 
 # ---------------------------------------------------------------- group actions
@@ -184,8 +171,5 @@ def gspace_markov_matrix(action: GSpaceAction, mu: FiniteMeasure) -> np.ndarray:
     """Transition matrix P[x, y] = mu({g : g.x = y}) of the induced chain."""
     if not (mu.on_group and same_group(mu.carrier, action.group)):
         raise ValueError("measure does not live on the acting group")
-    m = action.points
-    p = np.zeros((m, m), dtype=np.complex128)
-    for g in np.nonzero(mu.weights)[0]:
-        np.add.at(p, (np.arange(m), action.table[g]), mu.weights[g])
-    return p
+    s = np.nonzero(mu.weights)[0]
+    return _table_matrix(action.table[s], mu.weights[s])

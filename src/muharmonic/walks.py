@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._ops import operation
-from .groups import FiniteGroup, _element_index, generated_subgroup, same_group
+from .groups import FiniteGroup, _element_index, _orbit_numbering, generated_subgroup, same_group
 from .measures import FiniteMeasure, ZWindow
 from .operators import GSpaceAction
 from .freegroup import FreeWord, empty_word
@@ -477,8 +477,7 @@ def stationary_measure(action: GSpaceAction, mu: FiniteMeasure) -> StationaryRep
     if not mu.is_probability():
         raise ValueError("walk law must be a probability measure")
     h = generated_subgroup(action.group, mu.support())
-    # the least point of each point's orbit {s.x : s in H}, numbered as orbit_labels does
-    _, labels = np.unique(action.table[list(h.members)].min(axis=0), return_inverse=True)
+    labels = _orbit_numbering(action.table[list(h.members)])
     sizes = np.bincount(labels)
     uniform = (labels == np.arange(sizes.size)[:, None]) / sizes[:, None]
     carrier = ZWindow(0, action.points - 1)

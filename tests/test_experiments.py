@@ -32,6 +32,7 @@ from muharmonic.experiments import (
     MASTER_SEED,
     OPERATION_NAMES,
     SCENARIOS,
+    _check,
     _measure_from_spec,
     run_criterion,
     scenario_fields,
@@ -260,6 +261,17 @@ def test_triviality_disagreement_is_a_failing_check_not_a_traceback(monkeypatch,
     assert any(not c.passed for c in run_criterion(1))
     assert cli_main(["suite"]) == 1
     assert "criterion 01 finite_triviality: FAIL (" in capsys.readouterr().out
+
+
+def test_a_failing_criterion_line_names_its_first_failed_check(monkeypatch, capsys):
+    # the line named the alphabetically first failed check; it now names the
+    # first in the criterion's order, the order the record lists them in
+    checks = [_check("passes", 0, 1), _check("z: fails first", 2, 1), _check("a: fails next", 3, 1)]
+    monkeypatch.setattr("muharmonic.experiments.ACCEPTANCE", ((1, "failing", lambda: checks),))
+    record = run(ExperimentConfig(scenario="suite"))
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 01 failing: FAIL (z: fails first: value=2.000e+00, bound=1.000e+00)"]
+    assert record.checks[:3] == checks and record.extra["criterion_01_failing"] == "fail"
 
 
 @pytest.mark.parametrize("spec", ["aa'", ""])

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from muharmonic import (
+    ConstructionError,
     FiniteMeasure,
+    approximate_identity,
+    cesaro_average,
     cesaro_limit,
+    cesaro_mean,
     cesaro_projection,
+    coboundary_ideal,
     commutant,
     cyclic_group,
     diamond_product,
@@ -17,6 +22,7 @@ from muharmonic import (
     left_regular,
     mutual_residual,
     point_mass,
+    quotient_norm_trace,
     right_markov_matrix,
     right_regular,
     simple_random_walk_z,
@@ -287,6 +293,31 @@ def test_cesaro_periodic_chain_converges_at_even_n():
 def test_cesaro_projection_rejects_nonpositive_n_max():
     with pytest.raises(ValueError, match="n_max"):
         cesaro_projection(right_markov_matrix(Z2, point_mass(Z2, 1)), n_max=0)
+
+
+_Z4_SHIFT = point_mass(Z4, 1)
+_COUNTS = {
+    "cesaro_projection": ("n_max", lambda n: cesaro_projection(
+        right_markov_matrix(Z4, _Z4_SHIFT), n)),
+    "cesaro_mean": ("n", lambda n: cesaro_mean(right_markov_matrix(Z4, _Z4_SHIFT), n)),
+    "cesaro_average": ("n", lambda n: cesaro_average(_Z4_SHIFT, n)),
+    "approximate_identity": ("n", lambda n: approximate_identity(Z4, _Z4_SHIFT, n)),
+    "quotient_norm_trace": ("n_max", lambda n: quotient_norm_trace(
+        np.eye(4)[0], coboundary_ideal(Z4, _Z4_SHIFT), n)),
+}
+
+
+@pytest.mark.parametrize("value, error", [
+    # True was taken as the count 1, and 2.5 ended in numpy's "exponent must
+    # be an integer" or a take TypeError, neither naming the parameter
+    (True, TypeError), (2.5, TypeError), (0, ConstructionError),
+], ids=["bool", "float", "zero"])
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_counts_are_positive_integers_named_by_their_parameter(name, value, error):
+    param, call = _COUNTS[name]
+    with pytest.raises(error, match=f"^{param}: expected a positive integer, got {value!r}$"):
+        call(value)
+    call(np.int64(2))
 
 
 def _character_measure(n: int) -> FiniteMeasure:

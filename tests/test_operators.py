@@ -73,13 +73,67 @@ def test_markov_is_homomorphism():
             assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def _right_regular_by_definition(g):
+    """Reference: rho(a) e_h = e_{h a^{-1}}, one permutation matrix per element."""
+    n = g.order
+    rho = np.zeros((n, n, n))
+    for a in range(n):
+        for h in range(n):
+            rho[a, g.mul(h, g.inv(a)), h] = 1.0
+    return rho
+
+
+def _left_regular_by_definition(g):
+    """Reference: rho_l(a) e_h = e_{a h}."""
+    n = g.order
+    lam = np.zeros((n, n, n))
+    for a in range(n):
+        for h in range(n):
+            lam[a, g.mul(a, h), h] = 1.0
+    return lam
+
+
+def _complex_measures(rng, g, count=3):
+    """Complex measures on g whose supports are about half the group."""
+    for _ in range(count):
+        w = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+        w[rng.random(g.order) < 0.5] = 0
+        yield FiniteMeasure(g, w)
+
+
+def _measures():
+    """The catalog's measures and complex measures on its groups and on S4."""
+    rng = np.random.default_rng(18)
+    out = [(e.group, e.measure) for e in catalog()]
+    for g in [e.group for e in catalog()] + [symmetric_group(4)]:
+        out += [(g, mu) for mu in _complex_measures(rng, g)]
+    return out
+
+
+def test_regular_representations_match_their_definitions():
+    for g in [e.group for e in catalog()] + [dihedral_group(6)]:
+        rho, lam = right_regular(g), left_regular(g)
+        assert rho.dtype == lam.dtype == np.float64
+        assert np.array_equal(rho, _right_regular_by_definition(g))
+        assert np.array_equal(lam, _left_regular_by_definition(g))
+
+
 def test_markov_equals_averaged_right_regular():
     rng = np.random.default_rng(12)
-    rho = right_regular(S3)
+    rho = _right_regular_by_definition(S3)
     mu = _random_probability(rng, S3)
     direct = right_markov_matrix(S3, mu)
     averaged = sum(mu.weights[g] * rho[g] for g in range(6))
     assert np.abs(direct - averaged).max() < 1e-15
+
+
+def test_markov_entries_are_mu_of_g_inverse_x():
+    for g, mu in _measures():
+        m = right_markov_matrix(g, mu)
+        assert m.dtype == np.complex128
+        for x in range(g.order):
+            for y in range(g.order):
+                assert m[x, y] == mu.weights[g.mul(g.inv(x), y)]
 
 
 def test_regular_representations_are_homomorphisms_and_commute():
@@ -158,6 +212,21 @@ def test_apply_conjugation_matches_the_vec_operator_for_complex_measures():
         assert np.abs(via_vec - apply_conjugation(g, nu, a).reshape(-1)).max() < 1e-12
 
 
+def _conjugation_by_kron(g, mu):
+    """Reference: sum_a mu(a) kron(rho(a), rho(a)), the vec form of A -> rho(a) A rho(a)^{-1}."""
+    rho = _right_regular_by_definition(g)
+    n = g.order
+    out = np.zeros((n * n, n * n), dtype=np.complex128)
+    for a in np.nonzero(mu.weights)[0]:
+        out += mu.weights[a] * np.kron(rho[a], rho[a])
+    return out
+
+
+def test_conjugation_operator_is_bitwise_the_kron_sum():
+    for g, mu in _measures():
+        assert conjugation_operator(g, mu).tobytes() == _conjugation_by_kron(g, mu).tobytes()
+
+
 def test_conjugation_capacity_error():
     big = cyclic_group(30)
     with pytest.raises(CapacityError):
@@ -192,6 +261,20 @@ def test_gspace_doubly_stochastic():
     p = gspace_markov_matrix(action, mu).real
     assert np.allclose(p.sum(axis=0), 1.0)
     assert np.allclose(p.sum(axis=1), 1.0)
+
+
+def test_gspace_entries_are_the_mass_moving_x_to_y():
+    # coset actions have points that several elements move alike, so entries sum
+    rng = np.random.default_rng(19)
+    for g, mu in _measures():
+        k = generated_subgroup(g, [int(rng.integers(g.order))])
+        for action in (coset_action(g, k), trivial_action(g, 3)):
+            p = gspace_markov_matrix(action, mu)
+            assert p.dtype == np.complex128
+            for x in range(action.points):
+                for y in range(action.points):
+                    moved = [a for a in range(g.order) if action.table[a, x] == y]
+                    assert p[x, y] == sum(mu.weights[a] for a in moved)
 
 
 def _cosets_by_definition(g, h):

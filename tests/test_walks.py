@@ -4,6 +4,7 @@ import pytest
 from muharmonic import (
     GSpaceAction,
     boundary_reports,
+    catalog,
     coset_action,
     cyclic_group,
     empty_word,
@@ -14,6 +15,7 @@ from muharmonic import (
     harmonic_measure_cylinder,
     kernel,
     neighbors,
+    orbit_labels,
     point_mass,
     poisson_extension,
     sample_path,
@@ -563,6 +565,33 @@ def test_stationary_s4_on_the_cosets_of_a_transposition(support, fixed_dim):
         assert abs(w.sum() - 1.0) < 1e-15 and np.abs(w @ p - w).sum() < 1e-15
         on_orbit = report.labels[w > 0]
         assert np.all(on_orbit == on_orbit[0])
+
+
+def _orbit_labels_by_definition(table, members):
+    """Reference: label each unlabelled point's orbit {s.x : s in H}, in point order."""
+    labels = np.full(table.shape[1], -1)
+    for x in range(table.shape[1]):
+        if labels[x] < 0:
+            labels[[table[s, x] for s in members]] = labels.max() + 1
+    return labels
+
+
+def test_stationary_labels_number_the_orbits_by_their_least_points():
+    # G on itself by a.x = x a^{-1} has the left cosets xH as its H-orbits,
+    # which orbit_labels numbers; coset actions G on G/K check the general case
+    rng = np.random.default_rng(20)
+    groups = [e.group for e in catalog()] + [symmetric_group(5)]
+    for g in groups:
+        right = GSpaceAction(g, g.order, g.cayley[:, g.inverses].T)
+        for _ in range(3):
+            support = [int(x) for x in rng.choice(g.order, size=min(2, g.order), replace=False)]
+            mu, h = uniform_on(g, support), generated_subgroup(g, support)
+            labels = stationary_measure(right, mu).labels
+            assert np.array_equal(labels, orbit_labels(g, h))
+            assert np.array_equal(labels, _orbit_labels_by_definition(right.table, h.members))
+            action = coset_action(g, generated_subgroup(g, [int(rng.integers(g.order))]))
+            assert np.array_equal(stationary_measure(action, mu).labels,
+                                  _orbit_labels_by_definition(action.table, h.members))
 
 
 def test_stationary_measure_refuses_a_law_it_cannot_take():
