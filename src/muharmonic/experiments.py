@@ -40,6 +40,7 @@ from .harmonic import (
     trivial_solution_space,
 )
 from .ideals import (
+    QuotientNormTrace,
     _trial_blocks,
     _write_series_csv,
     approximate_identity,
@@ -249,7 +250,7 @@ class ExperimentConfig:
     n: int | None = _field(_SIZE, "step count / averaging horizon")
     trials: int | None = _field(_SIZE, {
         "ncconv": "random trials per entry (each trial makes five operator convolutions, "
-                  "about 40 ms on S5)",
+                  "about 25 ms on S5)",
         "stationary": "random coset actions"})
     word: str = _field(_TEXT, "free-group cylinder, e.g. a, ab, a'b", "a")
     entry: str | None = _field(_TEXT, "run a single catalog entry by name")
@@ -612,6 +613,8 @@ def _crit_quotient_norms() -> list[CheckResult]:
     trace_b = quotient_norm_trace(np.array([1.0, -1.0]), ideal2, 64)
     checks.append(_check("Z2 dist((1,-1)) == 0", abs(trace_b.distance), 1e-12))
     checks.append(_check("Z2 a_2 == 0", abs(trace_b.norms[1]), 1e-12))
+    checks += [_never_below_check("Z2 (1,0)", trace_a, 1.0),
+               _never_below_check("Z2 (1,-1)", trace_b, 2.0)]
     n_avg = 4096
     witnesses = []
     for idx, e in enumerate(catalog()):
@@ -779,6 +782,12 @@ def run_criterion(number: int) -> list[CheckResult]:
 
 # ------------------------------------------------------------- scenarios
 
+def _never_below_check(name: str, trace: QuotientNormTrace, x_norm: float) -> CheckResult:
+    """a_n >= dist(x, ideal) for every n, up to 1e-8 max(1, ||x||) of rounding."""
+    return _check(f"{name}: min a_n - quotient norm", trace.inf_value - trace.distance,
+                  -1e-8 * max(1.0, x_norm), "ge")
+
+
 def _derriennic_checks(extra: dict, pairs: list[CatalogEntry], n: int = 4096,
                        seed: int = MASTER_SEED, out: str | None = None) -> list[CheckResult]:
     checks = []
@@ -792,6 +801,7 @@ def _derriennic_checks(extra: dict, pairs: list[CatalogEntry], n: int = 4096,
         trace = quotient_norm_trace(x, ideal, n)
         checks.append(_check(f"{e.name}: |a_N - quotient norm|",
                              abs(trace.limit_estimate - trace.distance), 5e-3))
+        checks.append(_never_below_check(e.name, trace, np.abs(x).sum()))
         extra[e.name] = trace.summary()
         if out:
             trace.to_csv(os.path.join(out, f"derriennic_{e.name}.csv"))

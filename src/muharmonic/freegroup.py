@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ops import operation
+from .groups import _positive_integer
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -35,8 +36,7 @@ class FreeWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        _positive_integer(self.rank, "rank")
         for s in self.letters:
             if s == 0 or abs(s) > self.rank:
                 raise ValueError(f"letter {s} out of range for rank {self.rank}")
@@ -90,8 +90,7 @@ def _packed_ball(k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     One breadth-first pass over arrays: each sphere row is repeated 2k
     times, the generators are appended, and the cancelling rows dropped.
     """
-    if r < 0:
-        raise ValueError("radius must be >= 0")
+    r = _positive_integer(r, "r", 0)
     gens = np.array(list(range(1, k + 1)) + list(range(-1, -k - 1, -1)), dtype=np.int32)
     sphere = np.zeros((1, r + 1), dtype=np.int32)
     spheres = [sphere]

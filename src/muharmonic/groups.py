@@ -139,13 +139,14 @@ def _check_order(n: int) -> None:
         raise CapacityError(f"group order {n} exceeds the cap of {MAX_ORDER}")
 
 
-def _positive_integer(x, param: str) -> int:
-    """x as a positive integer; a bool is refused, and the message starts
-    with the name of the parameter that x came in."""
+def _positive_integer(x, param: str, least: int = 1) -> int:
+    """x as an integer >= least (0 for step counts, radii, windows and snapshots); a
+    bool is refused, and the message starts with the name of the parameter x came in."""
+    kind = "a positive integer" if least == 1 else f"an integer >= {least}"
     if isinstance(x, bool) or not hasattr(x, "__index__"):
-        raise TypeError(f"{param}: expected a positive integer, got {x!r}")
-    if operator.index(x) < 1:
-        raise ConstructionError(f"{param}: expected a positive integer, got {x!r}")
+        raise TypeError(f"{param}: expected {kind}, got {x!r}")
+    if operator.index(x) < least:
+        raise ConstructionError(f"{param}: expected {kind}, got {x!r}")
     return operator.index(x)
 
 

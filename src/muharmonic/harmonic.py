@@ -296,6 +296,7 @@ def l1_harmonic_triviality(mu: FiniteMeasure, window: int) -> L1TrivialityReport
     """
     if mu.on_group:
         raise ValueError("l1_harmonic_triviality expects a measure on a Z window")
+    window = _positive_integer(window, "window", 0)
     pts = np.arange(-window, window + 1)
     # T_L[i, j] = mu(pts[i] - pts[j]), zero off the support window
     offset = pts[:, None] - pts[None, :] - mu.carrier.lo

@@ -3,7 +3,8 @@
 A measure lives either on a FiniteGroup (dense weight vector indexed by
 element index) or on an integer window [lo, hi] (dense vector indexed by
 ``x - lo``).  Window arithmetic is exact: convolution grows the window to
-[lo1+lo2, hi1+hi2], nothing is truncated.
+[lo1+lo2, hi1+hi2], nothing is truncated.  `_measure_on` is the one rule by
+which operations refuse a measure on another group, or one not a probability.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from ._ops import operation
 from .errors import ConstructionError
-from .groups import FiniteGroup, Subgroup, _element_index, _table_apply, same_group
+from .groups import (FiniteGroup, Subgroup, _element_index, _positive_integer, _table_apply,
+                     same_group)
 
 PROBABILITY_TOL = 1e-12
 
@@ -94,6 +96,16 @@ class FiniteMeasure:
     def __repr__(self):
         kind = self.carrier.name if self.on_group else f"Z[{self.carrier.lo},{self.carrier.hi}]"
         return f"FiniteMeasure({kind}, mass={self.total_mass():.6g})"
+
+
+def _measure_on(g: FiniteGroup, mu, param: str, probability: bool = False) -> None:
+    """Refuse mu unless it is a measure on the group g and, when asked, a probability;
+    the message starts with the name of the parameter that mu came in."""
+    if not (isinstance(g, FiniteGroup) and isinstance(mu, FiniteMeasure) and mu.on_group
+            and same_group(mu.carrier, g) and (not probability or mu.is_probability())):
+        kind = "a probability measure" if probability else "a measure"
+        where = g.name if isinstance(g, FiniteGroup) else "a group"
+        raise ValueError(f"{param}: expected {kind} on {where}, got {mu!r}")
 
 
 # ---------------------------------------------------------------- constructors
@@ -192,8 +204,7 @@ def reflect(mu: FiniteMeasure) -> FiniteMeasure:
 @operation
 def convolution_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     """mu^n for n >= 1, by binary exponentiation."""
-    if n < 1:
-        raise ValueError("convolution powers start at n = 1")
+    n = _positive_integer(n, "n")
     result = None
     base = mu
     while n > 0:
@@ -216,8 +227,7 @@ def cesaro_average(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     from .harmonic import cesaro_mean
     from .operators import right_markov_matrix
 
-    if not (mu.on_group and mu.is_probability()):
-        raise ValueError("Cesaro averages are taken of a probability measure on a group")
+    _measure_on(mu.carrier, mu, "mu", probability=True)
     g: FiniteGroup = mu.carrier
     return FiniteMeasure(g, cesaro_mean(right_markov_matrix(g, mu), n)[g.identity])
 
@@ -265,6 +275,7 @@ def weak_star_decay(mu: FiniteMeasure, f_pairs, n_max: int) -> DecayReport:
     """
     if mu.on_group:
         raise ValueError("weak_star_decay expects a measure on a Z window")
+    n_max = _positive_integer(n_max, "n_max")
     f = dict((int(x), complex(c)) for x, c in f_pairs)
     degenerate = mu.support() == [0]
     values = []

@@ -3,8 +3,9 @@
 Each operator is pi(mu) = sum_a mu(a) P_a, with P_a[x, images[a, x]] = 1 the
 permutation by which a moves a point set: the scatter of an image table
 (`_table_matrix`), which `groups._table_apply` applies without building it.
-Averaging operators are dense complex128 ``np.ndarray``.  Conventions, fixed
-once and tested:
+Each builder refuses, through `measures._measure_on`, a measure on another
+group.  Averaging operators are dense complex128 ``np.ndarray``.  Conventions,
+fixed once and tested:
 
 * functions on G are column vectors; the averaging matrix acts by
   ``(M h)(g) = sum_t h(g t) mu(t)``, i.e. ``M[g, x] = mu(g^{-1} x)``, so
@@ -29,8 +30,8 @@ import numpy as np
 from ._ops import operation
 from .errors import CapacityError, ConstructionError
 from .groups import (FiniteGroup, Subgroup, _index_table, _pair_images, _positive_integer,
-                     _table_apply, orbit_labels, same_group)
-from .measures import FiniteMeasure, convolve
+                     _table_apply, orbit_labels)
+from .measures import FiniteMeasure, _measure_on, convolve
 
 CONJUGATION_ORDER_CAP = 24
 
@@ -68,8 +69,7 @@ def left_regular(g: FiniteGroup) -> np.ndarray:
 @operation
 def right_markov_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     """Averaging matrix of the measure: M[g, x] = mu(g^{-1} x)."""
-    if not (mu.on_group and same_group(mu.carrier, g)):
-        raise ValueError("measure does not live on the given group")
+    _measure_on(g, mu, "mu")
     s = np.nonzero(mu.weights)[0]
     return _table_matrix(g.cayley[:, s].T, mu.weights[s])
 
@@ -81,11 +81,9 @@ def predual_action(x: np.ndarray, mu: FiniteMeasure) -> np.ndarray:
     The pairing identity <x * mu, h> = <x, M h> holds with the bilinear
     pairing <x, h> = sum_g x(g) h(g).
     """
-    g = mu.carrier
-    if not isinstance(g, FiniteGroup):
-        raise ValueError("predual_action expects a group-carried measure")
+    _measure_on(mu.carrier, mu, "mu")
     x = np.asarray(x, dtype=np.complex128)
-    return convolve(FiniteMeasure(g, x), mu).weights
+    return convolve(FiniteMeasure(mu.carrier, x), mu).weights
 
 
 def predual_matrix(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
@@ -101,6 +99,7 @@ def conjugation_operator(g: FiniteGroup, mu: FiniteMeasure) -> np.ndarray:
     group orders above CONJUGATION_ORDER_CAP are rejected so the fixed-space
     eigenproblems stay dense and small.
     """
+    _measure_on(g, mu, "mu")
     if g.order > CONJUGATION_ORDER_CAP:
         raise CapacityError(
             f"conjugation operators are materialized only for order <= "
@@ -117,6 +116,7 @@ def apply_conjugation(g: FiniteGroup, mu: FiniteMeasure, a: np.ndarray) -> np.nd
     carry leading stack axes, shape (..., order, order); each matrix of the
     stack is conjugated.
     """
+    _measure_on(g, mu, "mu")
     a = np.asarray(a, dtype=np.complex128)
     s = np.nonzero(mu.weights)[0]
     vec = a.reshape(*a.shape[:-2], g.order ** 2)  # A[x, y] is vec[x n + y]
@@ -169,7 +169,6 @@ def trivial_action(g: FiniteGroup, points: int) -> GSpaceAction:
 @operation
 def gspace_markov_matrix(action: GSpaceAction, mu: FiniteMeasure) -> np.ndarray:
     """Transition matrix P[x, y] = mu({g : g.x = y}) of the induced chain."""
-    if not (mu.on_group and same_group(mu.carrier, action.group)):
-        raise ValueError("measure does not live on the acting group")
+    _measure_on(action.group, mu, "mu")
     s = np.nonzero(mu.weights)[0]
     return _table_matrix(action.table[s], mu.weights[s])

@@ -39,8 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._ops import operation
-from .groups import FiniteGroup, _element_index, _orbit_numbering, generated_subgroup, same_group
-from .measures import FiniteMeasure, ZWindow
+from .groups import (FiniteGroup, _element_index, _orbit_numbering, _positive_integer,
+                     generated_subgroup)
+from .measures import FiniteMeasure, ZWindow, _measure_on
 from .operators import GSpaceAction
 from .freegroup import FreeWord, empty_word
 
@@ -69,12 +70,8 @@ class WalkPath:
 @operation
 def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
     """Deterministic-by-seed path of length n with i.i.d. increments of law mu."""
-    if n < 0:
-        raise ValueError("path length must be >= 0")
-    if not (isinstance(carrier, FiniteGroup) and mu.on_group and same_group(mu.carrier, carrier)):
-        raise ValueError("law must be a measure on the carrier group")
-    if not mu.is_probability():
-        raise ValueError("walk law must be a probability measure")
+    n = _positive_integer(n, "n", 0)
+    _measure_on(carrier, mu, "mu", probability=True)
     start = _element_index(carrier.order, start, "start")
     rng = np.random.default_rng(seed)
     weights = np.maximum(mu.weights.real, 0.0)
@@ -401,8 +398,11 @@ def boundary_reports(
     # both raise for a word of another rank or the empty word
     boundary = [harmonic_measure_cylinder(k, w) for w in words]
     h_e = [poisson_extension(k, w, empty_word(k)) for w in words]
-    if n_steps < 0 or n_paths < 1 or not 0 <= snapshot <= n_steps:
-        raise ValueError("need n_steps >= 0, n_paths >= 1 and 0 <= snapshot <= n_steps")
+    n_steps = _positive_integer(n_steps, "n_steps", 0)
+    n_paths = _positive_integer(n_paths, "n_paths")
+    snapshot = _positive_integer(snapshot, "snapshot", 0)
+    if snapshot > n_steps:
+        raise ValueError(f"snapshot: expected at most n_steps = {n_steps}, got {snapshot}")
     depths = sorted({len(w) for w in words})
     letters = [np.array(w.letters, dtype=np.int16) for w in words]
     rows = [depths.index(len(w)) for w in words]
@@ -472,10 +472,7 @@ def stationary_measure(action: GSpaceAction, mu: FiniteMeasure) -> StationaryRep
     uniform measures on the H-orbits, and the fixed space of P^T is spanned
     by the orbit indicators.
     """
-    if not (mu.on_group and same_group(mu.carrier, action.group)):
-        raise ValueError("measure does not live on the acting group")
-    if not mu.is_probability():
-        raise ValueError("walk law must be a probability measure")
+    _measure_on(action.group, mu, "mu", probability=True)
     h = generated_subgroup(action.group, mu.support())
     labels = _orbit_numbering(action.table[list(h.members)])
     sizes = np.bincount(labels)

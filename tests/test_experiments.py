@@ -263,6 +263,18 @@ def test_triviality_disagreement_is_a_failing_check_not_a_traceback(monkeypatch,
     assert "criterion 01 finite_triviality: FAIL (" in capsys.readouterr().out
 
 
+def test_quotient_norm_defect_is_a_failing_check_not_a_traceback(monkeypatch, capsys):
+    # a quotient norm 1.5 times too large sits above a_1 = 1 on Z2's (1,0):
+    # quotient_norm_trace reports it, and criterion 6's own check fails
+    quotient_norm = muharmonic.ideals.quotient_norm
+    monkeypatch.setattr("muharmonic.ideals.quotient_norm",
+                        lambda x, ideal: 1.5 * quotient_norm(x, ideal))
+    failed = [c.name for c in run_criterion(6) if not c.passed]
+    assert "Z2 (1,0): min a_n - quotient norm" in failed
+    assert cli_main(["suite"]) == 1
+    assert "criterion 06 quotient_norms: FAIL (" in capsys.readouterr().out
+
+
 def test_a_failing_criterion_line_names_its_first_failed_check(monkeypatch, capsys):
     # the line named the alphabetically first failed check; it now names the
     # first in the criterion's order, the order the record lists them in
@@ -386,7 +398,8 @@ def test_derriennic_on_s5_runs_no_lp(monkeypatch):
     monkeypatch.setattr("muharmonic.lp.l1_distance_to_span", no_lp)
     record = run(ExperimentConfig.from_dict({"scenario": "derriennic", **_s5_spec()}))
     assert record.passed
-    assert [c.name for c in record.checks] == ["custom: |a_N - quotient norm|"]
+    assert [c.name for c in record.checks] == ["custom: |a_N - quotient norm|",
+                                               "custom: min a_n - quotient norm"]
 
 
 def test_out_directory_env_override(tmp_path, monkeypatch, capsys):

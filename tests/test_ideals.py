@@ -388,7 +388,7 @@ def test_trace_class_ideal_refuses_a_signed_measure():
     # then refused every distance
     z3 = cyclic_group(3)
     for pairs in ([(1, 0.5), (2, -0.2)], [(1, 1.5), (2, -0.5)]):
-        with pytest.raises(ValueError, match="^trace_class_ideal needs a probability measure"):
+        with pytest.raises(ValueError, match="^mu: expected a probability measure on Z3, got "):
             trace_class_ideal(z3, from_pairs(z3, pairs))
 
 

@@ -197,7 +197,7 @@ def test_cesaro_average_is_the_average_of_the_convolution_powers(case, data):
     avg = cesaro_average(mu, n)
     assert np.abs(avg.weights - acc / n).max() < 1e-12
     assert avg.is_probability()
-    with pytest.raises(ValueError, match="probability measure on a group"):
+    with pytest.raises(ValueError, match=f"^mu: expected a probability measure on {g.name}, got "):
         cesaro_average(sigma, n)
 
 
