@@ -15,13 +15,13 @@ import numpy as np
 
 from muharmonic import (
     GSpaceAction,
+    column_space,
     coset_action,
     generated_subgroup,
     gspace_markov_matrix,
     kernel,
     mutual_residual,
     point_mass,
-    span_of_rows,
     stationary_measure,
     symmetric_group,
     trivial_action,
@@ -33,7 +33,7 @@ def show(title, action, mu):
     report = stationary_measure(action, mu)
     p = gspace_markov_matrix(action, mu).real
     oracle = kernel(p.T - np.eye(action.points))
-    gap = mutual_residual(oracle, span_of_rows(np.array([m.weights for m in report.measures])))
+    gap = mutual_residual(oracle, column_space(np.array([m.weights for m in report.measures]).T))
     print(f"{title}: {action.points} points")
     print(f"  H-orbit of each point: {report.labels.tolist()}")
     print(f"  extreme stationary probabilities: {report.fixed_dim}; rank ker(P^T - I) = "

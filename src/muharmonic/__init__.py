@@ -69,7 +69,6 @@ from .subspaces import (
     kernel,
     kernel_and_range,
     mutual_residual,
-    span_of_rows,
 )
 from .harmonic import (
     L1TrivialityReport,

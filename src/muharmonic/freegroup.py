@@ -90,6 +90,7 @@ def _packed_ball(k: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     One breadth-first pass over arrays: each sphere row is repeated 2k
     times, the generators are appended, and the cancelling rows dropped.
     """
+    k = _positive_integer(k, "k")
     r = _positive_integer(r, "r", 0)
     gens = np.array(list(range(1, k + 1)) + list(range(-1, -k - 1, -1)), dtype=np.int32)
     sphere = np.zeros((1, r + 1), dtype=np.int32)

@@ -14,14 +14,14 @@ the indicators of the H-orbits (x, y) -> (x s, y s) on G x G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from ._ops import operation
 from .groups import (FiniteGroup, Subgroup, _positive_integer, generated_subgroup, left_cosets,
                      orbit_labels)
-from .measures import FiniteMeasure
+from .measures import FiniteMeasure, _measure_on_window
 from .operators import right_markov_matrix
 from .subspaces import (
     Subspace,
@@ -143,14 +143,8 @@ class ProjectionReport:
     iterative_gap: float
 
     def to_json(self) -> dict:
-        return {
-            "idempotency_residual": self.idempotency_residual,
-            "norm_inf": self.norm_inf,
-            "range_rank": self.range_rank,
-            "converged_iteratively": self.converged_iteratively,
-            "n_iterations": self.n_iterations,
-            "iterative_gap": self.iterative_gap,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("K", "average")}
 
 
 @operation
@@ -220,16 +214,7 @@ class TrivialityVerdict:
         return self.diamond_matches_pointwise == self.harmonic_equals_trivial
 
     def to_json(self) -> dict:
-        return {
-            "diamond_matches_pointwise": self.diamond_matches_pointwise,
-            "diamond_residual": self.diamond_residual,
-            "harmonic_equals_trivial": self.harmonic_equals_trivial,
-            "subspace_residual": self.subspace_residual,
-            "harmonic_rank": self.harmonic_rank,
-            "trivial_rank": self.trivial_rank,
-            "coset_count": self.coset_count,
-            "consistent": self.consistent,
-        }
+        return asdict(self) | {"consistent": self.consistent}
 
 
 @operation
@@ -276,14 +261,6 @@ class L1TrivialityReport:
     degenerate: bool
     smallest_singular_value: float
 
-    def to_json(self) -> dict:
-        return {
-            "window": self.window,
-            "kernel_rank": self.kernel_rank,
-            "degenerate": self.degenerate,
-            "smallest_singular_value": self.smallest_singular_value,
-        }
-
 
 @operation
 def l1_harmonic_triviality(mu: FiniteMeasure, window: int) -> L1TrivialityReport:
@@ -294,8 +271,7 @@ def l1_harmonic_triviality(mu: FiniteMeasure, window: int) -> L1TrivialityReport
     at 0 is the degenerate excluded case: T_L = I and the kernel is the
     whole window space, flagged rather than certified.
     """
-    if mu.on_group:
-        raise ValueError("l1_harmonic_triviality expects a measure on a Z window")
+    _measure_on_window(mu, "mu")
     window = _positive_integer(window, "window", 0)
     pts = np.arange(-window, window + 1)
     # T_L[i, j] = mu(pts[i] - pts[j]), zero off the support window

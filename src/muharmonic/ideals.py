@@ -17,8 +17,7 @@ both questions about the ideal: the Euclidean distance of v from it is
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -119,13 +118,8 @@ def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------- predual norms
 
-def ambient_norm(x: np.ndarray, ambient: str) -> float:
-    """l1: sum of moduli; trace: sum of singular values of the unvec'd matrix."""
-    return float(_ambient_norms(np.asarray(x, dtype=np.complex128)[None, :], ambient)[0])
-
-
 def _ambient_norms(rows: np.ndarray, ambient: str) -> np.ndarray:
-    """ambient_norm of each row of a 2-D array."""
+    """Per row: l1, the sum of moduli; trace, the singular values of the unvec'd matrix."""
     if ambient == "l1":
         return np.abs(rows).sum(axis=1)
     if ambient == "trace":
@@ -147,7 +141,7 @@ def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
         raise ValueError("quotient_norm needs the H-orbit labels that coboundary_ideal and "
                          "trace_class_ideal record for a probability measure; use "
                          "l1_distance for an ideal given only by its operator")
-    return ambient_norm(haar_average(x, ideal.labels), ideal.ambient)
+    return float(_ambient_norms(haar_average(x, ideal.labels)[None, :], ideal.ambient)[0])
 
 
 @operation
@@ -165,15 +159,15 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis):
     the H-orbit labels).
     """
     x = np.asarray(x, dtype=np.complex128)
-    if ideal.rank and ideal.ambient == "l1":
+    cols = x.reshape(x.shape[0], -1).T
+    if ideal.ambient == "trace":
+        dists = [quotient_norm(v, ideal) for v in cols]
+    elif ideal.rank:
         from .lp import l1_distance_to_span
 
         return l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
-    cols = x.reshape(x.shape[0], -1).T
-    if ideal.rank:
-        dists = [quotient_norm(v, ideal) for v in cols]
-    else:
-        dists = [ambient_norm(v, ideal.ambient) for v in cols]
+    else:  # the ideal is {0}; the copy is C-ordered, so each row sums as one vector
+        dists = _ambient_norms(cols.copy(), "l1").tolist()
     return dists[0] if x.ndim == 1 else np.array(dists)
 
 
@@ -246,9 +240,6 @@ class QuotientNormTrace:
             "limit_estimate": self.limit_estimate,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
-
 
 @operation
 def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> QuotientNormTrace:
@@ -300,9 +291,6 @@ def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> Quotien
 class ApproximateIdentityReport:
     n: int
     max_residual: float
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "max_residual": self.max_residual}
 
 
 @operation
@@ -378,7 +366,7 @@ class LeftIdealReport:
     seed: int
 
     def to_json(self) -> dict:
-        return {"trials": self.trials, "max_residual": self.max_residual, "seed": self.seed}
+        return asdict(self)
 
 
 @operation
@@ -395,6 +383,7 @@ def left_ideal_residual(
     """
     _measure_on(g, mu, "mu", probability=True)
     trials = _positive_integer(trials, "trials")
+    seed = _positive_integer(seed, "seed", 0)
     labels = _haar_labels(g, mu, "operators")
     back = reflect(mu)  # P, the trace predual, is the conjugation by reflect(mu)
     rng = np.random.default_rng(seed)

@@ -108,6 +108,12 @@ def _measure_on(g: FiniteGroup, mu, param: str, probability: bool = False) -> No
         raise ValueError(f"{param}: expected {kind} on {where}, got {mu!r}")
 
 
+def _measure_on_window(mu, param: str) -> None:
+    """Refuse mu unless it is a measure on a Z window, as `_measure_on` words it."""
+    if not (isinstance(mu, FiniteMeasure) and not mu.on_group):
+        raise ValueError(f"{param}: expected a measure on a Z window, got {mu!r}")
+
+
 # ---------------------------------------------------------------- constructors
 
 def point_mass(g: FiniteGroup, x: int) -> FiniteMeasure:
@@ -273,8 +279,7 @@ def weak_star_decay(mu: FiniteMeasure, f_pairs, n_max: int) -> DecayReport:
     A point mass at 0 is the degenerate case: the sequence is constant and
     the report is flagged instead of demonstrating decay.
     """
-    if mu.on_group:
-        raise ValueError("weak_star_decay expects a measure on a Z window")
+    _measure_on_window(mu, "mu")
     n_max = _positive_integer(n_max, "n_max")
     f = dict((int(x), complex(c)) for x, c in f_pairs)
     degenerate = mu.support() == [0]

@@ -119,15 +119,15 @@ def _blocks(a: np.ndarray):
                col_order[col_ends[i - 1] if i else 0:col_ends[i]])
 
 
-def _factor(a: np.ndarray, full_when_wide: bool):
+def _factor(a: np.ndarray):
     """SVD (rows, cols, u, s, vh) of each block of a, and the common rank cutoff.
 
-    full_when_wide asks for the full V of a wide block, whose kernel it spans.
+    A tall block yields all its right singular vectors in thin form; a wide
+    block gets its full V, whose rows beyond the rank span its kernel.
     """
     parts = []
     for rows, cols in _blocks(a):
-        u, s, vh = _svd(a[rows[:, None], cols],
-                        full_matrices=full_when_wide and rows.size < cols.size)
+        u, s, vh = _svd(a[rows[:, None], cols], full_matrices=rows.size < cols.size)
         parts.append((rows, cols, u, s, vh))
     sigma_max = max((float(s[0]) for *_, s, _ in parts if s.size), default=0.0)
     return parts, _cutoff(sigma_max)
@@ -153,29 +153,17 @@ def _range_rows(m: int, parts, cutoff: float) -> np.ndarray:
     return _scatter(m, [(rows, u[:, :np.sum(s > cutoff)].T) for rows, _, u, s, _ in parts])
 
 
-def span_of_rows(rows: np.ndarray) -> Subspace:
-    """Orthonormalized span of the given row vectors."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.complex128))
-    ambient = rows.shape[1]
-    if rows.shape[0] == 0 or not np.any(rows):
-        return Subspace(ambient, np.zeros((0, ambient), dtype=np.complex128))
-    _, s, vh = _svd(rows, full_matrices=False)
-    return Subspace(ambient, vh[: _rank(s)].copy())
-
-
 def kernel(a: np.ndarray) -> Subspace:
     """Null space {v : a v = 0}, one SVD per block, with relative cutoff."""
     a = np.asarray(a, dtype=np.complex128)
-    # a tall block already yields all its right singular vectors in thin
-    # form; only wide blocks need the full V to expose their nullspace
-    parts, cutoff = _factor(a, full_when_wide=True)
+    parts, cutoff = _factor(a)
     return Subspace(a.shape[1], _null_rows(a.shape[1], parts, cutoff))
 
 
 def column_space(a: np.ndarray) -> Subspace:
     """Range of the matrix (its column span), stored as orthonormal rows."""
     a = np.asarray(a, dtype=np.complex128)
-    parts, cutoff = _factor(a, full_when_wide=False)
+    parts, cutoff = _factor(a)
     return Subspace(a.shape[0], _range_rows(a.shape[0], parts, cutoff))
 
 
@@ -183,7 +171,7 @@ def kernel_and_range(a: np.ndarray) -> tuple[Subspace, Subspace]:
     """kernel(a) and column_space(a) of a square matrix, from one factorization."""
     a = np.asarray(a, dtype=np.complex128)
     m, n = a.shape
-    parts, cutoff = _factor(a, full_when_wide=True)
+    parts, cutoff = _factor(a)
     return (Subspace(n, _null_rows(n, parts, cutoff)),
             Subspace(m, _range_rows(m, parts, cutoff)))
 

@@ -71,6 +71,7 @@ class WalkPath:
 def sample_path(carrier, mu, start, n: int, seed: int) -> WalkPath:
     """Deterministic-by-seed path of length n with i.i.d. increments of law mu."""
     n = _positive_integer(n, "n", 0)
+    seed = _positive_integer(seed, "seed", 0)
     _measure_on(carrier, mu, "mu", probability=True)
     start = _element_index(carrier.order, start, "start")
     rng = np.random.default_rng(seed)
@@ -91,6 +92,7 @@ def harmonic_measure_cylinder(k: int, w: FreeWord) -> float:
 
     nu([w]) = (1/2k) (1/(2k-1))^{|w|-1}.
     """
+    k = _positive_integer(k, "k")
     if w.rank != k:
         raise ValueError(f"cylinder rank {w.rank} != {k}")
     if len(w) == 0:
@@ -104,6 +106,7 @@ def poisson_extension(k: int, w: FreeWord, g: FreeWord) -> float:
 
     One vertex of `_poisson_values`, which holds the closed form.
     """
+    k = _positive_integer(k, "k")
     if w.rank != k or g.rank != k:
         raise ValueError("rank mismatch between cylinder and vertex")
     if len(w) == 0:
@@ -118,10 +121,12 @@ def _gens_array(k: int) -> np.ndarray:
     return np.array(list(range(1, k + 1)) + [-i for i in range(1, k + 1)], dtype=np.int16)
 
 
-def _check_rank(k: int) -> None:
-    # a step is drawn from one byte, which has room for 2k <= 256 values
-    if not 1 <= k <= 128:
-        raise ValueError(f"free-group rank k={k} is outside 1..128")
+def _check_rank(k) -> int:
+    k = _positive_integer(k, "k")
+    # a step of the sampler is drawn from one byte, which has room for 2k <= 256 values
+    if k > 128:
+        raise ValueError(f"k: expected at most 128, got {k}")
+    return k
 
 
 def _raw_bytes(bitgen, n: int) -> np.ndarray:
@@ -192,9 +197,8 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
     paths otherwise.  The rule reads only that count.  Measured per step on
     25,000 paths (2 cores, k = 2), the gather costs as much as the blends
     at 2-3% of the paths near for words of up to 3 letters, and at about 8%
-    for 8 letters.  Neither form changes a draw.
+    for 8 letters.  Neither form changes a draw.  The caller checks k.
     """
-    _check_rank(k)
     two_k = 2 * k
     bitgen = rng.bit_generator
     gens = _gens_array(k)
@@ -391,7 +395,7 @@ def boundary_reports(
       free group separates the two products.
     Chunks run in order, each reduced to per-word sums before the next.
     """
-    _check_rank(k)
+    k = _check_rank(k)
     words = tuple(words)
     if not words:
         raise ValueError("give at least one cylinder word")
@@ -401,6 +405,7 @@ def boundary_reports(
     n_steps = _positive_integer(n_steps, "n_steps", 0)
     n_paths = _positive_integer(n_paths, "n_paths")
     snapshot = _positive_integer(snapshot, "snapshot", 0)
+    seed = _positive_integer(seed, "seed", 0)
     if snapshot > n_steps:
         raise ValueError(f"snapshot: expected at most n_steps = {n_steps}, got {snapshot}")
     depths = sorted({len(w) for w in words})

@@ -1,8 +1,10 @@
 """One rule per kind of argument: a measure beside its group, and a count.
 
 Every operation that takes a measure beside a group or an action refuses one
-on another group through `measures._measure_on`, and every count goes through
-`groups._positive_integer`; each message starts with the parameter's name.
+on another group through `measures._measure_on`, one that takes a measure on
+Z refuses any other through `measures._measure_on_window`, and every count,
+seed and free-group rank goes through `groups._positive_integer`; each
+message starts with the parameter's name.
 The guard at the end walks the marked operations, so that a new one cannot
 skip either rule without a failing test.
 """
@@ -27,10 +29,12 @@ from muharmonic import (
     diamond_product,
     free_ball,
     gspace_markov_matrix,
+    harmonic_measure_cylinder,
     harmonic_triviality_verdict,
     l1_harmonic_triviality,
     left_ideal_residual,
     point_mass,
+    poisson_extension,
     predual_action,
     quotient_norm_trace,
     right_markov_matrix,
@@ -66,11 +70,11 @@ MEASURE_CASES = {
     "subharmonic_check": lambda mu: subharmonic_check(np.zeros(6), S3, mu),
 }
 
-A = word(2, (1,))
+A, A1 = word(2, (1,)), word(1, (1,))
 Z2_IDEAL = coboundary_ideal(Z2, point_mass(Z2, 1))
 
 # each (operation, count parameter): a call with that count, and its least value;
-# a free word's rank is a count too
+# a seed and a free-group rank are counts too
 COUNT_CASES = {
     ("convolution_power", "n"): (lambda v: convolution_power(point_mass(Z4, 1), v), 1),
     ("cesaro_average", "n"): (lambda v: cesaro_average(point_mass(Z4, 1), v), 1),
@@ -88,11 +92,21 @@ COUNT_CASES = {
     ("boundary_reports", "snapshot"):
         (lambda v: boundary_reports(2, (A,), 5, 10, seed=0, snapshot=v), 0),
     ("free_ball", "r"): (lambda v: free_ball(2, v), 0),
+    ("free_ball", "k"): (lambda v: free_ball(v, 1), 1),
     ("quotient_norm_trace", "n_max"):
         (lambda v: quotient_norm_trace(np.array([1.0, 0.0]), Z2_IDEAL, v), 1),
     ("cesaro_projection", "n_max"): (lambda v: cesaro_projection(np.eye(2), v), 1),
     ("approximate_identity", "n"): (lambda v: approximate_identity(Z4, point_mass(Z4, 1), v), 1),
     ("FreeWord", "rank"): (lambda v: FreeWord(v, ()), 1),
+    ("sample_path", "seed"): (lambda v: sample_path(Z4, point_mass(Z4, 1), 0, 3, seed=v), 0),
+    ("boundary_reports", "seed"):
+        (lambda v: boundary_reports(2, (A,), 5, 10, seed=v, snapshot=0), 0),
+    ("left_ideal_residual", "seed"):
+        (lambda v: left_ideal_residual(S3, point_mass(S3, 1), 2, seed=v), 0),
+    ("boundary_reports", "k"):
+        (lambda v: boundary_reports(v, (A1,), 5, 10, seed=0, snapshot=0), 1),
+    ("harmonic_measure_cylinder", "k"): (lambda v: harmonic_measure_cylinder(v, A1), 1),
+    ("poisson_extension", "k"): (lambda v: poisson_extension(v, A1, word(1, ())), 1),
 }
 
 
@@ -108,6 +122,21 @@ def test_each_group_operation_refuses_a_measure_on_another_group(name, other):
     with pytest.raises(ValueError, match=rf"^mu: expected a (probability )?measure on S3, "
                                          rf"got FiniteMeasure\({other.name},"):
         MEASURE_CASES[name](point_mass(other, 1))
+
+
+# each operation on a measure on Z, called with a measure mu
+WINDOW_CASES = {
+    "weak_star_decay": lambda mu: weak_star_decay(mu, [(0, 1.0)], 3),
+    "l1_harmonic_triviality": lambda mu: l1_harmonic_triviality(mu, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+def test_each_window_operation_refuses_a_measure_on_a_group(name):
+    WINDOW_CASES[name](simple_random_walk_z())
+    with pytest.raises(ValueError, match=r"^mu: expected a measure on a Z window, "
+                                         r"got FiniteMeasure\(Z4,"):
+        WINDOW_CASES[name](point_mass(Z4, 1))
 
 
 def test_an_operation_that_reads_the_group_off_the_measure_needs_a_group():
@@ -138,7 +167,8 @@ def test_each_count_refuses_a_bool_a_float_and_a_value_below_its_least(case, bad
 
 MEASURE_PARAMS = {"mu"}
 GROUP_PARAMS = {"g", "carrier", "action"}
-COUNT_PARAMS = {"n", "n_max", "n_steps", "n_paths", "trials", "window", "r", "snapshot"}
+COUNT_PARAMS = {"n", "n_max", "n_steps", "n_paths", "trials", "window", "r", "snapshot", "seed",
+                "k"}
 
 
 def test_every_marked_operation_is_under_both_rules():

@@ -275,6 +275,28 @@ def test_quotient_norm_defect_is_a_failing_check_not_a_traceback(monkeypatch, ca
     assert "criterion 06 quotient_norms: FAIL (" in capsys.readouterr().out
 
 
+def test_a_wrong_cesaro_limit_fails_criterion_2(monkeypatch, capsys):
+    # the uniform matrix is the limit only when <supp mu> is the whole group:
+    # on Z6 with delta_2 the averages spread over three cosets, not six
+    monkeypatch.setattr("muharmonic.harmonic.cesaro_limit",
+                        lambda m: np.full(np.shape(m), 1.0 / len(m)))
+    failed = [c.name for c in run_criterion(2) if not c.passed]
+    assert "Z6_delta2: tv(A_1000, haar)" in failed
+    assert cli_main(["suite"]) == 1
+    assert "criterion 02 cesaro_limit: FAIL (" in capsys.readouterr().out
+
+
+def test_a_wrong_cylinder_measure_fails_criterion_8(monkeypatch, capsys):
+    # 1% too much on every cylinder: the four length-1 cylinders sum to 1.01
+    cylinder = muharmonic.experiments.harmonic_measure_cylinder
+    monkeypatch.setattr("muharmonic.experiments.harmonic_measure_cylinder",
+                        lambda k, w: 1.01 * cylinder(k, w))
+    failed = [c.name for c in run_criterion(8) if not c.passed]
+    assert "length-1 cylinders sum to 1" in failed
+    assert cli_main(["suite"]) == 1
+    assert "criterion 08 harmonic_measure: FAIL (" in capsys.readouterr().out
+
+
 def test_a_failing_criterion_line_names_its_first_failed_check(monkeypatch, capsys):
     # the line named the alphabetically first failed check; it now names the
     # first in the criterion's order, the order the record lists them in

@@ -34,6 +34,7 @@ from muharmonic import (
     trace_predual_matrix,
     uniform_on,
 )
+from muharmonic import subspaces
 from muharmonic.experiments import ExperimentConfig, run
 from muharmonic.ideals import _GATHER_ENTRIES, _TRACE_BLOCK, _haar_labels, _row_gather
 
@@ -191,6 +192,23 @@ def test_trace_norm_distance_on_s3_matches_quotient_norm():
         a = (u @ vh).conj().T
         assert max(np.abs(rho[s] @ a @ rho[s].T - a).max() for s in h) < 1e-12
         assert abs(np.trace(x @ a) - expected) < 1e-10
+
+
+def test_trace_distance_factors_nothing(monkeypatch):
+    # the rank of S4's 576 x 576 I - P takes 24 block SVDs; the closed form
+    # for the distances takes none, and gives what quotient_norm gives
+    s4 = symmetric_group(4)
+    ideal = trace_class_ideal(s4, uniform_on(s4, [s4.labels.index("(1 2)"),
+                                                  s4.labels.index("(1 2 3 4)")]))
+    xs = np.random.default_rng(24).standard_normal((576, 3))
+    calls = []
+    svd = subspaces._svd
+    monkeypatch.setattr(subspaces, "_svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    dists = l1_distance(xs, ideal)
+    assert calls == []
+    assert dists.tobytes() == np.array([quotient_norm(x, ideal) for x in xs.T]).tobytes()
+    assert ideal.rank > 0  # so the rank-reading route took quotient_norm too
+    assert len(calls) == 24
 
 
 def test_trace_closed_form_matches_grid_on_z2():

@@ -13,7 +13,6 @@ from muharmonic import (
     kernel_and_range,
     mutual_residual,
     right_markov_matrix,
-    span_of_rows,
 )
 from muharmonic import subspaces
 
@@ -46,11 +45,11 @@ def test_column_space():
 
 
 def test_span_and_equality():
-    s1 = span_of_rows(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
-    s2 = span_of_rows(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]))
+    s1 = column_space(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]).T)
+    s2 = column_space(np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]]).T)
     assert s1.rank == 2
     assert s1.rank == s2.rank and mutual_residual(s1, s2) <= 1e-9
-    s3 = span_of_rows(np.array([[0.0, 0.0, 1.0]]))
+    s3 = column_space(np.array([[0.0, 0.0, 1.0]]).T)
     assert not (s1.rank == s3.rank and mutual_residual(s1, s3) <= 1e-9)
     assert mutual_residual(s1, s2) < 1e-12
 
@@ -64,7 +63,7 @@ def test_complex_kernel_vectors_satisfy_equation():
 
 
 def test_zero_span():
-    s = span_of_rows(np.zeros((2, 4)))
+    s = column_space(np.zeros((2, 4)).T)
     assert s.rank == 0
     assert s.residual(np.array([1.0, 0, 0, 0])) == 1.0
 
@@ -83,8 +82,8 @@ def test_project_onto_complex_span_not_its_conjugate():
     assert space.contains(chi)
     assert not space.contains(chi.conj())
     assert np.allclose(space.project(chi), chi)
-    assert mutual_residual(space, span_of_rows(chi[None, :])) < 1e-12
-    other = span_of_rows(chi.conj()[None, :])
+    assert mutual_residual(space, column_space(chi[:, None])) < 1e-12
+    other = column_space(chi.conj()[:, None])
     assert not (space.rank == other.rank and mutual_residual(space, other) <= 1e-9)
 
 
@@ -122,21 +121,21 @@ def _spy_svd(monkeypatch) -> list:
 def test_real_data_takes_the_real_svd_and_complex_data_the_complex_one(monkeypatch):
     seen = _spy_svd(monkeypatch)
     a = _shifted(catalog()[5]).astype(np.complex128)
-    kernel(a), column_space(a), span_of_rows(a), kernel_and_range(a)
-    assert [x.dtype for x in seen] == [np.float64] * 4
+    kernel(a), column_space(a), kernel_and_range(a)
+    assert [x.dtype for x in seen] == [np.float64] * 3
     seen.clear()
     c = _complex_matrix()
-    kernel(c), column_space(c), span_of_rows(c), kernel_and_range(c)
-    assert [x.dtype for x in seen] == [np.complex128] * 4
+    kernel(c), column_space(c), kernel_and_range(c)
+    assert [x.dtype for x in seen] == [np.complex128] * 3
 
 
 @pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
 def test_real_and_complex_paths_give_the_same_subspaces(e, monkeypatch):
     a = _shifted(e).astype(np.complex128)
-    real = [kernel(a), column_space(a), span_of_rows(a), *kernel_and_range(a)]
+    real = [kernel(a), column_space(a), *kernel_and_range(a)]
     monkeypatch.setattr(subspaces, "_svd", lambda m, full_matrices:
                         np.linalg.svd(m, full_matrices=full_matrices))
-    cplx = [kernel(a), column_space(a), span_of_rows(a), *kernel_and_range(a)]
+    cplx = [kernel(a), column_space(a), *kernel_and_range(a)]
     for r, c in zip(real, cplx):
         assert r.basis.dtype == c.basis.dtype == np.complex128
         assert r.rank == c.rank

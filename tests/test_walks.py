@@ -238,10 +238,11 @@ def test_rejected_bytes_redraw_the_same_way_for_a_seed():
 
 
 def test_sampler_refuses_a_rank_above_128():
-    with pytest.raises(ValueError, match="k=129"):
-        _simulate_chunk(129, 5, 10, np.random.default_rng(43), keep=1)
-    with pytest.raises(ValueError, match="k=129"):
+    with pytest.raises(ValueError, match="^k: expected at most 128, got 129$"):
+        _check_rank(129)
+    with pytest.raises(ValueError, match="^k: expected at most 128, got 129$"):
         boundary_reports(129, (word(129, (1,)),), 5, 10, seed=1, snapshot=5)
+    assert _check_rank(128) == 128
     assert _simulate_chunk(128, 5, 10, np.random.default_rng(43), keep=1)[1].shape == (10,)
 
 
