@@ -250,7 +250,7 @@ class ExperimentConfig:
     n: int | None = _field(_SIZE, "step count / averaging horizon")
     trials: int | None = _field(_SIZE, {
         "ncconv": "random trials per entry (each trial makes five operator convolutions, "
-                  "about 25 ms on S5)",
+                  "about 3 ms on S5)",
         "stationary": "random coset actions"})
     word: str = _field(_TEXT, "free-group cylinder, e.g. a, ab, a'b", "a")
     entry: str | None = _field(_TEXT, "run a single catalog entry by name")

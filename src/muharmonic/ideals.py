@@ -23,8 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ._ops import operation
-from .groups import (FiniteGroup, _pair_images, _positive_integer, _table_apply,
-                     generated_subgroup, orbit_labels)
+from .groups import FiniteGroup, _positive_integer, generated_subgroup, orbit_labels
 from .measures import (FiniteMeasure, _measure_on, cesaro_average, convolve, point_mass, reflect,
                        tv_norm)
 from .operators import (
@@ -103,7 +102,8 @@ def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     row-major vec'd matrices it is X -> (1/|H|) sum_{s in H} rho(s) X rho(s)^{-1}.
     It is the orthogonal projection onto the orbit indicators.  `x` may carry
     leading stack axes, shape (..., len(labels)); each row is averaged, by
-    one bincount over the labels offset per row.
+    one bincount over the labels offset per row, and comes back C-ordered, so
+    that a reduction along the rows sums each one like a single vector.
     """
     x = np.asarray(x, dtype=np.complex128)
     n_orbits = int(labels.max()) + 1
@@ -113,7 +113,7 @@ def haar_average(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
     sums = (np.bincount(offset, rows.real.reshape(-1), size)
             + 1j * np.bincount(offset, rows.imag.reshape(-1), size))
     means = sums.reshape(-1, n_orbits) / np.bincount(labels, minlength=n_orbits)
-    return means[:, labels].reshape(x.shape)
+    return np.take(means, labels, axis=-1).reshape(x.shape)
 
 
 # ------------------------------------------------------------- predual norms
@@ -138,9 +138,11 @@ def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
     the trace ambient, the trace norm of E_H X.
     """
     if ideal.labels is None:
+        advice = ("build the trace ideal with trace_class_ideal, which records them"
+                  if ideal.ambient == "trace"
+                  else "use l1_distance for an ideal given only by its operator")
         raise ValueError("quotient_norm needs the H-orbit labels that coboundary_ideal and "
-                         "trace_class_ideal record for a probability measure; use "
-                         "l1_distance for an ideal given only by its operator")
+                         f"trace_class_ideal record for a probability measure; {advice}")
     return float(_ambient_norms(haar_average(x, ideal.labels)[None, :], ideal.ambient)[0])
 
 
@@ -331,30 +333,38 @@ def operator_convolve(s: np.ndarray, t: np.ndarray, g: FiniteGroup) -> np.ndarra
     the diagonal measure of S.
 
     S * T = sum_h diag(S)(h) rho_l(h) T rho_l(h)^{-1}; the trace multiplies
-    and the diagonal measure is a homomorphism onto group convolution.  S and
-    T may carry the same leading stack axes, shape (..., order, order); the
-    pairs are convolved one by one, in one gather over the union of the
-    diagonal supports.
+    and the diagonal measure is a homomorphism onto group convolution.
+    Entrywise (S * T)[x, y] = sum_h kappa(h) T[h^{-1} x, h^{-1} y], and the
+    quotient x^{-1} y is the same for (x, y) and (h^{-1} x, h^{-1} y).  So
+    with T'[x, v] = T[x, x v] and L[x, z] = kappa(x z^{-1}), (S * T)' = L T':
+    one n x n matrix product per pair, between two moves of the n^2 entries.
+    S and T may carry the same leading stack axes, shape (..., order, order);
+    the stack is one stacked product, which rounds each pair like a single call.
     """
     s = np.asarray(s, dtype=np.complex128)
     t = np.asarray(t, dtype=np.complex128)
     n = g.order
     if s.shape[-2:] != (n, n) or t.shape[-2:] != (n, n) or s.shape != t.shape:
         raise ValueError("operators must match the group order")
-    kappa = np.diagonal(s, axis1=-2, axis2=-1)
-    h = np.nonzero(np.any(kappa != 0, axis=tuple(range(kappa.ndim - 1))))[0]
-    vec = t.reshape(*t.shape[:-2], n * n)  # T[x, y] is vec[x n + y]
-    return _table_apply(vec, _pair_images(g.left_quotients(h)), kappa[..., h]).reshape(t.shape)
+    rows = np.arange(n)[:, None] * n  # T[x, y] is vec[x n + y]
+    forward = (rows + g.cayley).ravel()  # T'[x, v] = T[x, x v]
+    back = (rows + g.left_quotients(np.arange(n))).ravel()  # X[x, y] = X'[x, x^{-1} y]
+    slice_matrix = np.take(np.diagonal(s, axis1=-2, axis2=-1), g.cayley[:, g.inverses], axis=-1)
+    vec = t.reshape(*t.shape[:-2], n * n)
+    slices = slice_matrix @ np.take(vec, forward, axis=-1).reshape(t.shape)
+    return np.take(slices.reshape(vec.shape), back, axis=-1).reshape(t.shape)
 
 
-# entries of T gathered by one stacked operator_convolve (4 MB complex): the
-# random trials of a matrix-convolution check run in stacks of this size
-_GATHER_ENTRIES = 1 << 18
+# complex multiply-adds of one stacked operator_convolve product, n^3 per
+# pair: the random trials of a matrix-convolution check run in stacks of
+# 2^18 // n^3 pairs (18 on S4), sizes kept because stacks sized by the n^2
+# entries of a pair measured slower on S4
+_STACK_MULADDS = 1 << 18
 
 
 def _trial_blocks(trials: int, order: int):
     """Stack sizes that split `trials` convolutions at one group order."""
-    size = max(1, _GATHER_ENTRIES // order**3)
+    size = max(1, _STACK_MULADDS // order**3)
     for start in range(0, trials, size):
         yield min(size, trials - start)
 
@@ -395,6 +405,6 @@ def left_ideal_residual(
         s = u[:, 0] + 1j * u[:, 1]
         y = u[:, 2] + 1j * u[:, 3]
         sx = operator_convolve(s, y - apply_conjugation(g, back, y), g)
-        for row in haar_average(sx.reshape(size, n * n), labels):
-            worst = max(worst, float(np.linalg.norm(row)))
+        rows = haar_average(sx.reshape(size, n * n), labels)
+        worst = max(worst, float(np.linalg.norm(rows, axis=-1).max()))
     return LeftIdealReport(trials, worst, seed)

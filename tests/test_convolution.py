@@ -5,6 +5,7 @@ import pytest
 
 from muharmonic import (
     FiniteMeasure,
+    catalog,
     cesaro_average,
     convolution_power,
     convolve,
@@ -15,6 +16,7 @@ from muharmonic import (
     point_mass,
     symmetric_group,
 )
+from muharmonic.groups import _pair_images, _table_apply
 
 
 def _relabelled_d4():
@@ -52,6 +54,16 @@ def _operator_convolve_per_h(s, t, g):
         idx = g.cayley[g.inv(h)]
         out += s[h, h] * t[np.ix_(idx, idx)]
     return out
+
+
+def _operator_convolve_by_gather(s, t, g):
+    """S * T as one gather of the n^3 entries T[h^{-1} x, h^{-1} y], over the
+    union of the diagonal supports of a stack of pairs."""
+    n = g.order
+    kappa = np.diagonal(s, axis1=-2, axis2=-1)
+    h = np.nonzero(np.any(kappa != 0, axis=tuple(range(kappa.ndim - 1))))[0]
+    vec = t.reshape(*t.shape[:-2], n * n)  # T[x, y] is vec[x n + y]
+    return _table_apply(vec, _pair_images(g.left_quotients(h)), kappa[..., h]).reshape(t.shape)
 
 
 def test_groups_do_not_commute():
@@ -117,7 +129,7 @@ def test_operator_convolve_matches_per_h_loop(g):
         s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if trial:
-            # a diagonal with zeros, so only part of the group is gathered
+            # a diagonal with zeros
             s[np.diag_indices(n)] *= rng.random(n) < 0.3
         st = operator_convolve(s, t, g)
         assert np.abs(st - _operator_convolve_per_h(s, t, g)).max() < 1e-12
@@ -132,3 +144,27 @@ def test_operator_convolve_by_zero_diagonal(g):
     st = operator_convolve(s, np.ones((n, n)), g)
     assert st.shape == (n, n)
     assert not st.any()
+
+
+def _oracle_groups():
+    groups = {e.group.name: e.group for e in catalog()}
+    groups["S5"] = symmetric_group(5)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("g", _oracle_groups(), ids=lambda g: g.name)
+def test_operator_convolve_matches_the_pair_gather(g):
+    rng = np.random.default_rng(6)
+    n = g.order
+    s, t = (rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+            for _ in range(2))
+    # zeros on the diagonals: one pair's diagonal is empty, the others are sparse
+    s[..., np.arange(n), np.arange(n)] *= rng.random((2, 3, n)) < 0.4
+    s[1, 2, np.arange(n), np.arange(n)] = 0.0
+    stacked = operator_convolve(s, t, g)
+    assert stacked.shape == (2, 3, n, n)
+    assert np.abs(stacked - _operator_convolve_by_gather(s, t, g)).max() < 1e-12
+    assert not stacked[1, 2].any()
+    for i, j in ((0, 0), (1, 1)):
+        single = operator_convolve(s[i, j], t[i, j], g)
+        assert np.abs(single - _operator_convolve_by_gather(s[i, j], t[i, j], g)).max() < 1e-12

@@ -297,6 +297,26 @@ def test_a_wrong_cylinder_measure_fails_criterion_8(monkeypatch, capsys):
     assert "criterion 08 harmonic_measure: FAIL (" in capsys.readouterr().out
 
 
+def test_a_transposed_slice_matrix_fails_criterion_5(monkeypatch, capsys):
+    # L[x, z] = kappa(z x^{-1}) in place of kappa(x z^{-1}): the slice matrix of
+    # the reflected diagonal h -> kappa(h^{-1}).  Z2 and V4 cannot show it, as
+    # each of their elements is its own inverse
+    convolve = muharmonic.ideals.operator_convolve
+
+    def transposed(s, t, g):
+        s = np.array(s, dtype=np.complex128)
+        d = np.arange(g.order)
+        s[..., d, d] = np.diagonal(s, axis1=-2, axis2=-1)[..., g.inverses]
+        return convolve(s, t, g)
+
+    monkeypatch.setattr("muharmonic.ideals.operator_convolve", transposed)
+    monkeypatch.setattr("muharmonic.experiments.operator_convolve", transposed)
+    failed = [c.name for c in run_criterion(5) if not c.passed]
+    assert "S4_two_gens: kappa homomorphism" in failed
+    assert cli_main(["suite"]) == 1
+    assert "criterion 05 nc_convolution: FAIL (" in capsys.readouterr().out
+
+
 def test_a_failing_criterion_line_names_its_first_failed_check(monkeypatch, capsys):
     # the line named the alphabetically first failed check; it now names the
     # first in the criterion's order, the order the record lists them in

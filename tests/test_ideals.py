@@ -36,7 +36,7 @@ from muharmonic import (
 )
 from muharmonic import subspaces
 from muharmonic.experiments import ExperimentConfig, run
-from muharmonic.ideals import _GATHER_ENTRIES, _TRACE_BLOCK, _haar_labels, _row_gather
+from muharmonic.ideals import _STACK_MULADDS, _TRACE_BLOCK, _haar_labels, _row_gather
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -401,6 +401,17 @@ def test_quotient_norm_trace_takes_the_lp_without_labels():
     assert closed.distance == 0.0
 
 
+def test_a_trace_ideal_without_labels_names_trace_class_ideal():
+    # the advice must not send the caller to l1_distance, which raises here too
+    bare = IdealBasis("trace", trace_predual_matrix(Z2, point_mass(Z2, 1)))
+    x = np.array([1.0, 0.0, 0.0, -1.0])
+    for call in (lambda: l1_distance(x, bare), lambda: quotient_norm_trace(x, bare, 4)):
+        with pytest.raises(ValueError, match="labels") as raised:
+            call()
+        assert "trace_class_ideal, which records them" in str(raised.value)
+        assert "l1_distance" not in str(raised.value)
+
+
 def test_trace_class_ideal_refuses_a_signed_measure():
     # a signed measure on Z3 once gave an ideal of rank 9, to which l1_distance
     # then refused every distance
@@ -488,10 +499,10 @@ def test_stacked_calls_are_bitwise_the_per_matrix_calls(entry):
                   haar_average(t[i, j].reshape(-1), labels))
         for got, want in zip(stacked, single):
             assert got[i, j].tobytes() == want.tobytes()
-    # a zero on one diagonal adds 0 * T terms to that matrix's sum in the stack
+    # every pair takes its whole slice matrix, so a zero on one diagonal keeps the bits
     s[0, 1, 0, 0] = 0.0
     st = operator_convolve(s, t, g)[0, 1]
-    assert np.abs(st - operator_convolve(s[0, 1], t[0, 1], g)).max() < 1e-13
+    assert st.tobytes() == operator_convolve(s[0, 1], t[0, 1], g).tobytes()
 
 
 def _left_ideal_residual_by_trials(g, mu, trials, seed):
@@ -505,14 +516,14 @@ def _left_ideal_residual_by_trials(g, mu, trials, seed):
         s = rng.random((n, n)) + 1j * rng.random((n, n))
         y = (rng.random(n * n) + 1j * rng.random(n * n)).reshape(n, n)
         sx = operator_convolve(s, y - apply_conjugation(g, back, y), g)
-        worst = max(worst, float(np.linalg.norm(haar_average(sx.reshape(-1), labels))))
+        worst = max(worst, float(np.linalg.norm(haar_average(sx.reshape(-1), labels), axis=-1)))
     return worst
 
 
 def test_left_ideal_residual_blocks_give_the_per_trial_result():
     s4 = symmetric_group(4)
     mu = uniform_on(s4, [s4.labels.index("(1 2)"), s4.labels.index("(1 2 3 4)")])
-    block = _GATHER_ENTRIES // s4.order ** 3
+    block = _STACK_MULADDS // s4.order ** 3
     assert block == 18
     for trials in (1, block - 1, block, block + 1):
         report = left_ideal_residual(s4, mu, trials=trials, seed=9)
