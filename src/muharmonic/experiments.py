@@ -723,7 +723,7 @@ def _crit_poisson_harmonicity() -> list[CheckResult]:
 
     e6 = catalog_entry("Z6_delta2")
     space = harmonic_space(right_markov_matrix(e6.group, e6.measure))
-    habs = np.abs(space.basis[0] + space.basis[min(1, space.rank - 1)])
+    habs = np.abs(space.basis.sum(axis=0))
     return [
         _check(f"mean-value residual on ball(8) [{len(lengths)} vertices]",
                float(np.abs(gaps).max()), 1e-12),
@@ -817,7 +817,9 @@ def _freewalk_checks(extra: dict, word: str = "a", paths: int = 100_000, n: int 
     (est, mart, dia), = boundary_reports(2, (w,), n, paths, seed, snapshot=min(n, 60))
     extra.update(cylinder=est.to_json(), martingale=mart.to_json(), diamond=dia.to_json())
     exact = harmonic_measure_cylinder(2, w)
-    sigma = max(np.sqrt(exact * (1 - exact) / max(est.n_paths - est.inconclusive_count, 1)), 1e-12)
+    conclusive = est.n_paths - est.inconclusive_count
+    # with no conclusive path there is no estimate, and the bound 0 fails the check
+    sigma = np.sqrt(exact * (1 - exact) / conclusive) if conclusive else 0.0
     # the pinned conclusive fraction holds at the default horizon; shorter runs
     # get the looser fractions they can honestly meet (and fail if they cannot)
     conclusive_bound = 0.999 if n >= 100 else (0.95 if n >= 25 else 0.5)

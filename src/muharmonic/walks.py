@@ -12,19 +12,25 @@ Each path-step reads one raw byte u of the chunk's PCG64 (its 64-bit
 words taken little-endian, so the stream is the same on every platform)
 and maps it to r = (u * 2k) >> 8 in [0, 2k), Lemire's multiply-shift; a
 byte whose low product byte falls below 256 mod 2k is redrawn, so r is
-exactly uniform.  For k = 2 no byte is ever redrawn.  Chunks hold 25,000
-paths.  Records made before this stream (which drew r with
-`Generator.integers` in chunks of 10,000) have other Monte Carlo values.
-One pass feeds all three boundary reports of every cylinder asked for:
-the cylinder frequency, the martingale check and the averaged square.
+exactly uniform.  When 2k = 2^b no byte is ever redrawn and r is the shift
+u >> (8 - b), with no product.  Chunks hold 25,000 paths.  Records made
+before this stream (which drew r with `Generator.integers` in chunks of
+10,000) have other Monte Carlo values.  One pass feeds all three boundary
+reports of every cylinder asked for: the cylinder frequency, the
+martingale check and the averaged square.
 
 A step of a chunk uses two identities so that it makes few passes over
 all of the chunk's paths.  The length chain is L' = |L + 2 [r != 0] - 1|.
 A path is stable at depth d when its last visit at or below d comes before
 its first reach of d + margin, so a running maximum of L and a look at the
-paths near the root decide it.  The draws, and so every path, letter,
-length and flag, are those of the plain step-by-step sampler, which the
-tests keep as their oracle.
+paths near the root decide it.  Each pass runs on the narrowest type that
+holds its values: the draws and the increments r != 0 in bytes, and the
+lengths and their running maximum in the narrowest signed type that holds
+-(n_steps + 1), so int8 below 128 steps, int16 below 2^15 and int32
+above.  The chunk is reduced from the sampler's letter indices: each path
+reads h off a table over (length, common prefix with w), with no word
+built.  The draws, and so every path, letter, length and flag, are those
+of the plain step-by-step sampler, which the tests keep as their oracle.
 
 Stationary measures of a chain that a group induces on a finite point set
 are read off in closed form, the G-space side of Choquet-Deny: they are
@@ -135,26 +141,29 @@ def _raw_bytes(bitgen, n: int) -> np.ndarray:
 
 
 def _draw_steps(bitgen, two_k: int, n: int) -> np.ndarray:
-    """n uniform int16 values in [0, two_k), two_k <= 256, from raw bytes.
+    """n uniform uint8 values in [0, two_k), two_k <= 256, from raw bytes.
 
     Lemire's multiply-shift: byte u gives the product u * two_k, whose high
     byte is the value.  A product whose low byte is below 256 mod two_k is
     redrawn, at its own position only, which leaves floor(256 / two_k)
-    accepted bytes on each value.
+    accepted bytes on each value.  When two_k = 2^b the high byte is
+    u >> (8 - b) and no byte is redrawn, so the draw is one shift of the
+    bytes, with no product.
     """
+    raw = _raw_bytes(bitgen, n)
+    if not two_k & (two_k - 1):  # two_k = 2^b has b + 1 bits
+        return raw >> (9 - two_k.bit_length())
     # the product is taken in uint16 by dtype, not by the promotion rules of
     # the numpy at hand (NumPy 1 would keep a uint8 array times a small
     # scalar in uint8, and wrap)
-    prod = np.multiply(_raw_bytes(bitgen, n), two_k, dtype=np.uint16)
+    prod = np.multiply(raw, two_k, dtype=np.uint16)
     limit = 256 % two_k
-    if limit:
-        redo = np.flatnonzero((prod & 255) < limit)
-        while redo.size:
-            fresh = np.multiply(_raw_bytes(bitgen, redo.size), two_k, dtype=np.uint16)
-            prod[redo] = fresh
-            redo = redo[(fresh & 255) < limit]
-    prod >>= 8
-    return prod.view(np.int16)  # every value is below 256
+    redo = np.flatnonzero((prod & 255) < limit)
+    while redo.size:
+        fresh = np.multiply(_raw_bytes(bitgen, redo.size), two_k, dtype=np.uint16)
+        prod[redo] = fresh
+        redo = redo[(fresh & 255) < limit]
+    return (prod >> 8).astype(np.uint8)
 
 
 def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depths=None,
@@ -173,16 +182,20 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
 
     Only the first `keep` letters of each word are stored, so letters are
     written only for pushes at depth < keep and memory is n_paths * keep.
-    Returns (prefix, lengths, stable, snap).  `prefix[:, j]` is the j-th
-    letter where j < lengths (entries at or past the length are stale).
-    Row i of `stable` is for the depth d = depths[i] (default: keep alone):
-    it marks the paths that reached length d + margin and never went back
-    below d + 1 after that, whose first min(d, keep) letters are final.
-    `snap` is (prefix, lengths) after `snapshot` steps, or None.
+    Returns (letters, lengths, stable, snap), in the sampler's own form:
+    `letters[j]` is the uint16 letter index of letter j of every path where
+    j < lengths (entries at or past the length are stale), and `lengths`
+    has the narrowest signed type that holds -(n_steps + 1): int8 below 128
+    steps, int16 below 2^15 and int32 up to 2^31.  Row i of `stable` is for
+    the depth d = depths[i] (default: keep alone): it marks the paths that
+    reached length d + margin and never went back below d + 1 after that,
+    whose first min(d, keep) letters are final.  `snap` is (letters,
+    lengths) after `snapshot` steps, or None.
 
-    A step makes few passes over the whole chunk:
-    - the length chain is L' = |L + 2 [r != 0] - 1|: np.sign(r), two +=,
-      -= 1 and np.abs, all in int16 (int32 from 2^15 steps on);
+    A step makes few passes over the whole chunk, each on the narrowest
+    type that holds its values:
+    - the length chain is L' = |L + 2 [r != 0] - 1|: the bytes r != 0 read
+      as int8, two +=, -= 1 and np.abs, in the type of `lengths`;
     - a path is stable at d when its last visit at or below d comes before
       its first reach of d + margin.  So one running maximum of L stands for
       the reach flags of every depth, and a fall to d is looked for only
@@ -191,22 +204,26 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
     - letters are stored one row per depth, so that a depth is one
       contiguous row, and L has the parity of the step, so only every other
       depth can push.
-    The step writes its letters and falls by dense per-depth blends while at
-    least n_paths / 32 paths start it near the root (below `keep`, or at most
-    max(depths) + 1 deep once a fall can be seen), and by a gather on those
-    paths otherwise.  The rule reads only that count.  Measured per step on
-    25,000 paths (2 cores, k = 2), the gather costs as much as the blends
-    at 2-3% of the paths near for words of up to 3 letters, and at about 8%
-    for 8 letters.  Neither form changes a draw.  The caller checks k.
+    The step writes its letters and falls by dense per-depth blends, in
+    uint16, while at least n_paths / 32 paths start it near the root (below
+    `keep`, or at most max(depths) + 1 deep once a fall can be seen), and by
+    a gather on those paths otherwise.  The rule reads only that count.
+    Measured on int16 lengths per step on 25,000 paths (2 cores, k = 2), the
+    gather costs as much as the blends at 2-3% of the paths near for words
+    of up to 3 letters, and at about 8% for 8 letters.  Re-measured on int8
+    lengths (100 steps, 2 cores, medians of 15 runs of 4 chunks),
+    crossovers at 1/32, 1/48, 1/64 and 1/96 took 4.1-4.4 ms a chunk for
+    depths (2,), (1, 2) and (3,), 7.7-7.9 ms for (8,) and 7.1-7.2 ms at
+    k = 3, within the spread of one another, so 1/32 stays.  Neither form changes a draw.  The caller
+    checks k.
     """
     two_k = 2 * k
     bitgen = rng.bit_generator
-    gens = _gens_array(k)
     depths = (keep,) if depths is None else tuple(depths)
     reach = [d + margin for d in depths]
     deepest = max(depths)
-    # L <= n_steps, and int16 passes are about twice as fast as int32 ones
-    ltype = np.int16 if n_steps < 2**15 else np.int32
+    # 0 <= L <= n_steps; L + 2 may wrap within a step, but L' always fits
+    ltype = np.min_scalar_type(-n_steps - 1)
     # rows[j + 1] holds letter j.  rows[0] is k, so that the letter pushed at
     # depth j is (rows[j] + k + r) mod 2k at every depth (at depth 0 it is r)
     rows = np.zeros((keep + 1, n_paths), dtype=np.uint16)
@@ -216,28 +233,24 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
     lengths = np.zeros(n_paths, dtype=ltype)
     highest = np.full(n_paths, np.iinfo(ltype).min, dtype=ltype)  # max L over steps 1..now
     fell = np.zeros((len(depths), n_paths), dtype=bool)
-
-    def state():  # (prefix, lengths); the prefix comes column by column
-        return gens[rows[1:].T], lengths.astype(np.int32)
-
     snap = None
     for step in range(n_steps):
         if step == snapshot:
-            snap = state()
+            snap = rows[1:].copy(), lengths.copy()
         r = _draw_steps(bitgen, two_k, n_paths)
+        nz = r != 0
         # the depths whose falls can be seen after this step: L <= step + 1
         falls = [i for i, t in enumerate(reach) if t <= step + 1]
         near = lengths <= min(step, max(keep - 1, deepest + 1 if falls else -1))
         if np.count_nonzero(near) * 32 >= n_paths:
             near = None
-            ru = r.view(np.uint16)
+            ru = r.astype(np.uint16)
             rr = None
             for j in range(step % 2, min(keep, step + 1), 2):
                 at = lengths == j
                 row = rows[j + 1]
                 if j:
                     if rr is None:
-                        nz = r != 0
                         rr = np.minimum(ru + ku, ru - ku)  # (r + k) mod 2k: uint16 wraps
                     at &= nz
                     new = rows[j] + rr
@@ -255,7 +268,7 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
                 push = (depth < keep) & ((r_near != 0) | (depth == 0))
                 at = depth[push].astype(np.intp) * n_paths + near[push]  # rows[L], flat
                 flat[at + n_paths] = (flat[at] + k + r_near[push]) % two_k
-        s = np.sign(r)
+        s = nz.view(np.int8)
         lengths += s
         lengths += s
         lengths -= 1
@@ -272,35 +285,52 @@ def _simulate_chunk(k, n_steps, n_paths, rng, keep, margin=DEFAULT_MARGIN, depth
             for i in falls:
                 fell[i, near[(depth <= depths[i]) & (top >= reach[i])]] = True
     if snapshot == n_steps:
-        snap = state()
+        snap = rows[1:].copy(), lengths.copy()
     stable = (highest >= np.array(reach)[:, None]) & ~fell
-    return *state(), stable, snap
+    return rows[1:], lengths, stable, snap
+
+
+def _prefix_cells(w_letters, columns, lengths):
+    """The cell L * (|w| + 1) + lcp of each vertex, for `_poisson_table`.
+
+    lcp is the length of the common prefix of w and the vertex, and L its
+    length.  `columns[j]` holds letter j of every vertex, in the code of
+    `w_letters`; it counts only where j < L.  Columns past |w| are not read.
+    """
+    cells = np.multiply(lengths, len(w_letters) + 1, dtype=np.intp)
+    agree = np.ones(len(lengths), dtype=bool)
+    for j, (letter, column) in enumerate(zip(w_letters, columns)):
+        agree &= column == letter
+        agree &= lengths > j
+        cells += agree
+    return cells
+
+
+def _poisson_table(k, m, top):
+    """h = nu_g([w]) on the cells of `_prefix_cells`, for |w| = m and |g| <= top.
+
+    Closed form: with q = 2k-1 and d = |g| + m - 2 lcp the tree distance
+    from g to w, h = 1 - (1/2k) q^{-d} when w is a prefix of g (g sits in
+    the shadow subtree), and h = ((2k-1)/2k) q^{-d} otherwise.  A cell with
+    lcp > |g| holds no vertex; its d is taken at lcp = |g|, so that no
+    power overflows.
+    """
+    lcp = np.arange(m + 1)
+    length = np.arange(top + 1)[:, None]
+    q = float(2 * k - 1)
+    q_d = q ** (2 * np.minimum(lcp, length) - length - m)  # q^{-d}
+    return np.where(lcp == m, 1.0 - q_d / (2 * k), (q / (2 * k)) * q_d).ravel()
 
 
 def _poisson_values(k, w_letters, words, lengths):
     """h(g) = nu_g([w]) for the simple walk at many vertices g at once.
 
     Row i of `words` holds the first letters of vertex i and `lengths[i]`
-    its length; only columns j < min(len(w), lengths[i]) are read.  Closed
-    form: with q = 2k-1 and d the tree distance from g to w,
-    h = 1 - (1/2k) q^{-d} when w is a prefix of g (g sits in the shadow
-    subtree), and h = ((2k-1)/2k) q^{-d} otherwise.  The powers q^{-d} are
-    read from one table over the exponent range, q ** -d for each d.
+    its length; only columns j < min(len(w), lengths[i]) are read.  Each
+    vertex reads its value off `_poisson_table` by its cell.
     """
-    m = len(w_letters)
-    # lcp: the length of the common prefix of w and each vertex, one column
-    # at a time (a cumprod along rows this short pays per row)
-    lcp = np.zeros(len(lengths), dtype=np.int64)
-    agree = np.ones(len(lengths), dtype=bool)
-    for j in range(min(m, words.shape[1])):
-        agree &= words[:, j] == w_letters[j]
-        agree &= lengths > j
-        lcp += agree
-    q = float(2 * k - 1)
-    # -d = 2 lcp - |g| - m lies in [-(max |g| + m), 0]
-    lo = -int(np.max(lengths, initial=0)) - m
-    q_d = (q ** np.arange(lo, 1))[2 * lcp - lengths - m - lo]  # q^{-d}
-    return np.where(lcp == m, 1.0 - q_d / (2 * k), (q / (2 * k)) * q_d)
+    table = _poisson_table(k, len(w_letters), int(np.max(lengths, initial=0)))
+    return table[_prefix_cells(w_letters, words.T, lengths)]
 
 
 def _chunk_seeds(seed: int, n_paths: int):
@@ -409,25 +439,29 @@ def boundary_reports(
     if snapshot > n_steps:
         raise ValueError(f"snapshot: expected at most n_steps = {n_steps}, got {snapshot}")
     depths = sorted({len(w) for w in words})
-    letters = [np.array(w.letters, dtype=np.int16) for w in words]
+    index = {int(g): i for i, g in enumerate(_gens_array(k))}  # the sampler's letter code
+    codes = [[index[s] for s in w.letters] for w in words]
     rows = [depths.index(len(w)) for w in words]
+    tables = []  # per word and by cell: h, whether w is a prefix, and agreement
+    for w in words:
+        h = _poisson_table(k, len(w), n_steps)
+        inside = np.arange(h.size) % (len(w) + 1) == len(w)  # the cells with lcp = |w|
+        tables.append((h, inside, np.abs(h - inside) < THRESHOLD))
     # per word: conclusive, matching and agreeing paths, sum of h^2 and h^4
     sums = [[0, 0, 0, 0.0, 0.0] for _ in words]
     for child, size in _chunk_seeds(seed, n_paths):
-        prefix, lengths, stable, (snap_prefix, snap_lengths) = _simulate_chunk(
+        letters, lengths, stable, (snap_letters, snap_lengths) = _simulate_chunk(
             k, n_steps, size, np.random.default_rng(child), depths[-1], depths=depths,
             snapshot=snapshot)
-        for acc, w_arr, row in zip(sums, letters, rows):
-            ok = stable[row]
-            inside = ok.copy()
-            for j, letter in enumerate(w_arr):  # by column: rows are short
-                inside &= prefix[:, j] == letter
-            close = np.abs(_poisson_values(k, w_arr, prefix, lengths) - inside) < THRESHOLD
-            h_snap = _poisson_values(k, w_arr, snap_prefix, snap_lengths)
+        for acc, code, row, (h, inside, close) in zip(sums, codes, rows, tables):
+            # a conclusive path is longer than w, so it escapes through [w]
+            # exactly when w is a prefix of it
+            cells = _prefix_cells(code, letters, lengths)[stable[row]]
+            h_snap = h[_prefix_cells(code, snap_letters, snap_lengths)]
             sq = h_snap * h_snap
-            acc[0] += int(ok.sum())
-            acc[1] += int(inside.sum())
-            acc[2] += int((ok & close).sum())
+            acc[0] += cells.size
+            acc[1] += int(np.count_nonzero(inside[cells]))
+            acc[2] += int(np.count_nonzero(close[cells]))
             acc[3] += float(sq.sum())
             acc[4] += float((sq * sq).sum())
     reports = []

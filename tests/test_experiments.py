@@ -297,6 +297,29 @@ def test_a_wrong_cylinder_measure_fails_criterion_8(monkeypatch, capsys):
     assert "criterion 08 harmonic_measure: FAIL (" in capsys.readouterr().out
 
 
+def test_a_scaled_markov_matrix_fails_criterion_1_without_a_traceback(monkeypatch, capsys):
+    # M scaled by 1 + 1e-3 is not stochastic, so the coset indicators are not
+    # harmonic for it: the diamond product raised on them, and suite ended in a
+    # traceback with no record
+    markov = muharmonic.operators.right_markov_matrix
+    for module in ("operators", "harmonic", "experiments"):
+        monkeypatch.setattr(f"muharmonic.{module}.right_markov_matrix",
+                            lambda g, mu: (1 + 1e-3) * markov(g, mu))
+    failed = [c.name for c in run_criterion(1) if not c.passed]
+    assert "Z2_delta1: diamond == pointwise" in failed
+    assert cli_main(["suite"]) == 1
+    assert "criterion 01 finite_triviality: FAIL (" in capsys.readouterr().out
+
+
+def test_a_cylinder_check_with_no_conclusive_path_fails():
+    # below n = |w| + 10 no path is conclusive: the estimate 0, read with the
+    # sigma of one path, passed |0 - 1/12| against a bound of 1.1
+    record = run(ExperimentConfig(scenario="freewalk", word="ab", n=10, paths=2000))
+    assert record.extra["cylinder"]["inconclusive_count"] == 2000
+    check = next(c for c in record.checks if c.name == "|nu_hat([ab]) - 1/12|")
+    assert not check.passed and check.bound == 0.0
+
+
 def test_a_transposed_slice_matrix_fails_criterion_5(monkeypatch, capsys):
     # L[x, z] = kappa(z x^{-1}) in place of kappa(x z^{-1}): the slice matrix of
     # the reflected diagonal h -> kappa(h^{-1}).  Z2 and V4 cannot show it, as

@@ -122,11 +122,15 @@ def test_diamond_examples():
     assert np.abs(dia - 1.0).max() < 1e-12
 
 
-def test_diamond_rejects_non_harmonic():
+def test_diamond_of_a_non_harmonic_vector_differs_from_its_square():
+    # K(h1 h2) exists for any two vectors, so the product does not raise; for a
+    # vector that is not harmonic it differs from h1 h2, which criterion 1 reads.
+    # K averages over the cosets {0, 2, 4} and {1, 3, 5} of <2>
     mu = point_mass(Z6, 2)
     bad = np.arange(6, dtype=complex)
-    with pytest.raises(ValueError, match="residual"):
-        diamond_product(bad, bad, Z6, mu)
+    dia = diamond_product(bad, bad, Z6, mu)
+    assert np.abs(dia - np.tile([20 / 3, 35 / 3], 3)).max() < 1e-12
+    assert np.abs(dia - bad * bad).max() > 1
 
 
 def test_verdict_on_catalog_style_pairs():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muharmonic import (
     GSpaceAction,
@@ -39,6 +41,27 @@ from muharmonic.walks import (
 
 W_A = word(2, (1,))
 W_AB = word(2, (1, 2))
+
+
+def _as_words(k, chunk):
+    """A `_simulate_chunk` result in the form of `_reference_chunk`: letters as
+    words, row by path, and lengths as int32."""
+    gens = _gens_array(k)
+    letters, lengths, stable, snap = chunk
+
+    def words(letters, lengths):
+        return gens[letters.T], lengths.astype(np.int32)
+
+    return *words(letters, lengths), stable, None if snap is None else words(*snap)
+
+
+def _chunk_words(k, *args, **kwargs):
+    return _as_words(k, _simulate_chunk(k, *args, **kwargs))
+
+
+def _length_type(n_steps):
+    """The sampler's type for lengths: the narrowest that holds 0..n_steps."""
+    return np.int8 if n_steps < 128 else np.int16 if n_steps < 2**15 else np.int32
 
 
 def _mean_endpoint_length(k, n_steps, n_paths, seed):
@@ -130,7 +153,7 @@ def test_poisson_extension_harmonic_on_ball():
 
 def test_vectorized_h_matches_scalar():
     rng = np.random.default_rng(6)
-    words_arr, lengths, _, _ = _simulate_chunk(2, 40, 200, rng, keep=40)
+    words_arr, lengths, _, _ = _chunk_words(2, 40, 200, rng, keep=40)
     w_arr = np.array(W_AB.letters, dtype=np.int16)
     h_vec = _poisson_values(2, w_arr, words_arr, lengths)
     for i in range(200):
@@ -151,7 +174,7 @@ def _poisson_values_by_cumprod(k, w_letters, words, lengths):
 
 
 def test_poisson_values_are_bitwise_the_cumprod_form():
-    words_arr, lengths, _, (snap_words, snap_lengths) = _simulate_chunk(
+    words_arr, lengths, _, (snap_words, snap_lengths) = _chunk_words(
         2, 30, 2000, np.random.default_rng(33), 3, snapshot=4)
     ball, ball_lengths = _packed_ball(2, 5)
     cases = [(words_arr, lengths), (snap_words, snap_lengths), (ball, ball_lengths),
@@ -167,8 +190,8 @@ def test_poisson_values_are_bitwise_the_cumprod_form():
 def test_sampler_prefix_matches_full_words():
     # the draws do not depend on keep: a short prefix is the start of the full word
     for k, keep in ((2, 1), (2, 3), (3, 2)):
-        short = _simulate_chunk(k, 50, 500, np.random.default_rng(21), keep=keep)
-        full = _simulate_chunk(k, 50, 500, np.random.default_rng(21), keep=50)
+        short = _chunk_words(k, 50, 500, np.random.default_rng(21), keep=keep)
+        full = _chunk_words(k, 50, 500, np.random.default_rng(21), keep=50)
         assert short[0].shape == (500, keep)
         assert np.array_equal(short[0], full[0][:, :keep])
         assert np.array_equal(short[1], full[1])
@@ -195,13 +218,23 @@ def test_accepted_bytes_cover_each_value_equally():
     for s in range(1, 257):
         source = _Rounds()
         r = _draw_steps(source, s, 256)
-        assert r.dtype == np.int16
+        assert r.dtype == np.uint8
         counts = np.bincount(r, minlength=s)
         assert counts.size == s
         assert (counts[:-1] == 256 // s).all(), s
         assert counts[-1] == 256 // s + 256 % s, s
         redraw = (256 % s + 7) // 8
         assert source.sizes == ([32, redraw, redraw] if redraw else [32]), s
+
+
+def test_a_power_of_two_draw_is_the_high_bits_of_the_byte():
+    # at 2k = 2^b Lemire's (u * 2^b) >> 8 is u >> (8 - b), and no byte is redrawn
+    u = np.arange(256)
+    for b in range(9):
+        assert np.array_equal(u >> (8 - b), (u * 2**b) >> 8), b
+        source = _Rounds()
+        assert _draw_steps(source, 2**b, 256).tolist() == ((u * 2**b) >> 8).tolist(), b
+        assert source.sizes == [32], b
 
 
 def test_draws_read_the_words_little_endian():
@@ -248,8 +281,8 @@ def test_sampler_refuses_a_rank_above_128():
 
 def test_sampler_full_words_are_reduced():
     for k in (1, 2, 3):
-        words_arr, lengths, _, _ = _simulate_chunk(k, 30, 300, np.random.default_rng(22),
-                                                   keep=30)
+        words_arr, lengths, _, _ = _chunk_words(k, 30, 300, np.random.default_rng(22),
+                                                keep=30)
         assert np.all((lengths >= 0) & (lengths <= 30) & (lengths % 2 == 0))
         for i in range(300):
             letters = tuple(int(s) for s in words_arr[i, : lengths[i]])
@@ -301,8 +334,15 @@ def _same_arrays(got, expected):
 
 
 # (k, n_steps, n_paths, keep, margin, depths, snapshot): both step forms, ranks
-# up to 128, snapshots at the start, the middle and the end, and no step at all
+# up to 128, snapshots at the start, the middle and the end, and no step at all.
+# 2k = 2, 4, 8 and 256 draw by a shift, 2k = 6 and 10 redraw, on path counts
+# that are not a multiple of 8.  At k = 128 most paths push at every step: after
+# 127 steps most end 127 deep, having wrapped int8 within the last step, and
+# 128 steps take int16
 _CHUNK_CASES = [
+    (128, 127, 77, 2, 10, (1, 2), 126),
+    (128, 128, 77, 2, 10, None, 128),
+    (4, 127, 999, 3, 10, (1, 3), 127),
     (2, 100, 25_000, 2, 10, (1, 2), 60),
     (2, 100, 25_000, 2, 10, None, 0),
     (1, 40, 77, 1, 10, None, 40),
@@ -321,8 +361,10 @@ _CHUNK_CASES = [
 @pytest.mark.parametrize("seed", [50, 51, 52])
 def test_sampler_is_bitwise_the_reference_chunk(case, seed):
     k, n_steps, n_paths, keep, margin, depths, snapshot = case
-    got = _simulate_chunk(k, n_steps, n_paths, np.random.default_rng(seed), keep, margin,
-                          depths, snapshot)
+    chunk = _simulate_chunk(k, n_steps, n_paths, np.random.default_rng(seed), keep, margin,
+                            depths, snapshot)
+    assert chunk[1].dtype == _length_type(n_steps)
+    got = _as_words(k, chunk)
     expected = _reference_chunk(k, n_steps, n_paths, np.random.default_rng(seed), keep,
                                 margin, depths, snapshot)
     for a, b in zip(got[:3], expected[:3]):
@@ -334,16 +376,34 @@ def test_sampler_is_bitwise_the_reference_chunk(case, seed):
             _same_arrays(a, b)
 
 
-def test_sampler_keeps_long_runs_bitwise():
-    # from 2^15 steps on the sampler steps in int32: at k = 128 the drift is
-    # 254/256, and every length ends past the int16 range
-    n_steps = 2**15 + 500
-    got = _simulate_chunk(128, n_steps, 3, np.random.default_rng(53), 1, depths=(1,),
-                          snapshot=n_steps - 1)
+@pytest.mark.parametrize("n_steps, least", [(2**15 - 1, 32_000), (2**15 + 500, 2**15 - 1)])
+def test_sampler_keeps_long_runs_bitwise(n_steps, least):
+    # at k = 128 the drift is 254/256, so the lengths end about n_steps - 256
+    # deep: near the top of int16 after 2^15 - 1 steps, the most that int16
+    # takes, and past the int16 range after 2^15 + 500 steps, in int32
+    chunk = _simulate_chunk(128, n_steps, 3, np.random.default_rng(53), 1, depths=(1,),
+                            snapshot=n_steps - 1)
+    assert chunk[1].dtype == _length_type(n_steps)
+    got = _as_words(128, chunk)
     expected = _reference_chunk(128, n_steps, 3, np.random.default_rng(53), 1, depths=(1,),
                                 snapshot=n_steps - 1)
-    assert got[1].min() > np.iinfo(np.int16).max
+    assert got[1].min() > least
     for a, b in zip((*got[:3], *got[3]), (*expected[:3], *expected[3])):
+        _same_arrays(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 128]), st.integers(0, 140), st.integers(1, 40),
+       st.integers(1, 5), st.integers(1, 10), st.data())
+def test_sampler_is_the_reference_chunk_on_drawn_cases(k, n_steps, n_paths, keep, margin,
+                                                       data):
+    depths = tuple(sorted(data.draw(st.sets(st.integers(1, keep), min_size=1))))
+    snapshot = data.draw(st.none() | st.integers(0, n_steps))
+    got = _chunk_words(k, n_steps, n_paths, np.random.default_rng(54), keep, margin, depths,
+                       snapshot)
+    expected = _reference_chunk(k, n_steps, n_paths, np.random.default_rng(54), keep, margin,
+                                depths, snapshot)
+    for a, b in zip((*got[:3], *(got[3] or ())), (*expected[:3], *(expected[3] or ()))):
         _same_arrays(a, b)
 
 
@@ -401,8 +461,8 @@ def test_empirical_cylinder_frequencies_all_short_words():
     conclusive = 0
     for child, size in _chunk_seeds(77, n_paths):
         rng = np.random.default_rng(child)
-        words_arr, _, ok, _ = _simulate_chunk(2, n_steps, size, rng, keep=prefix_len,
-                                              margin=margin)
+        words_arr, _, ok, _ = _chunk_words(2, n_steps, size, rng, keep=prefix_len,
+                                           margin=margin)
         ok = ok[0]
         conclusive += int(ok.sum())
         prefixes = words_arr[ok].astype(np.int64)
@@ -463,14 +523,14 @@ def test_one_pass_reproduces_the_single_depth_sampler():
     # stability at each |w| and the letters match a run that keeps |w| letters;
     # the snapshot matches a run stopped at `snapshot` steps
     for k, n_paths in ((2, 1000), (3, 999)):
-        prefix, lengths, stable, (snap_prefix, snap_lengths) = _simulate_chunk(
+        prefix, lengths, stable, (snap_prefix, snap_lengths) = _chunk_words(
             k, 80, n_paths, np.random.default_rng(31), 2, 10, (1, 2), 50)
         for row, keep in enumerate((1, 2)):
-            ref = _simulate_chunk(k, 80, n_paths, np.random.default_rng(31), keep)
+            ref = _chunk_words(k, 80, n_paths, np.random.default_rng(31), keep)
             assert np.array_equal(prefix[:, :keep], ref[0])
             assert np.array_equal(lengths, ref[1])
             assert np.array_equal(stable[row], ref[2][0])
-        short = _simulate_chunk(k, 50, n_paths, np.random.default_rng(31), 2, snapshot=50)
+        short = _chunk_words(k, 50, n_paths, np.random.default_rng(31), 2, snapshot=50)
         assert np.array_equal(snap_prefix, short[0])
         assert np.array_equal(snap_lengths, short[1])
         # a snapshot at the last step is the final state
@@ -489,7 +549,7 @@ def test_martingale_one_step_mean_property():
     # E[h(X_{n+1}) | X_n] = h(X_n): regress one extra step over sampled paths
     n_paths = 100_000
     rng = np.random.default_rng(13)
-    words_arr, lengths, _, _ = _simulate_chunk(2, 20, n_paths, rng, keep=20)
+    words_arr, lengths, _, _ = _chunk_words(2, 20, n_paths, rng, keep=20)
     w_arr = np.array(W_A.letters, dtype=np.int16)
     h_before = _poisson_values(2, w_arr, words_arr, lengths)
     gens = _gens_array(2)
