@@ -730,6 +730,8 @@ def _crit_poisson_harmonicity() -> list[CheckResult]:
         _check("partition-of-unity residual on ball(8)",
                float(np.abs(total - 1.0).max()), 1e-12),
         _check("free word w * w^-1 == e", len(free_mul(w, free_inverse(w))), 0, "eq"),
+        # the modulus check below is vacuous on an empty basis, whose sum is 0
+        _check("Z6_delta2: harmonic rank == cosets", space.rank, 2, "eq"),
         _check("modulus of harmonic is subharmonic",
                subharmonic_check(habs.real, e6.group, e6.measure).max_violation, 1e-12),
         _check("max of extensions is subharmonic",

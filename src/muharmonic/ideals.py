@@ -175,30 +175,83 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis):
 
 # -------------------------------------------------------- averaged norm trace
 
-# rows of the step buffer of quotient_norm_trace: its memory stays bounded
-# whatever n_max, and the norms of a block are taken in one array pass
+# running sums in one block of quotient_norm_trace, whose norms are taken in
+# one array pass: memory stays a few blocks whatever n_max.  A power of two,
+# so that the doubling of the first block ends on P^_TRACE_BLOCK
 _TRACE_BLOCK = 256
 
+# quotient_norm_trace raises P to powers up to this dimension, and gathers
+# through its nonzeros one step at a time above it: the powers cost d^3 per
+# squaring and d^2 per sum, the gather k d and one Python step per sum.  Every
+# l^1 ideal (d <= 120) takes the powers.  Above 256 come only trace ideals of
+# order >= 17 (d >= 289), whose rows hold at most order <= d / 16 nonzeros;
+# on S4 (d = 576, k = 2) the gather took 5.5 ms against 37 ms for the powers
+# at n_max = 257, and 43 ms against 71 ms at 4096 (2 cores, OpenBLAS)
+_POWERS_MAX_DIM = 256
 
-def _row_gather(p: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """P as a padded row gather (cols, vals), each of shape (k, d), or None.
+
+def _row_gather(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P as a padded row gather (cols, vals), each of shape (k, d).
 
     With d = dim P and k the most nonzeros in a row, column i of cols holds
     row i's nonzero columns in order, padded by zero weights in vals, so that
-    P y = (vals * y[cols]).sum(axis=0).  It is returned only when
-    d >= max(64, 16 k): on S5 with two nonzeros a row (d = 120) a step takes
-    half the time of p @ y, while below d = 64, or from k = 8 on S5, the
-    dense product is as fast or faster.
+    P y = (vals * y[cols]).sum(axis=0), which adds the k products in order.
     """
     d = p.shape[0]
-    if d < 64:
-        return None
     nonzero = p != 0
     k = int(nonzero.sum(axis=1).max())
-    if d < 16 * k:
-        return None
     cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :k].T.copy()
     return cols, p[np.arange(d), cols]
+
+
+def _power_sums(p: np.ndarray, x: np.ndarray, n_max: int):
+    """The running sums S_n = sum_{i<=n} P^i x, n = 1..n_max, as rows of blocks.
+
+    Blocks have _TRACE_BLOCK rows (the last may be short), and each is the
+    caller's to overwrite.  A row vector y^T maps to (P y)^T = y^T P^T, and
+    S_{a+j} = S_a + P^a S_j.  The first block doubles: with its first m rows
+    and q = (P^m)^T, the next m are S_m + S_j q.  A later block, after S_a,
+    holds S_a + D_j with D_j = P^a S_j, the block before's D times
+    q = (P^_TRACE_BLOCK)^T: one matrix product and one addition per block.
+    """
+    size = min(_TRACE_BLOCK, n_max)
+    first = np.empty((size, x.size), dtype=x.dtype)
+    np.matmul(x, p.T, out=first[0])
+    q, m = p.T, 1  # q = (P^m)^T while rows remain
+    while m < size:
+        k = min(m, size - m)
+        np.matmul(first[:k], q, out=first[m : m + k])
+        first[m : m + k] += first[m - 1]
+        m += k
+        if m < n_max:
+            q = q @ q
+    out = first.copy()
+    yield out
+    moved, spare, base = first, np.empty_like(first), first[-1]
+    for start in range(size, n_max, size):
+        rows = min(size, n_max - start)
+        np.matmul(moved[:rows], q, out=spare[:rows])
+        moved, spare = spare, moved
+        np.add(base, moved[:rows], out=out[:rows])
+        base = out[rows - 1].copy()
+        yield out[:rows]
+
+
+def _gather_sums(p: np.ndarray, x: np.ndarray, n_max: int):
+    """The running sums as `_power_sums` gives them, one gather step and one addition per n."""
+    cols, vals = _row_gather(p)
+    buf = np.empty((min(_TRACE_BLOCK, n_max), x.size), dtype=x.dtype)
+    y, acc = x, np.zeros_like(x)
+    for start in range(0, n_max, len(buf)):
+        block = buf[: n_max - start]
+        for row in block:
+            y = (vals * y[cols]).sum(axis=0)
+            row[...] = y
+        # the running sums acc + y_i, in the order of a per-step loop
+        block[0] += acc
+        np.cumsum(block, axis=0, out=block)
+        acc = block[-1].copy()
+        yield block
 
 
 def _write_series_csv(path, values) -> None:
@@ -247,43 +300,34 @@ class QuotientNormTrace:
 def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> QuotientNormTrace:
     """Compute a_n for n <= n_max and compare with the ideal distance.
 
-    The averages are those of the ideal's predual operator, their norms
-    those of its ambient.  Each step is one product P y: a padded row
-    gather through P's nonzeros when d >= max(64, 16 k) (see `_row_gather`),
-    the dense p @ y otherwise.  The gather adds the same products, so it
-    agrees with p @ y up to rounding order and fused multiply-adds, and
-    bitwise for two nonzeros a row with dyadic weights.  The steps fill a
-    buffer of at most 256 rows, whose norms are taken in one pass, so memory
-    stays bounded whatever n_max.  The distance is quotient_norm when the ideal
-    carries its H-orbit labels, and the LP (l1_distance) otherwise.  The
-    averages stay above it for every n; the report does not judge itself, and
-    callers check that bound and the tightness |a_N - dist| at their chosen N.
+    The averages are those of the ideal's predual operator P, their norms
+    those of its ambient.  The running sums S_n = sum_{i<=n} P^i x come in
+    blocks of 256, whose norms are taken in one pass, so memory stays a few
+    blocks whatever n_max.  Up to dimension 256 (`_POWERS_MAX_DIM`) a block
+    is one matrix product with a power of P and one addition (see
+    `_power_sums`): it adds in another order than a per-step loop, and
+    closer to that loop run in extended precision.  Above, each step is one
+    gather through P's nonzeros (see `_row_gather`), added to the sum in
+    turn: bitwise the loop of p @ y for two nonzeros a row with dyadic
+    weights.  When P and x have zero imaginary part the whole call runs in
+    float64.  The distance is quotient_norm when the ideal carries its
+    H-orbit labels, and the LP (l1_distance) otherwise.  The averages stay
+    above it for every n; the report does not judge itself, and callers
+    check that bound and the tightness |a_N - dist| at their chosen N.
     """
     n_max = _positive_integer(n_max, "n_max")
     p = ideal.predual_op
-    gather = _row_gather(p)
-    if gather is None:
-        step = p.__matmul__
-    else:
-        cols, vals = gather
-        step = lambda y: (vals * y[cols]).sum(axis=0)
     x = np.asarray(x, dtype=np.complex128)
-    norms = np.empty(n_max)
-    buf = np.empty((min(_TRACE_BLOCK, n_max), x.size), dtype=np.complex128)
-    y = x
-    acc = np.zeros_like(x)
-    for start in range(0, n_max, buf.shape[0]):
-        block = buf[: min(buf.shape[0], n_max - start)]
-        for row in block:
-            y = step(y)
-            row[...] = y
-        # the running sums acc + y_i in the order of the per-step loop
-        block[0] += acc
-        np.cumsum(block, axis=0, out=block)
-        acc = block[-1].copy()
-        block /= np.arange(start + 1, start + block.shape[0] + 1)[:, None]
-        norms[start : start + block.shape[0]] = _ambient_norms(block, ideal.ambient)
     dist = quotient_norm(x, ideal) if ideal.labels is not None else l1_distance(x, ideal)
+    if not (np.any(x.imag) or np.any(p.imag)):  # real data: real arithmetic, as subspaces._svd
+        p, x = np.ascontiguousarray(p.real), x.real.copy()
+    blocks = (_power_sums if len(p) <= _POWERS_MAX_DIM else _gather_sums)(p, x, n_max)
+    norms = np.empty(n_max)
+    start = 0
+    for sums in blocks:
+        sums /= np.arange(start + 1, start + len(sums) + 1)[:, None]
+        norms[start : start + len(sums)] = _ambient_norms(sums, ideal.ambient)
+        start += len(sums)
     return QuotientNormTrace(tuple(norms.tolist()), dist, ideal.ambient)
 
 

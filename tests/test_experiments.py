@@ -311,6 +311,22 @@ def test_a_scaled_markov_matrix_fails_criterion_1_without_a_traceback(monkeypatc
     assert "criterion 01 finite_triviality: FAIL (" in capsys.readouterr().out
 
 
+def test_a_scaled_markov_matrix_fails_criterion_11_on_the_harmonic_rank(monkeypatch, capsys):
+    # under the same scaling Z6_delta2 has no harmonic vector: the summed
+    # basis is 0, whose modulus is trivially subharmonic, so only the rank
+    # check can tell
+    markov = muharmonic.operators.right_markov_matrix
+    monkeypatch.setattr("muharmonic.experiments.right_markov_matrix",
+                        lambda g, mu: (1 + 1e-3) * markov(g, mu))
+    checks = {c.name: c for c in run_criterion(11)}
+    assert not checks["Z6_delta2: harmonic rank == cosets"].passed
+    assert checks["Z6_delta2: harmonic rank == cosets"].value == 0
+    assert cli_main(["suite"]) == 1
+    out, err = capsys.readouterr()
+    assert "criterion 11 poisson_harmonicity: FAIL (" in out
+    assert "Traceback" not in out + err
+
+
 def test_a_cylinder_check_with_no_conclusive_path_fails():
     # below n = |w| + 10 no path is conclusive: the estimate 0, read with the
     # sigma of one path, passed |0 - 1/12| against a bound of 1.1
@@ -465,6 +481,23 @@ def test_derriennic_on_s5_runs_no_lp(monkeypatch):
     assert record.passed
     assert [c.name for c in record.checks] == ["custom: |a_N - quotient norm|",
                                                "custom: min a_n - quotient norm"]
+
+
+@pytest.mark.parametrize("spec", ["catalog", "S5"])
+def test_derriennic_reruns_are_byte_identical(spec, tmp_path):
+    # the averages come from blocked matrix products; two runs in one process
+    # must still write the same series and record (criterion 15's promise)
+    config = {"scenario": "derriennic", **(_s5_spec() if spec == "S5" else {})}
+
+    def rerun():  # into the same directory, so that the records echo the same out
+        record = run(ExperimentConfig.from_dict({**config, "out": str(tmp_path)}))
+        assert record.passed
+        csvs = sorted(tmp_path.glob("derriennic_*.csv"))
+        return record.canonical_json(), {path.name: path.read_bytes() for path in csvs}
+
+    first, second = rerun(), rerun()
+    assert len(first[1]) == (1 if spec == "S5" else len(catalog()))
+    assert first == second
 
 
 def test_out_directory_env_override(tmp_path, monkeypatch, capsys):

@@ -36,7 +36,8 @@ from muharmonic import (
 )
 from muharmonic import subspaces
 from muharmonic.experiments import ExperimentConfig, run
-from muharmonic.ideals import _STACK_MULADDS, _TRACE_BLOCK, _haar_labels, _row_gather
+from muharmonic.ideals import (_POWERS_MAX_DIM, _STACK_MULADDS, _TRACE_BLOCK, _haar_labels,
+                               _row_gather)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -571,8 +572,8 @@ def _l1_norm(v):
     return float(np.abs(v).sum())
 
 
-# S3 (d = 6 and 36) steps by the dense product; S5 in l1 (d = 120) and S4 in
-# the trace ambient (d = 576) step by the row gather
+# S3 (d = 6 and 36) and S5 in l1 (d = 120) take the powers of P; S4 in the
+# trace ambient (d = 576) steps by the row gather
 _STEP_CASES = {
     "l1": lambda: (coboundary_ideal(S3, S3_MU), _l1_norm),
     "trace": lambda: (trace_class_ideal(S3, S3_MU), _trace_norm),
@@ -581,46 +582,106 @@ _STEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("case, n_max", [
-    *((case, n_max) for case in ("l1", "trace", "S5-l1")
-      for n_max in (1, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1, 4096)),
-    ("S4-trace", 1), ("S4-trace", _TRACE_BLOCK + 1),
-])
-def test_quotient_norm_trace_is_bitwise_the_per_step_loop(case, n_max):
+def _step_case_x(d, n_max, kind):
     rng = np.random.default_rng(n_max)
+    x = rng.standard_normal(d)
+    return x + 1j * rng.standard_normal(d) if kind == "complex" else x
+
+
+# 1, 2 and 3 end the doubling early, 255-257 sit on the edge of the first
+# block, and 4096 runs 16 blocks
+@pytest.mark.parametrize("case", ["l1", "trace", "S5-l1"])
+@pytest.mark.parametrize("n_max", [1, 2, 3, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1,
+                                   4096])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_quotient_norm_trace_powers_match_the_per_step_loop(case, n_max, kind):
+    # the powers of P add in another order: up to 9.2e-14 relative on these
+    # cases, nearly all of it the loop's own rounding, which takes its 4096
+    # terms one at a time (against the loop in long double, 2.9e-15 and 9e-14)
     ideal, norm = _STEP_CASES[case]()
     p = ideal.predual_op
-    x = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
+    assert len(p) <= _POWERS_MAX_DIM
+    x = _step_case_x(len(p), n_max, kind)
+    got = np.array(quotient_norm_trace(x, ideal, n_max).norms)
+    want = np.array(_norms_by_steps(x, p, n_max, norm))
+    assert got.shape == (n_max,)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double here")
+@pytest.mark.parametrize("case", ["l1", "S5-l1"])
+def test_quotient_norm_trace_powers_are_closer_to_a_long_double_loop(case):
+    # the per-step loop in float64 parts from the loop in long double by up
+    # to 9e-14 at n = 4096; the powers stay within a few units of rounding
+    ideal, _ = _STEP_CASES[case]()
+    p = ideal.predual_op.real.astype(np.longdouble)
+    n_max = 4096
+    x = _step_case_x(len(p), n_max, "real")
+    y, acc, want = x.astype(np.longdouble), 0, []
+    for n in range(1, n_max + 1):
+        y = p @ y
+        acc = acc + y
+        want.append(float(np.abs(acc / n).sum()))
+    want = np.array(want)
+    got = np.array(quotient_norm_trace(x, ideal, n_max).norms)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [1, _TRACE_BLOCK + 1])
+def test_quotient_norm_trace_gather_is_bitwise_the_per_step_loop(n_max):
+    ideal, norm = _STEP_CASES["S4-trace"]()
+    p = ideal.predual_op
+    assert len(p) > _POWERS_MAX_DIM
+    x = _step_case_x(len(p), n_max, "complex")
     got = quotient_norm_trace(x, ideal, n_max).norms
     assert len(got) == n_max
     assert np.array(got).tobytes() == np.array(_norms_by_steps(x, p, n_max, norm)).tobytes()
 
 
-def test_quotient_norm_trace_gather_matches_the_dense_loop_for_non_dyadic_weights():
+@pytest.mark.parametrize("case", ["S5-l1", "S4-trace"])
+def test_quotient_norm_trace_matches_the_per_step_loop_for_non_dyadic_weights(case):
     # 0.7 and 0.3 round in each product, and BLAS may fuse the product into
-    # its sum, so the two steps can part in the last bits
-    ideal = coboundary_ideal(S5, from_pairs(S5, zip(S5_GENS, (0.7, 0.3))))
-    assert _row_gather(ideal.predual_op) is not None
+    # its sum, so the powers (S5) and the gather (S4 trace) can part from the
+    # step p @ y in the last bits
+    if case == "S5-l1":
+        ideal, norm = coboundary_ideal(S5, from_pairs(S5, zip(S5_GENS, (0.7, 0.3)))), _l1_norm
+    else:
+        ideal, norm = trace_class_ideal(S4, from_pairs(S4, zip(S4_GENS, (0.7, 0.3)))), _trace_norm
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(S5.order) + 1j * rng.standard_normal(S5.order)
+    d = len(ideal.predual_op)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     n_max = _TRACE_BLOCK + 1
     got = np.array(quotient_norm_trace(x, ideal, n_max).norms)
-    want = np.array(_norms_by_steps(x, ideal.predual_op, n_max, _l1_norm))
+    want = np.array(_norms_by_steps(x, ideal.predual_op, n_max, norm))
     assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
-def test_row_gather_is_taken_only_for_large_sparse_operators():
-    for e in catalog():  # d <= 24: the dense product
-        assert _row_gather(coboundary_ideal(e.group, e.measure).predual_op) is None
-    cols, vals = _row_gather(coboundary_ideal(S5, uniform_on(S5, S5_GENS)).predual_op)
-    assert cols.shape == vals.shape == (2, S5.order)
-    cols, vals = _row_gather(trace_class_ideal(S4, uniform_on(S4, S4_GENS)).predual_op)
-    assert cols.shape == (2, S4.order**2)
-    # full support on S5: k = 120 > d / 16, so the dense product
-    assert _row_gather(coboundary_ideal(S5, uniform_on(S5, range(S5.order))).predual_op) is None
-    # k = 7 still gathers on S5 (120 >= 16 * 7), k = 8 does not
-    assert _row_gather(coboundary_ideal(S5, uniform_on(S5, range(7))).predual_op) is not None
-    assert _row_gather(coboundary_ideal(S5, uniform_on(S5, range(8))).predual_op) is None
+def test_row_gather_is_taken_only_above_dimension_256(monkeypatch):
+    gathered = []
+
+    def recording(p):
+        cols, vals = _row_gather(p)
+        gathered.append((len(p), cols.shape))
+        return cols, vals
+
+    monkeypatch.setattr("muharmonic.ideals._row_gather", recording)
+    z16, z17 = cyclic_group(16), cyclic_group(17)
+    ideals = [coboundary_ideal(e.group, e.measure) for e in catalog()]
+    ideals += [
+        coboundary_ideal(S5, uniform_on(S5, S5_GENS)),
+        coboundary_ideal(S5, uniform_on(S5, range(S5.order))),  # k = d = 120
+        trace_class_ideal(S3, S3_MU),
+        trace_class_ideal(z16, uniform_on(z16, range(16))),  # d = 256, k = 16
+        trace_class_ideal(z17, point_mass(z17, 1)),  # d = 289, k = 1
+        trace_class_ideal(z17, uniform_on(z17, range(17))),  # d = 289, k = 17
+        trace_class_ideal(S4, uniform_on(S4, S4_GENS)),  # d = 576, k = 2
+    ]
+    for ideal in ideals:
+        x = np.random.default_rng(7).standard_normal(len(ideal.predual_op))
+        assert len(quotient_norm_trace(x, ideal, 3).norms) == 3
+    # every dimension up to 256 takes the powers, whatever k; every larger one gathers
+    assert gathered == [(289, (1, 289)), (289, (17, 289)), (576, (2, 576))]
 
 
 def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
@@ -635,11 +696,14 @@ def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
         assert len(result.norms) == n_max
         return peak - current
 
-    for g, gens in ((S4, S4_GENS), (S5, S5_GENS)):  # the dense step, then the gather
-        ideal = coboundary_ideal(g, uniform_on(g, gens))
-        x = np.random.default_rng(5).standard_normal(g.order)
+    z17 = cyclic_group(17)
+    for ideal in (coboundary_ideal(S4, uniform_on(S4, S4_GENS)),  # the powers, d = 24
+                  coboundary_ideal(S5, uniform_on(S5, S5_GENS)),  # the powers, d = 120
+                  trace_class_ideal(z17, point_mass(z17, 1))):  # the gather, d = 289
+        d = len(ideal.predual_op)
+        x = np.random.default_rng(5).standard_normal(d)
         small, large = transient_peak(x, ideal, 512), transient_peak(x, ideal, 8192)
-        # keeping every average would add 16 * |G| (384 or 1920) bytes per extra
+        # keeping every average would add 8 d (192, 960 or 2312) bytes per extra
         # step; only the float64 norms, on their way into the result tuple, may grow
         assert large - small <= 16 * (8192 - 512)
 
