@@ -24,8 +24,8 @@ import numpy as np
 
 from ._ops import MARKED, collecting, operation
 from .errors import ConfigError, ConstructionError
-from .freegroup import (FreeWord, _packed_ball, _packed_neighbors, free_ball, free_inverse,
-                        free_mul, word)
+from .freegroup import (FreeWord, _packed_ball, _packed_neighbors, empty_word, free_ball,
+                        free_inverse, free_mul, word)
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, generated_subgroup,
                      group_from_table, product_group, symmetric_group)
 from .harmonic import (
@@ -78,7 +78,7 @@ from .operators import (
     right_markov_matrix,
     right_regular,
 )
-from .subspaces import kernel, mutual_residual
+from .subspaces import column_space, kernel, mutual_residual
 from .walks import (
     CylinderEstimate,
     DiamondReport,
@@ -86,6 +86,7 @@ from .walks import (
     _poisson_values,
     boundary_reports,
     harmonic_measure_cylinder,
+    poisson_extension,
     sample_path,
     stationary_measure,
     subharmonic_check,
@@ -556,7 +557,7 @@ def _crit_projection() -> list[CheckResult]:
                              float(-k.real.min()), 1e-12))
         space = harmonic_space(m)
         checks.append(_check(f"{e.name}: rank K == dim harmonic",
-                             report.range_rank, space.rank, "eq"))
+                             column_space(k).rank, space.rank, "eq"))
         worst = max(space.residual(col) for col in k.T)
         checks.append(_check(f"{e.name}: range(K) in harmonic space", worst, 1e-9))
     return checks
@@ -625,7 +626,7 @@ def _crit_quotient_norms() -> list[CheckResult]:
         xs /= np.abs(xs).sum(axis=0, keepdims=True)  # signed, unit l1 mass
         a_final = np.abs(cesaro_mean(ideal.predual_op, n_avg) @ xs).sum(axis=0)
         lp = l1_distance(xs, ideal)  # one complement for the 20 points
-        closed = np.array([quotient_norm(x, ideal) for x in xs.T])
+        closed = quotient_norm(xs, ideal)
         checks.append(_check(f"{e.name}: |a_4096 - lp distance|",
                              np.abs(a_final - lp).max(), 5e-3))
         witnesses.append(_check(f"{e.name}: |lp - closed form|", np.abs(lp - closed).max(), 1e-9))
@@ -729,6 +730,9 @@ def _crit_poisson_harmonicity() -> list[CheckResult]:
                float(np.abs(gaps).max()), 1e-12),
         _check("partition-of-unity residual on ball(8)",
                float(np.abs(total - 1.0).max()), 1e-12),
+        _check("h(e) == nu([w]) on [a] and [ab]",
+               max(abs(poisson_extension(2, v, empty_word(2)) - harmonic_measure_cylinder(2, v))
+                   for v in (parse_word(2, "a"), parse_word(2, "ab"))), 1e-15),
         _check("free word w * w^-1 == e", len(free_mul(w, free_inverse(w))), 0, "eq"),
         # the modulus check below is vacuous on an empty basis, whose sum is 0
         _check("Z6_delta2: harmonic rank == cosets", space.rank, 2, "eq"),

@@ -1,11 +1,13 @@
 """Fixed spaces of averaging operators and the norm-1 projection onto them.
 
-The Cesaro projection K returned here is the exact limit of the averages
-(1/n) sum_{i<=n} M^i, computed algebraically as the spectral projection onto
-ker(I - M) along range(I - M).  The averages themselves converge only at
-O(1/n) (periodic chains oscillate), so the report carries the average at
-a chosen n and its distance from K, in the closed form
-avg_n - K = (1/n) N (I - N^n) (I - N)^{-1} with N = M - K.
+By Choquet-Deny on a finite group, the harmonic functions are constant on
+the left cosets of H = <supp mu>, and the Cesaro limit K of the averages
+(1/n) sum_{i<=n} M^i is the Haar average M(omega_H): the diamond product
+K(h1 h2) takes coset means and factors nothing.  The generic K, the
+projection onto ker(I - M) along range(I - M) from one SVD of I - M, stays
+as the oracle.  The averages converge only at O(1/n) (periodic chains
+oscillate), so the report carries the average at a chosen n and its
+distance from K: avg_n - K = (1/n) N (I - N^n) (I - N)^{-1}, N = M - K.
 
 The subgroup-invariant spaces are closed form too: the functions fixed by
 H are the left-coset indicators, and the matrices commuting with rho(H) are
@@ -21,17 +23,10 @@ import numpy as np
 from ._ops import operation
 from .groups import (FiniteGroup, Subgroup, _positive_integer, generated_subgroup, left_cosets,
                      orbit_labels)
-from .measures import FiniteMeasure, _measure_on_window
+from .ideals import haar_average
+from .measures import FiniteMeasure, _measure_on, _measure_on_window
 from .operators import right_markov_matrix
-from .subspaces import (
-    Subspace,
-    _rank,
-    _svd,
-    column_space,
-    kernel,
-    kernel_and_range,
-    mutual_residual,
-)
+from .subspaces import Subspace, _rank, _svd, kernel, kernel_and_range, mutual_residual
 
 # the Frobenius gap below which cesaro_projection calls the averages converged
 _CONVERGED_GAP = 1e-10
@@ -156,10 +151,11 @@ def cesaro_projection(m: np.ndarray, n_max: int) -> ProjectionReport:
     The report gives the Frobenius gap ||A_n - K||_F; n_iterations is that n,
     and converged_iteratively says whether the gap is below 1e-10 (periodic
     chains converge only along some n).  It also carries ||K^2 - K||_F, the
-    max absolute row sum of K and the rank of its range.
+    max absolute row sum of K and range_rank, the rank of ker(I - M), which
+    is the range of K: K and that rank come from one factorization of I - M.
     """
     n_max = _positive_integer(n_max, "n_max")
-    k = cesaro_limit(m)
+    fixed, k = _fixed_space_and_limit(m)
     average = cesaro_mean(m, n_max, k)
     gap = float(np.linalg.norm(average - k))
     return ProjectionReport(
@@ -167,7 +163,7 @@ def cesaro_projection(m: np.ndarray, n_max: int) -> ProjectionReport:
         average=average,
         idempotency_residual=float(np.linalg.norm(k @ k - k)),
         norm_inf=float(np.abs(k).sum(axis=1).max()),
-        range_rank=column_space(k).rank,
+        range_rank=fixed.rank,
         converged_iteratively=gap < _CONVERGED_GAP,
         n_iterations=n_max,
         iterative_gap=gap,
@@ -175,26 +171,21 @@ def cesaro_projection(m: np.ndarray, n_max: int) -> ProjectionReport:
 
 
 @operation
-def diamond_product(
-    h1: np.ndarray,
-    h2: np.ndarray,
-    g: FiniteGroup,
-    mu: FiniteMeasure,
-) -> np.ndarray:
-    """Limit of the averaged pointwise products of two harmonic vectors.
+def diamond_product(h1: np.ndarray, h2: np.ndarray, g: FiniteGroup,
+                    mu: FiniteMeasure) -> np.ndarray:
+    """Limit of the averaged pointwise products of two vectors: K(h1 h2).
 
-    Computed as K(h1 h2), the Cesaro limit of M^n (h1 h2), which exists for
-    any two vectors.  On a finite group the pointwise product of harmonic
-    vectors is again harmonic, so for harmonic h1 and h2 the result
-    coincides with h1*h2; the triviality verdict tests exactly that
-    coincidence.  Whether h1 and h2 are harmonic is not checked: for a
-    vector that is not harmonic the product differs from h1*h2, which is
-    what criterion 1 compares.
+    K, the Cesaro limit of M(mu)^n for a probability mu, is the Haar average
+    of H = <supp mu>, so this is the mean of h1 h2 over each left coset xH.
+    For harmonic h1 and h2 (coset-constant) it is h1*h2, which the verdict
+    tests.  Whether they are harmonic is not checked: for a vector that is
+    not, the product differs from h1*h2, which is what criterion 1 compares.
     """
-    m = right_markov_matrix(g, mu)
-    h1 = np.asarray(h1, dtype=np.complex128)
-    h2 = np.asarray(h2, dtype=np.complex128)
-    return cesaro_limit(m) @ (h1 * h2)
+    _measure_on(g, mu, "mu", probability=True)
+    prod = np.asarray(h1) * np.asarray(h2)
+    if prod.shape != (g.order,):
+        raise ValueError(f"h1 * h2: expected a vector of length {g.order}, got shape {prod.shape}")
+    return haar_average(prod, orbit_labels(g, generated_subgroup(g, mu.support())))
 
 
 @dataclass(frozen=True)
@@ -225,8 +216,8 @@ def harmonic_triviality_verdict(
 
     Both conditions hold on every finite group; the verdict reports whether
     the two checks agree (`consistent`) and does not assert it.
-    The fixed space ker(I - M) and the Cesaro limit K come from one
-    factorization of I - M.
+    Both halves stay generic, as oracles for the closed forms: ker(I - M) and
+    the K of its diamond products come from one factorization of I - M.
     """
     space, k = _fixed_space_and_limit(right_markov_matrix(g, mu))
     h_mu = generated_subgroup(g, mu.support())

@@ -129,13 +129,14 @@ def _ambient_norms(rows: np.ndarray, ambient: str) -> np.ndarray:
 
 
 @operation
-def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
+def quotient_norm(x: np.ndarray, ideal: IdealBasis):
     """dist(x, ideal) in the ambient norm, in closed form: ||E_H x||.
 
     x - E_H x lies in the ideal, and pairing x with the sign of E_H x (l^1)
     or with the adjoint polar part of E_H X (trace), both fixed by H, attains
     ||E_H x||.  In l^1 this is the sum over left cosets of |sum_coset x|; in
-    the trace ambient, the trace norm of E_H X.
+    the trace ambient, the trace norm of E_H X.  A vector x (d,) gives a
+    float, a batch (d, k) of columns k floats, each bitwise its column's.
     """
     if ideal.labels is None:
         advice = ("build the trace ideal with trace_class_ideal, which records them"
@@ -143,7 +144,9 @@ def quotient_norm(x: np.ndarray, ideal: IdealBasis) -> float:
                   else "use l1_distance for an ideal given only by its operator")
         raise ValueError("quotient_norm needs the H-orbit labels that coboundary_ideal and "
                          f"trace_class_ideal record for a probability measure; {advice}")
-    return float(_ambient_norms(haar_average(x, ideal.labels)[None, :], ideal.ambient)[0])
+    x = np.asarray(x, dtype=np.complex128)
+    norms = _ambient_norms(haar_average(x.reshape(x.shape[0], -1).T, ideal.labels), ideal.ambient)
+    return float(norms[0]) if x.ndim == 1 else norms
 
 
 @operation
@@ -160,17 +163,16 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis):
     trace ambient: the closed form of quotient_norm (trace_class_ideal records
     the H-orbit labels).
     """
-    x = np.asarray(x, dtype=np.complex128)
-    cols = x.reshape(x.shape[0], -1).T
     if ideal.ambient == "trace":
-        dists = [quotient_norm(v, ideal) for v in cols]
-    elif ideal.rank:
+        return quotient_norm(x, ideal)
+    x = np.asarray(x, dtype=np.complex128)
+    if ideal.rank:
         from .lp import l1_distance_to_span
 
         return l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
-    else:  # the ideal is {0}; the copy is C-ordered, so each row sums as one vector
-        dists = _ambient_norms(cols.copy(), "l1").tolist()
-    return dists[0] if x.ndim == 1 else np.array(dists)
+    # the ideal is {0}; the copy is C-ordered, so each row sums as one vector
+    dists = _ambient_norms(x.reshape(x.shape[0], -1).T.copy(), "l1")
+    return float(dists[0]) if x.ndim == 1 else dists
 
 
 # -------------------------------------------------------- averaged norm trace

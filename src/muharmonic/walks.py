@@ -49,7 +49,7 @@ from .groups import (FiniteGroup, _element_index, _orbit_numbering, _positive_in
                      generated_subgroup)
 from .measures import FiniteMeasure, ZWindow, _measure_on
 from .operators import GSpaceAction
-from .freegroup import FreeWord, empty_word
+from .freegroup import FreeWord
 
 CHUNK_SIZE = 25_000
 DEFAULT_MARGIN = 10
@@ -429,9 +429,8 @@ def boundary_reports(
     words = tuple(words)
     if not words:
         raise ValueError("give at least one cylinder word")
-    # both raise for a word of another rank or the empty word
+    # raises for a word of another rank or the empty word; h(e) = nu([w])
     boundary = [harmonic_measure_cylinder(k, w) for w in words]
-    h_e = [poisson_extension(k, w, empty_word(k)) for w in words]
     n_steps = _positive_integer(n_steps, "n_steps", 0)
     n_paths = _positive_integer(n_paths, "n_paths")
     snapshot = _positive_integer(snapshot, "snapshot", 0)
@@ -465,9 +464,9 @@ def boundary_reports(
             acc[3] += float(sq.sum())
             acc[4] += float((sq * sq).sum())
     reports = []
-    for (conclusive, matches, agree, total, total_sq), nu, h0 in zip(sums, boundary, h_e):
+    for (conclusive, matches, agree, total, total_sq), nu in zip(sums, boundary):
         p = matches / conclusive if conclusive else 0.0
-        est = total / n_paths if snapshot else h0 * h0  # every path is at e at step 0
+        est = total / n_paths if snapshot else nu * nu  # every path is at e at step 0
         var = max(total_sq / n_paths - est * est, 0.0) if snapshot else 0.0
         reports.append(BoundaryReport(
             CylinderEstimate(p, float(np.sqrt(p * (1 - p) / conclusive)) if conclusive else 0.0,
@@ -475,7 +474,7 @@ def boundary_reports(
             MartingaleReport(n_paths, n_steps, conclusive / n_paths,
                              agree / conclusive if conclusive else 0.0,
                              n_paths - conclusive, THRESHOLD, seed),
-            DiamondReport(est, float(np.sqrt(var / n_paths)), nu, h0 * h0, n_paths, snapshot, seed),
+            DiamondReport(est, float(np.sqrt(var / n_paths)), nu, nu * nu, n_paths, snapshot, seed),
         ))
     return tuple(reports)
 

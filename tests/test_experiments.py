@@ -208,9 +208,9 @@ def test_coverage_counts_calls_not_claims(monkeypatch, capsys):
     assert not coverage.passed
 
 
-def test_harmonic_scenario_factorizes_twice_per_entry(monkeypatch):
+def test_harmonic_scenario_factorizes_once_per_entry(monkeypatch):
     # the verdict's fixed space and Cesaro limit share one factorization of
-    # I - M; diamond_product's limit is the other
+    # I - M; diamond_product takes coset means and factors nothing
     s5 = symmetric_group(5)
     support = [s5.labels.index("(1 2)"), s5.labels.index("(1 2 3 4 5)")]
     svd = np.linalg.svd
@@ -225,12 +225,12 @@ def test_harmonic_scenario_factorizes_twice_per_entry(monkeypatch):
         "scenario": "harmonic", "group": {"kind": "symmetric", "n": 5},
         "measure": {"uniform_on": support}}))
     assert record.passed
-    assert shapes == [(120, 120)] * 2
+    assert shapes == [(120, 120)]
 
 
-def test_cesaro_scenario_factorizes_twice_per_entry(monkeypatch):
-    # the projection report's K and A_n share one factorization of I - M;
-    # column_space(K), the independent rank, is the other
+def test_cesaro_scenario_factorizes_once_per_entry(monkeypatch):
+    # the projection report's K, A_n and range rank share one factorization
+    # of I - M; criterion 3 factors K again for its independent rank
     s5 = symmetric_group(5)
     support = [s5.labels.index("(1 2)"), s5.labels.index("(1 2 3 4 5)")]
     svd = np.linalg.svd
@@ -245,7 +245,7 @@ def test_cesaro_scenario_factorizes_twice_per_entry(monkeypatch):
         "scenario": "cesaro", "group": {"kind": "symmetric", "n": 5},
         "measure": {"uniform_on": support}, "n": 4000}))
     assert record.passed
-    assert shapes == [(120, 120)] * 2
+    assert shapes == [(120, 120)]
 
 
 def test_triviality_disagreement_is_a_failing_check_not_a_traceback(monkeypatch, capsys):
@@ -278,12 +278,31 @@ def test_quotient_norm_defect_is_a_failing_check_not_a_traceback(monkeypatch, ca
 def test_a_wrong_cesaro_limit_fails_criterion_2(monkeypatch, capsys):
     # the uniform matrix is the limit only when <supp mu> is the whole group:
     # on Z6 with delta_2 the averages spread over three cosets, not six
-    monkeypatch.setattr("muharmonic.harmonic.cesaro_limit",
-                        lambda m: np.full(np.shape(m), 1.0 / len(m)))
+    fixed_and_limit = muharmonic.harmonic._fixed_space_and_limit
+    monkeypatch.setattr("muharmonic.harmonic._fixed_space_and_limit",
+                        lambda m: (fixed_and_limit(m)[0], np.full(np.shape(m), 1.0 / len(m))))
     failed = [c.name for c in run_criterion(2) if not c.passed]
     assert "Z6_delta2: tv(A_1000, haar)" in failed
     assert cli_main(["suite"]) == 1
     assert "criterion 02 cesaro_limit: FAIL (" in capsys.readouterr().out
+
+
+def test_a_scaled_cesaro_limit_fails_criterion_3(monkeypatch, capsys):
+    # K scaled by 1 + 1e-3 where the projection report takes it: no longer
+    # idempotent, and its rows sum to 1.001
+    fixed_and_limit = muharmonic.harmonic._fixed_space_and_limit
+
+    def scaled(m):
+        fixed, k = fixed_and_limit(m)
+        return fixed, (1 + 1e-3) * k
+
+    monkeypatch.setattr("muharmonic.harmonic._fixed_space_and_limit", scaled)
+    failed = [c.name for c in run_criterion(3) if not c.passed]
+    assert {"Z2_delta1: ||K^2-K||", "Z2_delta1: | ||K||_inf - 1 |"} <= set(failed)
+    assert cli_main(["suite"]) == 1
+    out, err = capsys.readouterr()
+    assert "criterion 03 projection: FAIL (" in out
+    assert "Traceback" not in out + err
 
 
 def test_a_wrong_cylinder_measure_fails_criterion_8(monkeypatch, capsys):
@@ -300,13 +319,14 @@ def test_a_wrong_cylinder_measure_fails_criterion_8(monkeypatch, capsys):
 def test_a_scaled_markov_matrix_fails_criterion_1_without_a_traceback(monkeypatch, capsys):
     # M scaled by 1 + 1e-3 is not stochastic, so the coset indicators are not
     # harmonic for it: the diamond product raised on them, and suite ended in a
-    # traceback with no record
+    # traceback with no record.  The diamond product takes coset means
+    # without M, so the verdict's harmonic rank (0) is what fails
     markov = muharmonic.operators.right_markov_matrix
     for module in ("operators", "harmonic", "experiments"):
         monkeypatch.setattr(f"muharmonic.{module}.right_markov_matrix",
                             lambda g, mu: (1 + 1e-3) * markov(g, mu))
     failed = [c.name for c in run_criterion(1) if not c.passed]
-    assert "Z2_delta1: diamond == pointwise" in failed
+    assert "Z2_delta1: dim harmonic == cosets" in failed
     assert cli_main(["suite"]) == 1
     assert "criterion 01 finite_triviality: FAIL (" in capsys.readouterr().out
 
@@ -321,6 +341,20 @@ def test_a_scaled_markov_matrix_fails_criterion_11_on_the_harmonic_rank(monkeypa
     checks = {c.name: c for c in run_criterion(11)}
     assert not checks["Z6_delta2: harmonic rank == cosets"].passed
     assert checks["Z6_delta2: harmonic rank == cosets"].value == 0
+    assert cli_main(["suite"]) == 1
+    out, err = capsys.readouterr()
+    assert "criterion 11 poisson_harmonicity: FAIL (" in out
+    assert "Traceback" not in out + err
+
+
+def test_a_scaled_poisson_extension_fails_criterion_11(monkeypatch, capsys):
+    # h(e) = nu([w]); boundary_reports reads nu([w]) alone, so only
+    # criterion 11 calls poisson_extension
+    poisson = muharmonic.experiments.poisson_extension
+    monkeypatch.setattr("muharmonic.experiments.poisson_extension",
+                        lambda k, w, g: (1 + 1e-3) * poisson(k, w, g))
+    failed = [c.name for c in run_criterion(11) if not c.passed]
+    assert failed == ["h(e) == nu([w]) on [a] and [ab]"]
     assert cli_main(["suite"]) == 1
     out, err = capsys.readouterr()
     assert "criterion 11 poisson_harmonicity: FAIL (" in out

@@ -5,6 +5,7 @@ from muharmonic import (
     ConstructionError,
     FiniteMeasure,
     approximate_identity,
+    catalog,
     cesaro_average,
     cesaro_limit,
     cesaro_mean,
@@ -38,6 +39,8 @@ Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
 Z6 = cyclic_group(6)
 S3 = symmetric_group(3)
+S5 = symmetric_group(5)
+S5_MU = uniform_on(S5, [S5.labels.index("(1 2)"), S5.labels.index("(1 2 3 4 5)")])
 
 
 def test_harmonic_space_examples():
@@ -131,6 +134,41 @@ def test_diamond_of_a_non_harmonic_vector_differs_from_its_square():
     dia = diamond_product(bad, bad, Z6, mu)
     assert np.abs(dia - np.tile([20 / 3, 35 / 3], 3)).max() < 1e-12
     assert np.abs(dia - bad * bad).max() > 1
+
+
+@pytest.mark.parametrize("g, mu", [(e.group, e.measure) for e in catalog()] + [(S5, S5_MU)],
+                         ids=[e.name for e in catalog()] + ["S5"])
+def test_diamond_product_is_the_generic_cesaro_limit(g, mu):
+    # the coset means of h1 h2 against K(h1 h2), with K from an SVD of I - M
+    rng = np.random.default_rng(g.order)
+    h1, h2 = rng.standard_normal((2, g.order)) + 1j * rng.standard_normal((2, g.order))
+    generic = cesaro_limit(right_markov_matrix(g, mu)) @ (h1 * h2)
+    assert np.abs(diamond_product(h1, h2, g, mu) - generic).max() <= 1e-12
+
+
+def test_diamond_product_factors_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("diamond_product factored a matrix")
+
+    for name in ("svd", "solve"):
+        monkeypatch.setattr(f"numpy.linalg.{name}", refuse)
+    h = np.arange(S5.order, dtype=complex)
+    assert np.abs(diamond_product(h, h, S5, S5_MU) - np.mean(h * h)).max() < 1e-9
+
+
+@pytest.mark.parametrize("pairs", [[(2, 0.5)], [(2, 1.5), (4, -0.5)], [(2, 1j)]],
+                         ids=["mass 1/2", "signed", "complex"])
+def test_diamond_product_refuses_a_measure_that_is_not_a_probability(pairs):
+    # the coset means are K(h1 h2) only for a probability; the generic route
+    # returned a value for any measure
+    with pytest.raises(ValueError, match=r"^mu: expected a probability measure on Z6, got "):
+        diamond_product(np.ones(6), np.ones(6), Z6, from_pairs(Z6, pairs))
+
+
+def test_diamond_product_refuses_a_vector_of_another_length():
+    # a length-12 product would be averaged as two rows of six, without the guard
+    with pytest.raises(ValueError, match=r"^h1 \* h2: expected a vector of length 6, got "):
+        diamond_product(np.ones(12), np.ones(12), Z6, point_mass(Z6, 2))
 
 
 def test_verdict_on_catalog_style_pairs():

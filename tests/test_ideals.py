@@ -212,6 +212,20 @@ def test_trace_distance_factors_nothing(monkeypatch):
     assert len(calls) == 24
 
 
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_quotient_norm_batch_is_bitwise_the_per_column_calls(entry):
+    # a (d, k) batch gives k floats, as l1_distance does, on both ambients
+    rng = np.random.default_rng(entry.group.order)
+    for ideal in (coboundary_ideal(entry.group, entry.measure),
+                  trace_class_ideal(entry.group, entry.measure)):
+        d = ideal.labels.size
+        for xs in (rng.standard_normal((d, 5)),
+                   rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))):
+            batch = quotient_norm(xs, ideal)
+            assert batch.shape == (5,)
+            assert batch.tobytes() == np.array([quotient_norm(x, ideal) for x in xs.T]).tobytes()
+
+
 def test_trace_closed_form_matches_grid_on_z2():
     ideal = trace_class_ideal(Z2, point_mass(Z2, 1))
     assert np.abs(ideal.space.basis.imag).max() < 1e-12

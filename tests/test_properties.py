@@ -19,6 +19,7 @@ from muharmonic import (
     convolve,
     coset_action,
     cyclic_group,
+    diamond_product,
     dihedral_group,
     from_pairs,
     generated_subgroup,
@@ -180,6 +181,18 @@ def test_cesaro_limit_is_the_haar_projection(spec, data):
     assert np.linalg.norm(k @ k - k) < 1e-9
     assert abs(np.abs(k).sum(axis=1).max() - 1.0) < 1e-9
     assert np.linalg.norm(k - right_markov_matrix(g, haar_on_subgroup(g, h))) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(GROUP_SPECS, st.data())
+def test_diamond_product_is_the_generic_cesaro_limit(spec, data):
+    # the coset means of h1 h2 against K(h1 h2), with K from an SVD of I - M
+    g = _group(spec)
+    mu, _ = _sparse_probability(g, data)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h1, h2 = rng.standard_normal((2, g.order)) + 1j * rng.standard_normal((2, g.order))
+    generic = cesaro_limit(right_markov_matrix(g, mu)) @ (h1 * h2)
+    assert np.abs(diamond_product(h1, h2, g, mu) - generic).max() <= 1e-12
 
 
 @PROPERTY_SETTINGS
