@@ -24,6 +24,7 @@ import numpy as np
 
 from ._ops import operation
 from .groups import FiniteGroup, _positive_integer, generated_subgroup, orbit_labels
+from .lp import l1_distance_to_span
 from .measures import (FiniteMeasure, _measure_on, cesaro_average, convolve, point_mass, reflect,
                        tv_norm)
 from .operators import (
@@ -167,8 +168,6 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis):
         return quotient_norm(x, ideal)
     x = np.asarray(x, dtype=np.complex128)
     if ideal.rank:
-        from .lp import l1_distance_to_span
-
         return l1_distance_to_span(x, ideal.space.basis.T)  # columns span the ideal
     # the ideal is {0}; the copy is C-ordered, so each row sums as one vector
     dists = _ambient_norms(x.reshape(x.shape[0], -1).T.copy(), "l1")
@@ -177,33 +176,11 @@ def l1_distance(x: np.ndarray, ideal: IdealBasis):
 
 # -------------------------------------------------------- averaged norm trace
 
-# running sums in one block of quotient_norm_trace, whose norms are taken in
-# one array pass: memory stays a few blocks whatever n_max.  A power of two,
-# so that the doubling of the first block ends on P^_TRACE_BLOCK
+# running sums in one block of quotient_norm_trace: one product with a power
+# of P at every dimension, and one array pass for the norms, so memory stays a
+# few blocks whatever n_max.  A power of two, so that the doubling of the
+# first block ends on P^_TRACE_BLOCK
 _TRACE_BLOCK = 256
-
-# quotient_norm_trace raises P to powers up to this dimension, and gathers
-# through its nonzeros one step at a time above it: the powers cost d^3 per
-# squaring and d^2 per sum, the gather k d and one Python step per sum.  Every
-# l^1 ideal (d <= 120) takes the powers.  Above 256 come only trace ideals of
-# order >= 17 (d >= 289), whose rows hold at most order <= d / 16 nonzeros;
-# on S4 (d = 576, k = 2) the gather took 5.5 ms against 37 ms for the powers
-# at n_max = 257, and 43 ms against 71 ms at 4096 (2 cores, OpenBLAS)
-_POWERS_MAX_DIM = 256
-
-
-def _row_gather(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P as a padded row gather (cols, vals), each of shape (k, d).
-
-    With d = dim P and k the most nonzeros in a row, column i of cols holds
-    row i's nonzero columns in order, padded by zero weights in vals, so that
-    P y = (vals * y[cols]).sum(axis=0), which adds the k products in order.
-    """
-    d = p.shape[0]
-    nonzero = p != 0
-    k = int(nonzero.sum(axis=1).max())
-    cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :k].T.copy()
-    return cols, p[np.arange(d), cols]
 
 
 def _power_sums(p: np.ndarray, x: np.ndarray, n_max: int):
@@ -237,23 +214,6 @@ def _power_sums(p: np.ndarray, x: np.ndarray, n_max: int):
         np.add(base, moved[:rows], out=out[:rows])
         base = out[rows - 1].copy()
         yield out[:rows]
-
-
-def _gather_sums(p: np.ndarray, x: np.ndarray, n_max: int):
-    """The running sums as `_power_sums` gives them, one gather step and one addition per n."""
-    cols, vals = _row_gather(p)
-    buf = np.empty((min(_TRACE_BLOCK, n_max), x.size), dtype=x.dtype)
-    y, acc = x, np.zeros_like(x)
-    for start in range(0, n_max, len(buf)):
-        block = buf[: n_max - start]
-        for row in block:
-            y = (vals * y[cols]).sum(axis=0)
-            row[...] = y
-        # the running sums acc + y_i, in the order of a per-step loop
-        block[0] += acc
-        np.cumsum(block, axis=0, out=block)
-        acc = block[-1].copy()
-        yield block
 
 
 def _write_series_csv(path, values) -> None:
@@ -305,13 +265,10 @@ def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> Quotien
     The averages are those of the ideal's predual operator P, their norms
     those of its ambient.  The running sums S_n = sum_{i<=n} P^i x come in
     blocks of 256, whose norms are taken in one pass, so memory stays a few
-    blocks whatever n_max.  Up to dimension 256 (`_POWERS_MAX_DIM`) a block
-    is one matrix product with a power of P and one addition (see
-    `_power_sums`): it adds in another order than a per-step loop, and
-    closer to that loop run in extended precision.  Above, each step is one
-    gather through P's nonzeros (see `_row_gather`), added to the sum in
-    turn: bitwise the loop of p @ y for two nonzeros a row with dyadic
-    weights.  When P and x have zero imaginary part the whole call runs in
+    blocks whatever n_max.  Each block is one matrix product with a power of
+    P and one addition (see `_power_sums`): it adds in another order than a
+    per-step loop of p @ y, and closer to that loop run in extended
+    precision.  When P and x have zero imaginary part the whole call runs in
     float64.  The distance is quotient_norm when the ideal carries its
     H-orbit labels, and the LP (l1_distance) otherwise.  The averages stay
     above it for every n; the report does not judge itself, and callers
@@ -323,10 +280,9 @@ def quotient_norm_trace(x: np.ndarray, ideal: IdealBasis, n_max: int) -> Quotien
     dist = quotient_norm(x, ideal) if ideal.labels is not None else l1_distance(x, ideal)
     if not (np.any(x.imag) or np.any(p.imag)):  # real data: real arithmetic, as subspaces._svd
         p, x = np.ascontiguousarray(p.real), x.real.copy()
-    blocks = (_power_sums if len(p) <= _POWERS_MAX_DIM else _gather_sums)(p, x, n_max)
     norms = np.empty(n_max)
     start = 0
-    for sums in blocks:
+    for sums in _power_sums(p, x, n_max):
         sums /= np.arange(start + 1, start + len(sums) + 1)[:, None]
         norms[start : start + len(sums)] = _ambient_norms(sums, ideal.ambient)
         start += len(sums)

@@ -44,8 +44,6 @@ class Subspace:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the subspace."""
-        if self.rank == 0:
-            return np.zeros_like(np.asarray(v, dtype=np.complex128))
         b = self.basis
         return b.T @ (b.conj() @ np.asarray(v, dtype=np.complex128))
 

@@ -48,7 +48,7 @@ from ._ops import operation
 from .groups import (FiniteGroup, _element_index, _orbit_numbering, _positive_integer,
                      generated_subgroup)
 from .measures import FiniteMeasure, ZWindow, _measure_on
-from .operators import GSpaceAction
+from .operators import GSpaceAction, right_markov_matrix
 from .freegroup import FreeWord
 
 CHUNK_SIZE = 25_000
@@ -530,8 +530,6 @@ class SubharmonicReport:
 @operation
 def subharmonic_check(h: np.ndarray, g: FiniteGroup, mu: FiniteMeasure) -> SubharmonicReport:
     """Verify h(x) <= sum_t h(x t) mu(t) at every group element."""
-    from .operators import right_markov_matrix
-
     h = np.asarray(h, dtype=float)
     averaged = (right_markov_matrix(g, mu).real @ h).real
     return SubharmonicReport(float((h - averaged).max()), g.order)

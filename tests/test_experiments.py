@@ -305,6 +305,98 @@ def test_a_scaled_cesaro_limit_fails_criterion_3(monkeypatch, capsys):
     assert "Traceback" not in out + err
 
 
+def _assert_suite_fails_on(criterion_line, capsys):
+    """`suite` exits 1 with a FAIL line for the criterion and no traceback."""
+    capsys.readouterr()
+    assert cli_main(["suite"]) == 1
+    out, err = capsys.readouterr()
+    assert criterion_line + ": FAIL (" in out
+    assert "Traceback" not in out + err
+
+
+def test_a_scaled_k_in_the_report_fails_criterion_3(monkeypatch, capsys):
+    # criterion 3 read ||K^2 - K|| and ||K||_inf from the report's own fields,
+    # so a K scaled after they were taken passed all of its checks
+    projection = muharmonic.experiments.cesaro_projection
+
+    def scaled(m, n_max):
+        report = projection(m, n_max)
+        return replace(report, K=(1 + 1e-3) * report.K)
+
+    monkeypatch.setattr("muharmonic.experiments.cesaro_projection", scaled)
+    failed = [c.name for c in run_criterion(3) if not c.passed]
+    assert {"Z2_delta1: ||K^2-K||", "Z2_delta1: | ||K||_inf - 1 |"} <= set(failed)
+    _assert_suite_fails_on("criterion 03 projection", capsys)
+
+
+def test_a_scaled_conjugation_operator_fails_criterion_4(monkeypatch, capsys):
+    # a scaled pi(mu) fixes no operator: its fixed rank is 0 on every entry
+    conjugation = muharmonic.experiments.conjugation_operator
+    monkeypatch.setattr("muharmonic.experiments.conjugation_operator",
+                        lambda g, mu: (1 + 1e-3) * conjugation(g, mu))
+    failed = [c.name for c in run_criterion(4) if not c.passed]
+    assert "Z2_delta1: fixed rank == commutant rank" in failed
+    _assert_suite_fails_on("criterion 04 operator_harmonic_space", capsys)
+
+
+def _cesaro_average_from_zero(mu, n):
+    """(1/n) sum_{i=0..n-1} mu^i: the true average plus (delta_e - mu^n) / n."""
+    g = mu.carrier
+    shift = (muharmonic.point_mass(g, g.identity).weights
+             - muharmonic.convolution_power(mu, n).weights)
+    return FiniteMeasure(g, muharmonic.measures.cesaro_average(mu, n).weights + shift / n)
+
+
+@pytest.mark.parametrize("defect", ["scaled", "from_zero"])
+def test_a_wrong_cesaro_average_fails_criterion_7(defect, monkeypatch, capsys):
+    # both defects kept the approximate-identity residuals below 1e-2, and
+    # suite passed; the average against (1/8) sum mu^i by convolution catches them
+    average = muharmonic.measures.cesaro_average
+    wrong = ((lambda mu, n: FiniteMeasure(mu.carrier, (1 + 1e-3) * average(mu, n).weights))
+             if defect == "scaled" else _cesaro_average_from_zero)
+    for module in ("ideals", "experiments"):
+        monkeypatch.setattr(f"muharmonic.{module}.cesaro_average", wrong)
+    failed = [c.name for c in run_criterion(7) if not c.passed]
+    assert failed == ["cesaro_average(mu, 8) == (1/8) sum_{i<=8} mu^i"]
+    _assert_suite_fails_on("criterion 07 approximate_identity", capsys)
+
+
+def test_a_shifted_decay_sequence_fails_criterion_13(monkeypatch, capsys):
+    # <mu^(n+1), delta_0> in place of <mu^n, delta_0>: the odd powers sit
+    # where the binomials are, and vanish
+    decay = muharmonic.experiments.weak_star_decay
+
+    def shifted(mu, f_pairs, n_max):
+        report = decay(mu, f_pairs, n_max + 1)
+        return replace(report, values=report.values[1:])
+
+    monkeypatch.setattr("muharmonic.experiments.weak_star_decay", shifted)
+    failed = [c.name for c in run_criterion(13) if not c.passed]
+    assert failed == ["binomial match over 2m <= 200"]
+    _assert_suite_fails_on("criterion 13 lattice_decay", capsys)
+
+
+def test_a_wrapped_window_operator_fails_criterion_14(monkeypatch, capsys):
+    # T_L wrapped around the window is stochastic, a walk on a cycle of 2L + 1
+    # points: the constants are its kernel, rank 1 at L = 5 and at L = 50
+    def wrapped(mu, window):
+        pts = np.arange(-window, window + 1)
+        diff = (pts[:, None] - pts[None, :] + window) % pts.size - window
+        offset = diff - mu.carrier.lo
+        inside = (offset >= 0) & (offset < mu.carrier.size)
+        t = np.where(inside, mu.weights[np.clip(offset, 0, mu.carrier.size - 1)], 0.0).real
+        svals = np.linalg.svd(np.eye(pts.size) - t, compute_uv=False)
+        rank = muharmonic.subspaces._rank(svals)
+        return muharmonic.harmonic.L1TrivialityReport(window, pts.size - rank, False,
+                                                      float(svals[-1]))
+
+    monkeypatch.setattr("muharmonic.experiments.l1_harmonic_triviality", wrapped)
+    checks = run_criterion(14)
+    assert [(c.name, c.value, c.passed) for c in checks] == [
+        ("kernel rank at L=5", 1, False), ("kernel rank at L=50", 1, False)]
+    _assert_suite_fails_on("criterion 14 l1_triviality", capsys)
+
+
 def test_a_wrong_cylinder_measure_fails_criterion_8(monkeypatch, capsys):
     # 1% too much on every cylinder: the four length-1 cylinders sum to 1.01
     cylinder = muharmonic.experiments.harmonic_measure_cylinder
@@ -510,7 +602,7 @@ def test_derriennic_on_s5_runs_no_lp(monkeypatch):
     def no_lp(*args):
         raise AssertionError("the LP ran")
 
-    monkeypatch.setattr("muharmonic.lp.l1_distance_to_span", no_lp)
+    monkeypatch.setattr("muharmonic.ideals.l1_distance_to_span", no_lp)
     record = run(ExperimentConfig.from_dict({"scenario": "derriennic", **_s5_spec()}))
     assert record.passed
     assert [c.name for c in record.checks] == ["custom: |a_N - quotient norm|",

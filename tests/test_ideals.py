@@ -36,8 +36,7 @@ from muharmonic import (
 )
 from muharmonic import subspaces
 from muharmonic.experiments import ExperimentConfig, run
-from muharmonic.ideals import (_POWERS_MAX_DIM, _STACK_MULADDS, _TRACE_BLOCK, _haar_labels,
-                               _row_gather)
+from muharmonic.ideals import _STACK_MULADDS, _TRACE_BLOCK, _haar_labels
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -586,8 +585,8 @@ def _l1_norm(v):
     return float(np.abs(v).sum())
 
 
-# S3 (d = 6 and 36) and S5 in l1 (d = 120) take the powers of P; S4 in the
-# trace ambient (d = 576) steps by the row gather
+# S3 (d = 6 and 36), S5 in l1 (d = 120) and S4 in the trace ambient (d = 576):
+# every dimension takes the powers of P
 _STEP_CASES = {
     "l1": lambda: (coboundary_ideal(S3, S3_MU), _l1_norm),
     "trace": lambda: (trace_class_ideal(S3, S3_MU), _trace_norm),
@@ -603,10 +602,14 @@ def _step_case_x(d, n_max, kind):
 
 
 # 1, 2 and 3 end the doubling early, 255-257 sit on the edge of the first
-# block, and 4096 runs 16 blocks
-@pytest.mark.parametrize("case", ["l1", "trace", "S5-l1"])
-@pytest.mark.parametrize("n_max", [1, 2, 3, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1,
-                                   4096])
+# block, and 4096 runs 16 blocks; S4 in the trace ambient, the largest
+# dimension, runs a single power and the first two blocks
+@pytest.mark.parametrize("n_max, case", [
+    (n_max, case)
+    for n_max in (1, 2, 3, _TRACE_BLOCK - 1, _TRACE_BLOCK, _TRACE_BLOCK + 1, 4096)
+    for case in ("l1", "trace", "S5-l1", "S4-trace")
+    if case != "S4-trace" or n_max in (1, _TRACE_BLOCK + 1)
+])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_quotient_norm_trace_powers_match_the_per_step_loop(case, n_max, kind):
     # the powers of P add in another order: up to 9.2e-14 relative on these
@@ -614,7 +617,6 @@ def test_quotient_norm_trace_powers_match_the_per_step_loop(case, n_max, kind):
     # terms one at a time (against the loop in long double, 2.9e-15 and 9e-14)
     ideal, norm = _STEP_CASES[case]()
     p = ideal.predual_op
-    assert len(p) <= _POWERS_MAX_DIM
     x = _step_case_x(len(p), n_max, kind)
     got = np.array(quotient_norm_trace(x, ideal, n_max).norms)
     want = np.array(_norms_by_steps(x, p, n_max, norm))
@@ -642,22 +644,10 @@ def test_quotient_norm_trace_powers_are_closer_to_a_long_double_loop(case):
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
-@pytest.mark.parametrize("n_max", [1, _TRACE_BLOCK + 1])
-def test_quotient_norm_trace_gather_is_bitwise_the_per_step_loop(n_max):
-    ideal, norm = _STEP_CASES["S4-trace"]()
-    p = ideal.predual_op
-    assert len(p) > _POWERS_MAX_DIM
-    x = _step_case_x(len(p), n_max, "complex")
-    got = quotient_norm_trace(x, ideal, n_max).norms
-    assert len(got) == n_max
-    assert np.array(got).tobytes() == np.array(_norms_by_steps(x, p, n_max, norm)).tobytes()
-
-
 @pytest.mark.parametrize("case", ["S5-l1", "S4-trace"])
 def test_quotient_norm_trace_matches_the_per_step_loop_for_non_dyadic_weights(case):
-    # 0.7 and 0.3 round in each product, and BLAS may fuse the product into
-    # its sum, so the powers (S5) and the gather (S4 trace) can part from the
-    # step p @ y in the last bits
+    # 0.7 and 0.3 round in each product, and the powers add in another order,
+    # so they can part from the step p @ y in the last bits
     if case == "S5-l1":
         ideal, norm = coboundary_ideal(S5, from_pairs(S5, zip(S5_GENS, (0.7, 0.3)))), _l1_norm
     else:
@@ -669,33 +659,6 @@ def test_quotient_norm_trace_matches_the_per_step_loop_for_non_dyadic_weights(ca
     got = np.array(quotient_norm_trace(x, ideal, n_max).norms)
     want = np.array(_norms_by_steps(x, ideal.predual_op, n_max, norm))
     assert np.max(np.abs(got - want) / want) <= 1e-13
-
-
-def test_row_gather_is_taken_only_above_dimension_256(monkeypatch):
-    gathered = []
-
-    def recording(p):
-        cols, vals = _row_gather(p)
-        gathered.append((len(p), cols.shape))
-        return cols, vals
-
-    monkeypatch.setattr("muharmonic.ideals._row_gather", recording)
-    z16, z17 = cyclic_group(16), cyclic_group(17)
-    ideals = [coboundary_ideal(e.group, e.measure) for e in catalog()]
-    ideals += [
-        coboundary_ideal(S5, uniform_on(S5, S5_GENS)),
-        coboundary_ideal(S5, uniform_on(S5, range(S5.order))),  # k = d = 120
-        trace_class_ideal(S3, S3_MU),
-        trace_class_ideal(z16, uniform_on(z16, range(16))),  # d = 256, k = 16
-        trace_class_ideal(z17, point_mass(z17, 1)),  # d = 289, k = 1
-        trace_class_ideal(z17, uniform_on(z17, range(17))),  # d = 289, k = 17
-        trace_class_ideal(S4, uniform_on(S4, S4_GENS)),  # d = 576, k = 2
-    ]
-    for ideal in ideals:
-        x = np.random.default_rng(7).standard_normal(len(ideal.predual_op))
-        assert len(quotient_norm_trace(x, ideal, 3).norms) == 3
-    # every dimension up to 256 takes the powers, whatever k; every larger one gathers
-    assert gathered == [(289, (1, 289)), (289, (17, 289)), (576, (2, 576))]
 
 
 def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
@@ -713,7 +676,7 @@ def test_quotient_norm_trace_memory_does_not_grow_with_n_max():
     z17 = cyclic_group(17)
     for ideal in (coboundary_ideal(S4, uniform_on(S4, S4_GENS)),  # the powers, d = 24
                   coboundary_ideal(S5, uniform_on(S5, S5_GENS)),  # the powers, d = 120
-                  trace_class_ideal(z17, point_mass(z17, 1))):  # the gather, d = 289
+                  trace_class_ideal(z17, point_mass(z17, 1))):  # the powers, d = 289
         d = len(ideal.predual_op)
         x = np.random.default_rng(5).standard_normal(d)
         small, large = transient_peak(x, ideal, 512), transient_peak(x, ideal, 8192)
