@@ -108,15 +108,19 @@ def _validate_table(cayley: np.ndarray, check_associativity: bool) -> tuple[int,
     if identity is None:
         raise ConstructionError("cayley: table has no two-sided identity element")
 
-    inverses = np.full(n, -1, dtype=np.int64)
-    for x in range(n):
-        hits = np.nonzero(cayley[x] == identity)[0]
-        if len(hits) == 0:
+    # y = the first column of row x that holds the identity, its right
+    # inverse; the first x that has none, or whose y is not a left inverse,
+    # is the one reported
+    hits = cayley == identity
+    inverses = hits.argmax(axis=1)
+    found = hits[rng, inverses]
+    bad = ~found | (cayley[inverses, rng] != identity)
+    if bad.any():
+        x = int(bad.argmax())
+        if not found[x]:
             raise ConstructionError(f"cayley: element {x} has no right inverse")
-        y = int(hits[0])
-        if cayley[y, x] != identity:
-            raise ConstructionError(f"cayley: element {x}: right inverse {y} is not a left inverse")
-        inverses[x] = y
+        raise ConstructionError(
+            f"cayley: element {x}: right inverse {int(inverses[x])} is not a left inverse")
 
     if check_associativity:
         # (xy)z == x(yz) for all triples; one (y, z) array per x, whose
@@ -265,10 +269,12 @@ def symmetric_group(n: int) -> FiniteGroup:
         raise ConstructionError("n: symmetric groups are supported for 1 <= n <= 5")
     perms = list(itertools.permutations(range(n)))
     arr = np.array(perms, dtype=np.int64)
-    # base-n codes increase with the lexicographic order, so searchsorted
-    # maps each composed permutation arr[a, arr[b]] back to its index
+    # base-n codes (below n^n <= 3125) index a table that maps each composed
+    # permutation arr[a, arr[b]] back to its index
     place = n ** np.arange(n - 1, -1, -1)
-    cayley = np.searchsorted(arr @ place, arr[:, arr] @ place)
+    index = np.empty(n ** n, dtype=np.int64)
+    index[arr @ place] = np.arange(len(perms))
+    cayley = index[arr[:, arr] @ place]
     labels = [_cycle_notation(p) for p in perms]
     return group_from_table(cayley, labels=labels, name=f"S{n}")
 

@@ -4,10 +4,13 @@ By Choquet-Deny on a finite group, the harmonic functions are constant on
 the left cosets of H = <supp mu>, and the Cesaro limit K of the averages
 (1/n) sum_{i<=n} M^i is the Haar average M(omega_H): the diamond product
 K(h1 h2) takes coset means and factors nothing.  The generic K, the
-projection onto ker(I - M) along range(I - M) from one SVD of I - M, stays
-as the oracle.  The averages converge only at O(1/n) (periodic chains
+projection onto ker(I - M) along range(I - M), stays as the oracle: one SVD
+of I - M gives both bases, and K takes one k x k solve, k the dimension of
+the fixed space.  The averages converge only at O(1/n) (periodic chains
 oscillate), so the report carries the average at a chosen n and its
 distance from K: avg_n - K = (1/n) N (I - N^n) (I - N)^{-1}, N = M - K.
+Real data (every probability measure) runs in float64, as `subspaces._svd`
+does; the results are complex128 either way.
 
 The subgroup-invariant spaces are closed form too: the functions fixed by
 H are the left-coset indicators, and the matrices commuting with rho(H) are
@@ -86,24 +89,38 @@ def cesaro_limit(m: np.ndarray) -> np.ndarray:
     """Exact limit of (1/n) sum_{i=1..n} M^i for a power-bounded matrix.
 
     This is the projection onto ker(I - M) along range(I - M); for such M the
-    two spaces are complementary (the eigenvalue 1 is semisimple).
+    two spaces are complementary (the eigenvalue 1 is semisimple).  Where they
+    are not, there is no such projection and the result is NaN.
     """
     return _fixed_space_and_limit(m)[1]
 
 
 def _fixed_space_and_limit(m: np.ndarray) -> tuple[Subspace, np.ndarray]:
-    """ker(I - M) and the Cesaro limit K, from one factorization of I - M."""
+    """ker(I - M) and the Cesaro limit K, from one factorization of I - M.
+
+    With N the n x k matrix of the kernel's orthonormal basis and R that of
+    the range's, PN = N - R (R^H N) is the part of N orthogonal to the range,
+    and K = N (N^H PN)^{-1} (PN)^H fixes N and sends R to 0: one k x k solve,
+    k the dimension of the fixed space.  Real factors (M real) run in float64;
+    K is complex128 either way.  If the two spaces do not split the space
+    (their ranks do not add up to n, or they meet and N^H PN is singular)
+    there is no such projection: K is then NaN, which the checks on K read
+    as a failure.
+    """
     a = np.asarray(m, dtype=np.complex128)
     n = a.shape[0]
     fixed, moving = kernel_and_range(np.eye(n) - a)
-    if fixed.rank + moving.rank != n:
-        raise ValueError(
-            "ker(I - M) and range(I - M) do not split the space; "
-            "is M power-bounded?"
-        )
-    basis = np.hstack([fixed.basis.T, moving.basis.T])
-    coeffs = np.linalg.solve(basis, np.eye(n, dtype=np.complex128))
-    return fixed, basis[:, : fixed.rank] @ coeffs[: fixed.rank, :]
+    k = np.full((n, n), np.nan, dtype=np.complex128)
+    if fixed.rank + moving.rank == n:
+        ker, rng = fixed.basis.T, moving.basis.T
+        if not (np.any(ker.imag) or np.any(rng.imag)):
+            ker, rng = ker.real, rng.real
+        orth = ker - rng @ (rng.conj().T @ ker)
+        try:
+            k[:] = ker @ np.linalg.solve(ker.conj().T @ orth, orth.conj().T)
+        except np.linalg.LinAlgError:
+            pass
+    return fixed, k
 
 
 def cesaro_mean(m: np.ndarray, n: int, k: np.ndarray | None = None) -> np.ndarray:
@@ -112,16 +129,20 @@ def cesaro_mean(m: np.ndarray, n: int, k: np.ndarray | None = None) -> np.ndarra
     With K the Cesaro limit (pass it as k when it is already known) and
     N = M - K, M^i - K = N^i for i >= 1, so the average is
     K + (1/n) N (I - N^n) (I - N)^{-1}; I - N is invertible because K
-    removes the eigenvalue 1.
+    removes the eigenvalue 1.  A k that does not remove it may leave I - N
+    singular, and the solve then raises LinAlgError.  Real M and K run in
+    float64; the result is complex128.
     """
     n = _positive_integer(n, "n")
     a = np.asarray(m, dtype=np.complex128)
     if k is None:
         k = cesaro_limit(a)
+    if not (np.any(a.imag) or np.any(np.imag(k))):
+        a, k = a.real, np.real(k)
     eye = np.eye(a.shape[0])
     transient = a - k
     tail = transient @ (eye - np.linalg.matrix_power(transient, n))
-    return k + np.linalg.solve(eye - transient, tail) / n
+    return (k + np.linalg.solve(eye - transient, tail) / n).astype(np.complex128, copy=False)
 
 
 @dataclass(frozen=True)
@@ -156,7 +177,12 @@ def cesaro_projection(m: np.ndarray, n_max: int) -> ProjectionReport:
     """
     n_max = _positive_integer(n_max, "n_max")
     fixed, k = _fixed_space_and_limit(m)
-    average = cesaro_mean(m, n_max, k)
+    try:
+        average = cesaro_mean(m, n_max, k)
+    except np.linalg.LinAlgError:
+        # I - (M - K) is singular: K leaves the eigenvalue 1 of M, so it is
+        # not the Cesaro limit, and the closed form has no average to give
+        average = np.full(k.shape, np.nan, dtype=np.complex128)
     gap = float(np.linalg.norm(average - k))
     return ProjectionReport(
         K=k,
@@ -225,11 +251,10 @@ def harmonic_triviality_verdict(
     sub_res = mutual_residual(space, trivial)
     equal = space.rank == trivial.rank and sub_res <= 1e-9
 
-    worst = 0.0
-    for i in range(space.rank):
-        for j in range(i, space.rank):
-            prod = space.basis[i] * space.basis[j]
-            worst = max(worst, float(np.abs(k @ prod - prod).max()))
+    prods = [space.basis[i] * space.basis[j]
+             for i in range(space.rank) for j in range(i, space.rank)]
+    # numpy's max keeps a NaN (a K that does not exist), where max() would drop it
+    worst = float(np.max([np.abs(k @ p - p).max() for p in prods], initial=0.0))
     diamond_ok = worst <= 1e-9
 
     return TrivialityVerdict(

@@ -220,11 +220,14 @@ def _write_series_csv(path, values) -> None:
     """Write an `n,value` header and one row per value, n = 1, 2, ..., in one write.
 
     The bytes are those of csv.writer: rows end in \\r\\n, values are printed
-    with 17 significant digits, and no field needs quoting.
+    with 17 significant digits, and no field needs quoting.  All rows come
+    from one `%` format of the interleaved (n, value) fields.
     """
-    rows = "".join(f"{n},{v:.17g}\r\n" for n, v in enumerate(values, start=1))
+    cells = [None] * (2 * len(values))
+    cells[::2] = range(1, len(values) + 1)
+    cells[1::2] = values
     with open(path, "w", newline="") as fh:
-        fh.write("n,value\r\n" + rows)
+        fh.write("n,value\r\n" + ("%d,%.17g\r\n" * len(values)) % tuple(cells))
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,51 @@ def test_a_wrong_cesaro_limit_fails_criterion_2(monkeypatch, capsys):
     assert "criterion 02 cesaro_limit: FAIL (" in capsys.readouterr().out
 
 
+def _short_split(monkeypatch):
+    """kernel_and_range, as `harmonic` reads it, loses one range row: the two
+    subspaces no longer span the space, and K does not exist."""
+    kernel_and_range = muharmonic.harmonic.kernel_and_range
+
+    def short(a):
+        fixed, moving = kernel_and_range(a)
+        return fixed, muharmonic.subspaces.Subspace(moving.ambient_dim, moving.basis[1:])
+
+    monkeypatch.setattr("muharmonic.harmonic.kernel_and_range", short)
+
+
+def test_a_split_that_does_not_span_fails_the_cesaro_checks_not_the_cli(monkeypatch, capsys):
+    _short_split(monkeypatch)
+    assert np.isnan(muharmonic.cesaro_limit(np.eye(2)[::-1])).all()
+    assert cli_main(["cesaro", "--entry", "Z6_delta2"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] Z6_delta2: tv(A_1000, haar): value=nan bound=0.01\n" in out
+    assert "[FAIL] Z6_delta2: ||K - pi(haar)||_F: value=nan bound=1e-09\n" in out
+    assert "Traceback" not in out + err
+    assert cli_main(["harmonic", "--entry", "Z6_delta2"]) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] Z6_delta2: verdict consistent: value=0 bound=1\n" in out
+    assert "Traceback" not in out + err
+
+
+def test_a_split_that_does_not_span_fails_the_suite_without_a_traceback(monkeypatch, capsys):
+    # criteria 3 and 7 cannot carry a NaN K (an SVD of it, a measure from it)
+    # and raise: each fails with a check that names the exception
+    _short_split(monkeypatch)
+    assert cli_main(["suite"]) == 1
+    out, err = capsys.readouterr()
+    for line in (
+        "criterion 01 finite_triviality: FAIL (Z2_delta1: verdict consistent: ",
+        "criterion 02 cesaro_limit: FAIL (Z2_delta1: tv(A_1000, haar): value=nan, ",
+        "criterion 03 projection: FAIL (raised LinAlgError: SVD did not converge: ",
+        "criterion 06 quotient_norms: FAIL (Z2_delta1: |a_4096 - lp distance|: value=nan, ",
+        "criterion 07 approximate_identity: FAIL (raised ConstructionError: "
+        "measure weights must be finite: ",
+        "criterion 15 determinism: PASS\n",
+    ):
+        assert line in out
+    assert "Traceback" not in out + err
+
+
 def test_a_scaled_cesaro_limit_fails_criterion_3(monkeypatch, capsys):
     # K scaled by 1 + 1e-3 where the projection report takes it: no longer
     # idempotent, and its rows sum to 1.001
@@ -803,6 +848,8 @@ _Z2, _Z0 = {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 0}
      "group.cayley: expected a square list of rows of element indices"),
     ({"kind": "from_table", "cayley": [[0, 1], [1, 1]]},
      "group.cayley: element 1 has no right inverse"),
+    ({"kind": "from_table", "cayley": [[0, 1, 2], [1, 2, 0], [2, 1, 1]]},
+     "group.cayley: element 1: right inverse 2 is not a left inverse"),
     ({"kind": "from_table", "cayley": [[0, 1], [1, 0]], "labels": "es"},
      "group.labels: expected 2 strings, one per element, got 'es'"),
 ])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from muharmonic import (
     CapacityError,
     ConstructionError,
+    catalog,
     cyclic_group,
     dihedral_group,
     generated_subgroup,
@@ -241,3 +243,101 @@ def test_json_round_trip():
         {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}]},
         "group")
     assert nested.order == 6
+
+
+def _loop_inverses(cayley, identity):
+    """The element-by-element inverse search, as the oracle for the array form:
+    the first x whose row has no identity, or whose first right inverse is not
+    a left inverse, is reported."""
+    inverses = np.full(len(cayley), -1, dtype=np.int64)
+    for x in range(len(cayley)):
+        hits = np.nonzero(cayley[x] == identity)[0]
+        if len(hits) == 0:
+            raise ConstructionError(f"cayley: element {x} has no right inverse")
+        y = int(hits[0])
+        if cayley[y, x] != identity:
+            raise ConstructionError(f"cayley: element {x}: right inverse {y} is not a left inverse")
+        inverses[x] = y
+    return inverses
+
+
+def test_a_right_inverse_that_is_not_a_left_inverse_is_named():
+    # 1 * 2 = 0 but 2 * 1 = 1
+    with pytest.raises(ConstructionError,
+                       match=r"^cayley: element 1: right inverse 2 is not a left inverse$"):
+        group_from_table([[0, 1, 2], [1, 2, 0], [2, 1, 1]])
+
+
+def test_inverse_search_names_the_first_failing_element_as_the_loop_does():
+    # tables with a two-sided identity and random other entries fail, or not,
+    # at the same element with the same message as the loop
+    rng = np.random.default_rng(36)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        e = int(rng.integers(n))
+        cayley = rng.integers(n, size=(n, n))
+        cayley[e] = cayley[:, e] = np.arange(n)
+        try:
+            expected = _loop_inverses(cayley, e)
+        except ConstructionError as exc:
+            expected = str(exc)
+        try:
+            got = group_from_table(cayley).inverses
+        except ConstructionError as exc:
+            got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected
+            outcomes.add("no right inverse" in expected)
+        elif isinstance(got, str):  # inverses found; the table is not associative
+            assert got.startswith("cayley: associativity fails at triple")
+        else:
+            assert np.array_equal(got, expected)
+    assert outcomes == {True, False}  # both messages were reached
+
+
+# sha256 (first 16 hex digits) of each group's Cayley table, inverses and identity,
+# with their dtypes and shapes, as the loop over elements built them
+_TABLE_DIGESTS = {
+    "cyclic_group(1)": "8517b4f3c265dcf6",
+    "cyclic_group(2)": "4c2e1bdcc02288c9",
+    "cyclic_group(6)": "a4645f02cbef27f7",
+    "cyclic_group(17)": "458f3caf16f41a21",
+    "dihedral_group(3)": "bf10d2bc3d6abaf6",
+    "dihedral_group(4)": "1aebd285be720cfe",
+    "dihedral_group(6)": "677b9b923874950d",
+    "symmetric_group(1)": "8517b4f3c265dcf6",
+    "symmetric_group(2)": "4c2e1bdcc02288c9",
+    "symmetric_group(3)": "ed7f93532e9be4b8",
+    "symmetric_group(4)": "154846c2cd79d341",
+    "symmetric_group(5)": "73e0b6fbe241e925",
+    "product_group(Z2, Z3)": "f3b6b7356d02a1c1",
+    "product_group(D4, S3)": "46d069df39160b8b",
+    "Z2_delta1": "4c2e1bdcc02288c9",
+    "Z4_delta1": "2161613844d8817d",
+    "Z6_delta2": "a4645f02cbef27f7",
+    "V4_two_gens": "cea6fe961a35a410",
+    "S3_transpositions": "ed7f93532e9be4b8",
+    "S4_two_gens": "154846c2cd79d341",
+    "Z5_07_03": "9095990aaffa5e9f",
+}
+
+
+def test_builders_and_catalog_tables_are_bitwise_unchanged():
+    def digest(g):
+        h = hashlib.sha256()
+        for a in (g.cayley, g.inverses):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+        h.update(str(g.identity).encode())
+        return h.hexdigest()[:16]
+
+    groups = {f"cyclic_group({n})": cyclic_group(n) for n in (1, 2, 6, 17)}
+    groups |= {f"dihedral_group({n})": dihedral_group(n) for n in (3, 4, 6)}
+    groups |= {f"symmetric_group({n})": symmetric_group(n) for n in (1, 2, 3, 4, 5)}
+    groups["product_group(Z2, Z3)"] = product_group(cyclic_group(2), cyclic_group(3))
+    groups["product_group(D4, S3)"] = product_group(dihedral_group(4), symmetric_group(3))
+    groups |= {e.name: e.group for e in catalog()}
+    assert {name: digest(g) for name, g in groups.items()} == _TABLE_DIGESTS
+    for g in groups.values():
+        assert np.array_equal(g.inverses, _loop_inverses(g.cayley, g.identity))

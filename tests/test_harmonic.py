@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import muharmonic
 from muharmonic import (
     ConstructionError,
     FiniteMeasure,
@@ -388,3 +389,78 @@ def test_complex_measure_on_cyclic_group_fixes_the_character(n):
     k = cesaro_limit(m)
     assert np.linalg.norm(k @ k - k) <= 1e-12
     assert np.abs(k - np.outer(chi, chi.conj()) / n).max() <= 1e-12
+
+
+def _hstack_limit(m):
+    """K by the square solve of the stacked kernel and range bases: the oracle
+    for the k x k form."""
+    a = np.asarray(m, dtype=np.complex128)
+    fixed, moving = muharmonic.subspaces.kernel_and_range(np.eye(len(a)) - a)
+    basis = np.hstack([fixed.basis.T, moving.basis.T])
+    coeffs = np.linalg.solve(basis, np.eye(len(a), dtype=np.complex128))
+    return basis[:, : fixed.rank] @ coeffs[: fixed.rank, :]
+
+
+def _s5_matrix():
+    s5 = symmetric_group(5)
+    mu = uniform_on(s5, [s5.labels.index("(1 2)"), s5.labels.index("(1 2 3 4 5)")])
+    return right_markov_matrix(s5, mu)
+
+
+_LIMIT_CASES = {
+    **{e.name: (lambda e=e: right_markov_matrix(e.group, e.measure)) for e in catalog()},
+    "S5": _s5_matrix,
+    **{f"character Z{n}": (lambda n=n: right_markov_matrix(cyclic_group(n), _character_measure(n)))
+       for n in (3, 5, 8)},
+}
+
+
+@pytest.mark.parametrize("case", list(_LIMIT_CASES))
+def test_cesaro_limit_is_the_stacked_basis_solve(case):
+    m = _LIMIT_CASES[case]()
+    k = cesaro_limit(m)
+    assert k.dtype == np.complex128
+    assert np.abs(k - _hstack_limit(m)).max() <= 1e-14
+
+
+def test_cesaro_limit_with_no_fixed_space_and_with_all_of_it():
+    eye = np.eye(5)
+    assert np.array_equal(cesaro_limit(0.5 * eye), np.zeros((5, 5)))
+    assert np.array_equal(cesaro_limit(eye), eye)
+
+
+def _complex_mean(m, n, k):
+    """cesaro_mean's closed form in complex128 arithmetic."""
+    a, k = np.asarray(m, dtype=np.complex128), np.asarray(k, dtype=np.complex128)
+    eye = np.eye(len(a))
+    transient = a - k
+    tail = transient @ (eye - np.linalg.matrix_power(transient, n))
+    return k + np.linalg.solve(eye - transient, tail) / n
+
+
+@pytest.mark.parametrize("case", ["Z6_delta2", "S3_transpositions", "S4_two_gens", "S5"])
+@pytest.mark.parametrize("n", [1, 7, 4000])
+def test_real_cesaro_mean_is_the_complex_one(case, n):
+    m = _LIMIT_CASES[case]()
+    k = cesaro_limit(m)
+    mean = cesaro_mean(m, n, k)
+    assert mean.dtype == np.complex128
+    reference = _complex_mean(m, n, k)
+    assert np.abs(mean - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+def test_a_k_that_is_not_the_limit_leaves_a_nan_average_not_an_error(monkeypatch):
+    # the uniform matrix keeps the eigenvalue 1 of the second coset of <2> in
+    # Z6: I - (M - K) is singular, and the closed form has no average to give
+    e = next(e for e in catalog() if e.name == "Z6_delta2")
+    m = right_markov_matrix(e.group, e.measure)
+    fixed = muharmonic.harmonic._fixed_space_and_limit(m)[0]
+    uniform = np.full((6, 6), 1 / 6, dtype=np.complex128)
+    with pytest.raises(np.linalg.LinAlgError):
+        cesaro_mean(m, 1000, uniform)
+    monkeypatch.setattr("muharmonic.harmonic._fixed_space_and_limit", lambda a: (fixed, uniform))
+    report = cesaro_projection(m, 1000)
+    assert np.isnan(report.average).all()
+    assert report.converged_iteratively is False
+    assert np.isnan(report.iterative_gap)
+    assert report.range_rank == 2

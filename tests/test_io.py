@@ -33,8 +33,10 @@ def test_verdict_json():
 
 
 def test_series_csv_is_byte_for_byte_the_csv_writer(tmp_path):
-    values = [0.5, 1 / 3, -2.5e-300, 1e20, 0.0, -0.0, float("nan"), float("inf"), 7.0]
-    for series in (values, values[:1], []):
+    values = [0.5, 1 / 3, -2.5e-300, 1e20, 0.0, -0.0, float("nan"), float("inf"), 7.0,
+              -float("inf"), 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    long = np.random.default_rng(4096).standard_normal(4096) ** 3  # as a trace: a float array
+    for series in (values, values[:1], [], long, tuple(long.tolist())):
         reference = tmp_path / "reference.csv"
         with reference.open("w", newline="") as fh:
             writer = csv.writer(fh)
